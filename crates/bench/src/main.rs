@@ -80,8 +80,19 @@ fn main() -> ExitCode {
                 usage()
             })
         }
+        // A zero run length, thread count or job count would leave empty
+        // or NaN tables behind; refuse it before anything is written.
+        fn parse_positive(flag: &str, value: &str) -> Result<u64, ExitCode> {
+            match parse_int(flag, value)? {
+                0 => {
+                    eprintln!("{flag} must be at least 1");
+                    Err(usage())
+                }
+                v => Ok(v),
+            }
+        }
         match flag {
-            "--ms" => match parse_int(flag, value) {
+            "--ms" => match parse_positive(flag, value) {
                 Ok(v) => {
                     opts.duration_ms = v;
                     ms_set = true;
@@ -96,7 +107,7 @@ fn main() -> ExitCode {
                 Ok(v) => opts.scale = v,
                 Err(code) => return code,
             },
-            "--threads" => match parse_int(flag, value) {
+            "--threads" => match parse_positive(flag, value) {
                 Ok(v) => opts.max_threads = v as usize,
                 Err(code) => return code,
             },
@@ -104,11 +115,7 @@ fn main() -> ExitCode {
                 Ok(v) => opts.warmup_ms = v,
                 Err(code) => return code,
             },
-            "--jobs" => match parse_int(flag, value) {
-                Ok(0) => {
-                    eprintln!("--jobs must be at least 1");
-                    return usage();
-                }
+            "--jobs" => match parse_positive(flag, value) {
                 Ok(v) => opts.jobs = v as usize,
                 Err(code) => return code,
             },

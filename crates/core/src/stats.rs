@@ -110,7 +110,7 @@ impl StThreadStats {
     /// Reports every counter and histogram into `reg` under the `st.`
     /// namespace (schema documented in `docs/METRICS.md`).
     ///
-    /// Keys are interned once per process ([`st_schema`]); each call fills
+    /// Keys are interned once per process (`st_schema`); each call fills
     /// a thread-local flat scratch and merges it in at the end, so the
     /// report path does no string lookups. The key set and JSON output are
     /// identical to direct string-keyed recording.

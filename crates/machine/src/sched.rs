@@ -20,6 +20,7 @@ use crate::{
     CYCLES_PER_SECOND,
 };
 use std::collections::VecDeque;
+use std::hint::select_unpredictable;
 use std::sync::Arc;
 
 /// What a worker accomplished in one step.
@@ -186,41 +187,54 @@ struct ThreadState<W> {
     cpu: Cpu,
     worker: W,
     ops: u64,
-    finished: bool,
     /// Retired by a `Kill` fault; `finish` is skipped (crash semantics).
     killed: bool,
     /// Virtual time at which this thread was last scheduled in.
     sched_in: Cycles,
 }
 
-struct ContextState {
+/// Per-hardware-context state, one flat array per field. A pick scans
+/// `cand` instead of chasing queue-front -> thread -> clock pointers, so
+/// every site that changes a front thread or its clock updates `cand`.
+struct Contexts {
     /// Run queue of indices into the thread table; front is running.
-    queue: VecDeque<usize>,
-    /// Wall clock of this hardware context.
-    wall: Cycles,
+    queue: Vec<VecDeque<usize>>,
+    /// Wall clock of the context.
+    wall: Vec<Cycles>,
+    /// Virtual clock and id of the front thread (clock `Cycles::MAX` =
+    /// context idle, id stale).
+    cand: Vec<(Cycles, usize)>,
 }
 
-/// Removes a context's front thread from its run queue and resumes the next
-/// one (charging the context switch), or marks the context idle. Keeps the
-/// pick scan's candidate-clock cache (`cand[c]`) in sync with the new front.
-fn retire_front<W>(
-    ctx: &mut ContextState,
-    threads: &mut [ThreadState<W>],
-    costs: &CostModel,
-    board: &ActivityBoard,
-    cand: &mut [Cycles],
-    c: usize,
-) {
-    ctx.queue.pop_front();
-    if let Some(&next) = ctx.queue.front() {
-        let resume = ctx.wall + costs.context_switch;
-        threads[next].cpu.advance_to(resume);
-        threads[next].sched_in = threads[next].cpu.now();
-        threads[next].cpu.counters.context_switches += 1;
-        cand[c] = threads[next].cpu.now();
-    } else {
-        board.set_running(c, false);
-        cand[c] = Cycles::MAX;
+impl Contexts {
+    /// Makes `th` the running thread of context `c` at virtual time
+    /// `resume`, which includes the context-switch charge.
+    fn switch_in<W>(&mut self, c: usize, th: &mut ThreadState<W>, resume: Cycles) {
+        th.cpu.advance_to(resume);
+        th.sched_in = th.cpu.now();
+        th.cpu.counters.context_switches += 1;
+        self.cand[c] = (th.cpu.now(), th.cpu.thread_id);
+    }
+
+    /// Removes context `c`'s front thread, stopped at virtual time `now`,
+    /// from its run queue and switches in the next one, or idles `c`.
+    fn retire<W>(
+        &mut self,
+        c: usize,
+        now: Cycles,
+        threads: &mut [ThreadState<W>],
+        costs: &CostModel,
+        board: &ActivityBoard,
+    ) {
+        self.wall[c] = self.wall[c].max(now);
+        self.queue[c].pop_front();
+        if let Some(&next) = self.queue[c].front() {
+            let resume = self.wall[c] + costs.context_switch;
+            self.switch_in(c, &mut threads[next], resume);
+        } else {
+            board.set_running(c, false);
+            self.cand[c].0 = Cycles::MAX;
+        }
     }
 }
 
@@ -241,8 +255,9 @@ impl Simulator {
     /// Thread `i` is pinned to hardware context `topology.place(i)`.
     pub fn run<W: Worker>(&self, workers: Vec<W>) -> (SimReport, Vec<W>) {
         let topo = self.config.topology;
+        let n_ctx = topo.hw_contexts();
         let costs = Arc::new(self.config.costs.clone());
-        let board = Arc::new(ActivityBoard::new(topo.hw_contexts()));
+        let board = Arc::new(ActivityBoard::new(n_ctx));
         let signals = Arc::new(crate::cpu::SignalBoard::new(workers.len()));
         let n = workers.len();
 
@@ -257,291 +272,194 @@ impl Simulator {
                     cpu,
                     worker,
                     ops: 0,
-                    finished: false,
                     killed: false,
                     sched_in: 0,
                 }
             })
             .collect();
 
-        let mut contexts: Vec<ContextState> = (0..topo.hw_contexts())
-            .map(|_| ContextState {
-                queue: VecDeque::new(),
-                wall: 0,
-            })
-            .collect();
+        let mut ctxs = Contexts {
+            queue: vec![VecDeque::new(); n_ctx],
+            wall: vec![0; n_ctx],
+            cand: vec![(Cycles::MAX, 0); n_ctx],
+        };
         for i in 0..n {
-            contexts[topo.place(i)].queue.push_back(i);
+            ctxs.queue[topo.place(i)].push_back(i);
         }
-        for (c, ctx) in contexts.iter().enumerate() {
-            board.set_running(c, !ctx.queue.is_empty());
+        for c in 0..n_ctx {
+            board.set_running(c, !ctxs.queue[c].is_empty());
+            if let Some(&t) = ctxs.queue[c].front() {
+                ctxs.cand[c] = (threads[t].cpu.now(), t);
+            }
         }
-        // Candidate-clock cache: `cand[c]` mirrors the virtual clock of
-        // context `c`'s front thread (`Cycles::MAX` = context idle), so the
-        // per-pick scan reads a flat array instead of chasing
-        // queue-front -> thread -> clock pointers. Every site that changes a
-        // front thread or its clock updates the slot.
-        let mut cand: Vec<Cycles> = contexts
-            .iter()
-            .map(|ctx| {
-                ctx.queue
-                    .front()
-                    .map_or(Cycles::MAX, |&t| threads[t].cpu.now())
-            })
-            .collect();
 
         let deadline = self.config.duration;
+        let step_limit = self.config.step_limit.unwrap_or(u64::MAX);
         let mut steps: u64 = 0;
         let mut truncated = false;
-        let mut faults = CompiledFaults::new(&self.config.faults, n, topo.hw_contexts());
+        let mut faults = CompiledFaults::new(&self.config.faults, n, n_ctx);
         let mut fstats = FaultStats::default();
-        // Resume time of each stalled thread (`None` = not stalled), plus a
-        // count of `Some` slots so the fault-free scan skips the whole list.
-        let mut parked: Vec<Option<Cycles>> = vec![None; n];
+        // Resume time of each stalled thread (`Cycles::MAX` = not stalled),
+        // plus a count of stalls so the fault-free pick skips the list.
+        let mut parked: Vec<Cycles> = vec![Cycles::MAX; n];
         let mut n_parked: usize = 0;
 
         // A run with no fault plan never kills, stalls, or storms; hoist
         // that fact out of the per-step loop.
         let faults_inert = faults.is_inert();
 
-        'run: loop {
+        loop {
             // Pick the next event with the smallest virtual time: either the
             // running (front-of-queue) thread of some context, or the wakeup
             // of a stalled thread. Ties go to running threads, then to the
             // lowest index — strictly deterministic.
-            //
-            // `ru_lo`/`ru_hi` bound how long the picked thread provably stays
-            // the pick without re-scanning. The scan visits contexts in index
-            // order, then parked threads, replacing the best only on a
-            // *strictly* smaller time — so a picked context `c` wins again
-            // exactly when its clock is strictly below every earlier-index
-            // candidate (`ru_lo`) and at-or-below every later-index and
-            // parked candidate (`ru_hi`, where ties still go to `c`). While
-            // that holds, the quantum-slice loop below keeps stepping it
-            // (nothing it does can move another candidate's clock or
-            // runnability); otherwise the full deterministic scan re-runs, so
-            // the step sequence is identical to the one-scan-per-step
-            // scheduler.
-            #[derive(Clone, Copy)]
             enum Pick {
                 Ctx(usize),
                 Unpark(usize),
             }
-            let mut ru_lo = Cycles::MAX;
-            let mut ru_hi = Cycles::MAX;
             let pick = if let Some(ctrl) = self.config.controller.as_deref() {
                 // Controller mode: every runnable thread is a candidate and
                 // the controller dictates the interleaving (virtual clocks
-                // no longer order the picks).
-                let mut cands: Vec<(usize, Pick)> = Vec::new();
-                for (c, ctx) in contexts.iter().enumerate() {
-                    let Some(&t) = ctx.queue.front() else {
-                        continue;
-                    };
-                    if threads[t].cpu.now() < deadline {
-                        cands.push((t, Pick::Ctx(c)));
-                    }
-                }
-                for (t, slot) in parked.iter().enumerate() {
-                    if slot.is_some_and(|resume| resume < deadline) {
-                        cands.push((t, Pick::Unpark(t)));
-                    }
-                }
-                if cands.is_empty() {
+                // no longer order the picks). A thread is either some
+                // context's front or parked, never both.
+                let mut ids: Vec<usize> = (0..n_ctx)
+                    .filter(|&c| ctxs.cand[c].0 < deadline)
+                    .map(|c| ctxs.cand[c].1)
+                    .collect();
+                ids.extend((0..n).filter(|&t| parked[t] < deadline));
+                if ids.is_empty() {
                     break;
                 }
-                cands.sort_by_key(|&(t, _)| t);
-                let ids: Vec<usize> = cands.iter().map(|&(t, _)| t).collect();
+                ids.sort_unstable();
                 let chosen = ctrl.pick(&ids);
-                // Controller mode never batches: every preemption point is
-                // the controller's decision, so re-consult it every step.
-                ru_lo = 0;
-                cands
-                    .iter()
-                    .find(|&&(t, _)| t == chosen)
-                    .unwrap_or_else(|| {
-                        panic!("controller picked non-runnable thread {chosen} (runnable: {ids:?})")
-                    })
-                    .1
+                if !ids.contains(&chosen) {
+                    panic!("controller picked non-runnable thread {chosen} (runnable: {ids:?})");
+                }
+                if parked[chosen] < Cycles::MAX {
+                    Pick::Unpark(chosen)
+                } else {
+                    Pick::Ctx(topo.place(chosen))
+                }
             } else {
-                // One scan computes the pick *and* the batch bounds. When
-                // the running best is dethroned, every candidate seen so far
-                // (old best included) sits at an earlier scan position than
-                // the new best, so the whole hi-pool folds into `ru_lo`.
-                // Idle contexts carry `Cycles::MAX` in the cache, which the
-                // deadline filter rejects like any past-deadline clock.
-                let mut best: Option<(Pick, Cycles)> = None;
-                for (c, &now) in cand.iter().enumerate() {
-                    if now >= deadline {
-                        continue;
-                    }
-                    if best.map_or(true, |(_, bt)| now < bt) {
-                        if let Some((_, bt)) = best {
-                            ru_lo = ru_lo.min(ru_hi).min(bt);
-                            ru_hi = Cycles::MAX;
-                        }
-                        best = Some((Pick::Ctx(c), now));
-                    } else {
-                        ru_hi = ru_hi.min(now);
-                    }
+                // First minimum of the clock cache: a later context replaces
+                // the best only on a strictly smaller clock, so ties go to
+                // the lower index. The selects compile to conditional moves;
+                // which context wins is data the branch predictor cannot
+                // learn. Idle contexts carry `Cycles::MAX`, which the
+                // deadline test rejects like any past-deadline clock.
+                let (mut best_c, mut best_t) = (0, ctxs.cand[0].0);
+                for (c, &(now, _)) in ctxs.cand.iter().enumerate().skip(1) {
+                    let less = now < best_t;
+                    best_c = select_unpredictable(less, c, best_c);
+                    best_t = select_unpredictable(less, now, best_t);
                 }
+                let mut pick = (best_t < deadline).then_some(Pick::Ctx(best_c));
                 if n_parked > 0 {
-                    for (t, slot) in parked.iter().enumerate() {
-                        let Some(resume) = *slot else {
-                            continue;
-                        };
-                        // A stall outlasting the deadline never wakes up:
-                        // the thread keeps its publications and its clock
-                        // stays at park time.
-                        if resume >= deadline {
-                            continue;
-                        }
-                        if best.map_or(true, |(_, bt)| resume < bt) {
-                            // The bounds are now stale, but an `Unpark` pick
-                            // never batches, so they are also never read.
-                            best = Some((Pick::Unpark(t), resume));
-                        } else {
-                            // Parked threads are scanned after every
-                            // context, so a picked context wins ties against
-                            // them: non-strict bound.
-                            ru_hi = ru_hi.min(resume);
+                    // Parked threads are scanned after every context, so a
+                    // context wins a tie against them. A stall outlasting
+                    // the deadline never wakes up: the thread keeps its
+                    // publications and its clock stays at park time.
+                    let mut limit = best_t.min(deadline);
+                    for (t, &resume) in parked.iter().enumerate() {
+                        if resume < limit {
+                            limit = resume;
+                            pick = Some(Pick::Unpark(t));
                         }
                     }
                 }
-                let Some((pick, _)) = best else {
-                    break;
-                };
+                let Some(pick) = pick else { break };
                 pick
             };
 
             let c = match pick {
                 Pick::Unpark(t) => {
-                    let resume = parked[t].take().expect("picked parked thread");
+                    let resume = std::mem::replace(&mut parked[t], Cycles::MAX);
                     n_parked -= 1;
                     let c = topo.place(t);
-                    let th = &mut threads[t];
                     // Waking up is a context switch: the clock jumps past the
                     // stall window and transactional schemes abort their open
                     // segment, exactly as after a real preemption.
-                    th.cpu
-                        .advance_to(resume.saturating_add(costs.context_switch));
-                    th.cpu.counters.context_switches += 1;
-                    let was_idle = contexts[c].queue.is_empty();
-                    contexts[c].queue.push_back(t);
-                    if was_idle {
-                        th.sched_in = th.cpu.now();
+                    let resume = resume.saturating_add(costs.context_switch);
+                    let th = &mut threads[t];
+                    if ctxs.queue[c].is_empty() {
                         board.set_running(c, true);
-                        cand[c] = th.cpu.now();
+                        ctxs.switch_in(c, th, resume);
+                    } else {
+                        th.cpu.advance_to(resume);
+                        th.cpu.counters.context_switches += 1;
                     }
+                    ctxs.queue[c].push_back(t);
                     continue;
                 }
                 Pick::Ctx(c) => c,
             };
 
-            // Quantum-slice batch: step this context's front thread until a
-            // scheduling boundary — a fault, the quantum, a storm, finish,
-            // the deadline, or its clock crossing the `ru_lo`/`ru_hi`
-            // bounds. Each iteration is byte-for-byte the old per-pick
-            // body; only the outer candidate re-scan between steps is
-            // elided, which is safe because a stepping thread cannot change
-            // any *other* candidate's virtual time or runnability.
-            let t = *contexts[c].queue.front().expect("picked nonempty queue");
-            loop {
+            let t = ctxs.cand[c].1;
+            if !faults_inert {
                 let now = threads[t].cpu.now();
-                if !faults_inert && faults.kill_due(t, now) {
-                    threads[t].finished = true;
+                if faults.kill_due(t, now) {
                     threads[t].killed = true;
                     fstats.kills += 1;
-                    contexts[c].wall = contexts[c].wall.max(now);
-                    retire_front(&mut contexts[c], &mut threads, &costs, &board, &mut cand, c);
-                    break;
+                    ctxs.retire(c, now, &mut threads, &costs, &board);
+                    continue;
                 }
-                if !faults_inert {
-                    if let Some(resume) = faults.take_stall(t, now) {
-                        fstats.stalls += 1;
-                        fstats.stall_cycles += resume - now;
-                        parked[t] = Some(resume);
-                        n_parked += 1;
-                        contexts[c].wall = contexts[c].wall.max(now);
-                        retire_front(&mut contexts[c], &mut threads, &costs, &board, &mut cand, c);
-                        break;
-                    }
+                if let Some(resume) = faults.take_stall(t, now) {
+                    fstats.stalls += 1;
+                    fstats.stall_cycles += resume - now;
+                    parked[t] = resume;
+                    n_parked += 1;
+                    ctxs.retire(c, now, &mut threads, &costs, &board);
+                    continue;
                 }
+            }
 
-                if let Some(limit) = self.config.step_limit {
-                    if steps >= limit {
-                        truncated = true;
-                        break 'run;
-                    }
-                }
-                steps += 1;
+            if steps >= step_limit {
+                truncated = true;
+                break;
+            }
+            steps += 1;
 
-                // Signal delivery: pending signals are handed to the victim
-                // before its next step, like a kernel running the handler on
-                // the way back to user space. Coalesced raises cost one
-                // delivery; a parked thread receives on its wake-up step.
-                if threads[t].cpu.take_signals() > 0 {
-                    let th = &mut threads[t];
-                    th.cpu.charge(costs.signal_deliver);
-                    th.worker.neutralize(&mut th.cpu);
-                }
+            let th = &mut threads[t];
+            // Signal delivery: pending signals are handed to the victim
+            // before its next step, like a kernel running the handler on
+            // the way back to user space. Coalesced raises cost one
+            // delivery; a parked thread receives on its wake-up step.
+            if th.cpu.take_signals() > 0 {
+                th.cpu.charge(costs.signal_deliver);
+                th.worker.neutralize(&mut th.cpu);
+            }
 
-                let before = threads[t].cpu.now();
-                let th = &mut threads[t];
-                let outcome = th.worker.step(&mut th.cpu);
-                if th.cpu.now() == before {
-                    // Forward-progress backstop: a step always consumes time.
-                    th.cpu.charge(1);
-                }
-                match outcome {
-                    StepOutcome::OpDone => th.ops += 1,
-                    StepOutcome::Finished => th.finished = true,
-                    StepOutcome::Progress | StepOutcome::Idle => {}
-                }
-                contexts[c].wall = threads[t].cpu.now();
-                cand[c] = threads[t].cpu.now();
+            let before = th.cpu.now();
+            let outcome = th.worker.step(&mut th.cpu);
+            if th.cpu.now() == before {
+                // Forward-progress backstop: a step always consumes time.
+                th.cpu.charge(1);
+            }
+            if outcome == StepOutcome::OpDone {
+                th.ops += 1;
+            }
+            let after = th.cpu.now();
+            ctxs.wall[c] = after;
+            ctxs.cand[c].0 = after;
 
-                let done = threads[t].finished || threads[t].cpu.now() >= deadline;
-                let quantum_up = contexts[c].queue.len() > 1
-                    && threads[t].cpu.now() - threads[t].sched_in >= costs.quantum;
-                // An active preemption storm forces a context switch after
-                // every step on this context (interrupt-storm model).
-                let storm = !done && !faults_inert && faults.storm_active(c, contexts[c].wall);
-                if storm {
-                    fstats.storm_switches += 1;
-                }
+            let done = outcome == StepOutcome::Finished || after >= deadline;
+            let quantum_up = ctxs.queue[c].len() > 1 && after - th.sched_in >= costs.quantum;
+            // An active preemption storm forces a context switch after
+            // every step on this context (interrupt-storm model).
+            let storm = !done && !faults_inert && faults.storm_active(c, after);
+            if storm {
+                fstats.storm_switches += 1;
+            }
 
-                if done {
-                    retire_front(&mut contexts[c], &mut threads, &costs, &board, &mut cand, c);
-                    break;
-                } else if quantum_up || storm {
-                    if contexts[c].queue.len() > 1 {
-                        contexts[c].queue.rotate_left(1);
-                        let &next = contexts[c].queue.front().expect("rotated nonempty queue");
-                        let resume = contexts[c].wall + costs.context_switch;
-                        threads[next].cpu.advance_to(resume);
-                        threads[next].sched_in = threads[next].cpu.now();
-                        threads[next].cpu.counters.context_switches += 1;
-                        cand[c] = threads[next].cpu.now();
-                    } else {
-                        // Sole tenant: the storm still evicts and immediately
-                        // reschedules it, charging the switch to the thread.
-                        let th = &mut threads[t];
-                        th.cpu.charge(costs.context_switch);
-                        th.cpu.counters.context_switches += 1;
-                        th.sched_in = th.cpu.now();
-                        contexts[c].wall = th.cpu.now();
-                        cand[c] = th.cpu.now();
-                    }
-                    break;
-                }
-                // The slice continues only while this thread provably
-                // re-wins the pick: strictly ahead of earlier-scanned
-                // candidates, at-or-ahead of later-scanned ones.
-                let after = threads[t].cpu.now();
-                if after >= ru_lo || after > ru_hi {
-                    break;
-                }
+            if done {
+                ctxs.retire(c, after, &mut threads, &costs, &board);
+            } else if quantum_up || storm {
+                // Round-robin to the next co-tenant; a storm's sole tenant
+                // is evicted and immediately rescheduled, paying the switch.
+                ctxs.queue[c].rotate_left(1);
+                let next = ctxs.queue[c][0];
+                let resume = after + costs.context_switch;
+                ctxs.switch_in(c, &mut threads[next], resume);
             }
         }
 
@@ -596,6 +514,22 @@ mod tests {
         }
     }
 
+    /// Worker that charges 10 cycles per op and finishes after `left` ops.
+    struct Countdown {
+        left: u32,
+    }
+
+    impl Worker for Countdown {
+        fn step(&mut self, cpu: &mut Cpu) -> StepOutcome {
+            cpu.charge(10);
+            if self.left == 0 {
+                return StepOutcome::Finished;
+            }
+            self.left -= 1;
+            StepOutcome::OpDone
+        }
+    }
+
     fn config(duration: Cycles) -> SimConfig {
         SimConfig {
             topology: Topology::haswell(),
@@ -606,6 +540,16 @@ mod tests {
             faults: FaultPlan::default(),
             controller: None,
         }
+    }
+
+    /// Runs `n` [`Clockwork`] threads under `cfg`.
+    fn clockwork(cfg: SimConfig, n: usize, per_op: Cycles) -> SimReport {
+        Simulator::new(cfg).run_with(n, |_| Box::new(Clockwork { per_op }))
+    }
+
+    /// Operations completed per thread.
+    fn ops(r: &SimReport) -> Vec<u64> {
+        r.threads.iter().map(|t| t.ops).collect()
     }
 
     /// Controller steering: always run the highest runnable thread id.
@@ -619,22 +563,9 @@ mod tests {
 
     #[test]
     fn controller_dictates_the_interleaving() {
-        struct Greedy {
-            left: u32,
-        }
-        impl Worker for Greedy {
-            fn step(&mut self, cpu: &mut Cpu) -> StepOutcome {
-                cpu.charge(10);
-                if self.left == 0 {
-                    return StepOutcome::Finished;
-                }
-                self.left -= 1;
-                StepOutcome::OpDone
-            }
-        }
         let cfg = config(Cycles::MAX / 2).with_controller(Arc::new(HighestFirst));
         let sim = Simulator::new(cfg);
-        let (report, _) = sim.run(vec![Greedy { left: 50 }, Greedy { left: 50 }]);
+        let (report, _) = sim.run(vec![Countdown { left: 50 }, Countdown { left: 50 }]);
         // Thread 1 ran to completion before thread 0 ever stepped, so its
         // final clock is *earlier* — the opposite of the time-ordered
         // policy, which would interleave them step by step.
@@ -647,11 +578,8 @@ mod tests {
 
     #[test]
     fn controller_runs_are_deterministic() {
-        let run = || {
-            let cfg = config(100_000).with_controller(Arc::new(HighestFirst));
-            Simulator::new(cfg).run_with(4, |_| Box::new(Clockwork { per_op: 777 }))
-        };
-        let ops = |r: &SimReport| r.threads.iter().map(|t| t.ops).collect::<Vec<_>>();
+        let cfg = config(100_000).with_controller(Arc::new(HighestFirst));
+        let run = || clockwork(cfg.clone(), 4, 777);
         assert_eq!(ops(&run()), ops(&run()));
     }
 
@@ -665,14 +593,12 @@ mod tests {
                 usize::MAX
             }
         }
-        let cfg = config(1_000).with_controller(Arc::new(Bogus));
-        Simulator::new(cfg).run_with(1, |_| Box::new(Clockwork { per_op: 10 }));
+        clockwork(config(1_000).with_controller(Arc::new(Bogus)), 1, 10);
     }
 
     #[test]
     fn single_thread_throughput_is_exact() {
-        let sim = Simulator::new(config(1_000_000));
-        let report = sim.run_with(1, |_| Box::new(Clockwork { per_op: 1000 }));
+        let report = clockwork(config(1_000_000), 1, 1000);
         assert_eq!(report.threads[0].ops, 1000);
         assert!(!report.truncated);
     }
@@ -680,21 +606,19 @@ mod tests {
     #[test]
     fn scaling_up_to_physical_contexts() {
         // 8 independent threads on 8 contexts: 8x the single-thread total.
-        let sim = Simulator::new(config(1_000_000));
-        let r1 = sim.run_with(1, |_| Box::new(Clockwork { per_op: 1000 }));
-        let r8 = sim.run_with(8, |_| Box::new(Clockwork { per_op: 1000 }));
+        let r1 = clockwork(config(1_000_000), 1, 1000);
+        let r8 = clockwork(config(1_000_000), 8, 1000);
         assert_eq!(r8.total_ops(), 8 * r1.total_ops());
     }
 
     #[test]
     fn oversubscription_time_shares() {
         // 16 threads on 8 contexts cannot do more total work than 8.
-        let sim = Simulator::new(config(10_000_000));
-        let r8 = sim.run_with(8, |_| Box::new(Clockwork { per_op: 1000 }));
-        let r16 = sim.run_with(16, |_| Box::new(Clockwork { per_op: 1000 }));
+        let r8 = clockwork(config(10_000_000), 8, 1000);
+        let r16 = clockwork(config(10_000_000), 16, 1000);
         assert!(r16.total_ops() <= r8.total_ops());
         // But both co-tenant threads must have run (round-robin fairness).
-        let ops: Vec<_> = r16.threads.iter().map(|t| t.ops).collect();
+        let ops = ops(&r16);
         assert!(ops.iter().all(|&o| o > 0), "starved thread: {ops:?}");
         // And context switches must have been charged.
         assert!(r16.sum_counter(|c| c.context_switches) > 0);
@@ -702,31 +626,14 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let sim = Simulator::new(config(5_000_000));
-        let a = sim.run_with(6, |_| Box::new(Clockwork { per_op: 777 }));
-        let b = sim.run_with(6, |_| Box::new(Clockwork { per_op: 777 }));
-        let ops_a: Vec<_> = a.threads.iter().map(|t| t.ops).collect();
-        let ops_b: Vec<_> = b.threads.iter().map(|t| t.ops).collect();
-        assert_eq!(ops_a, ops_b);
+        let run = || clockwork(config(5_000_000), 6, 777);
+        assert_eq!(ops(&run()), ops(&run()));
     }
 
     #[test]
     fn finished_workers_stop() {
-        struct OneShot {
-            left: u32,
-        }
-        impl Worker for OneShot {
-            fn step(&mut self, cpu: &mut Cpu) -> StepOutcome {
-                cpu.charge(10);
-                if self.left == 0 {
-                    return StepOutcome::Finished;
-                }
-                self.left -= 1;
-                StepOutcome::OpDone
-            }
-        }
         let sim = Simulator::new(config(Cycles::MAX / 2));
-        let report = sim.run_with(3, |_| Box::new(OneShot { left: 5 }));
+        let report = sim.run_with(3, |_| Box::new(Countdown { left: 5 }));
         assert_eq!(report.total_ops(), 15);
     }
 
@@ -734,9 +641,7 @@ mod tests {
     fn step_limit_truncates() {
         let mut cfg = config(Cycles::MAX / 2);
         cfg.step_limit = Some(100);
-        let sim = Simulator::new(cfg);
-        let report = sim.run_with(2, |_| Box::new(Clockwork { per_op: 1 }));
-        assert!(report.truncated);
+        assert!(clockwork(cfg, 2, 1).truncated);
     }
 
     #[test]
@@ -755,8 +660,7 @@ mod tests {
 
     #[test]
     fn ops_per_second_matches_hand_math() {
-        let sim = Simulator::new(config(CYCLES_PER_SECOND / 100)); // 10 ms
-        let report = sim.run_with(1, |_| Box::new(Clockwork { per_op: 20_000 }));
+        let report = clockwork(config(CYCLES_PER_SECOND / 100), 1, 20_000); // 10 ms
         let expect = report.total_ops() as f64 * 100.0;
         assert!((report.ops_per_second() - expect).abs() < 1e-6);
     }
@@ -867,13 +771,10 @@ mod tests {
 
     #[test]
     fn stall_freezes_one_thread_and_spares_the_rest() {
-        let mut cfg = config(1_000_000);
         // Freeze thread 0 for 90% of the run, starting almost immediately.
-        cfg.faults = FaultPlan::new().stall(0, 10_000, 900_000);
-        let sim = Simulator::new(cfg);
-        let faulted = sim.run_with(4, |_| Box::new(Clockwork { per_op: 1000 }));
-        let clean =
-            Simulator::new(config(1_000_000)).run_with(4, |_| Box::new(Clockwork { per_op: 1000 }));
+        let plan = FaultPlan::new().stall(0, 10_000, 900_000);
+        let faulted = clockwork(config(1_000_000).with_faults(plan), 4, 1000);
+        let clean = clockwork(config(1_000_000), 4, 1000);
 
         assert_eq!(faulted.faults.stalls, 1);
         assert_eq!(faulted.faults.stall_cycles, 900_000);
@@ -898,10 +799,8 @@ mod tests {
 
     #[test]
     fn stall_past_the_deadline_never_wakes() {
-        let mut cfg = config(1_000_000);
-        cfg.faults = FaultPlan::new().stall(2, 500_000, 10_000_000);
-        let sim = Simulator::new(cfg);
-        let report = sim.run_with(4, |_| Box::new(Clockwork { per_op: 1000 }));
+        let plan = FaultPlan::new().stall(2, 500_000, 10_000_000);
+        let report = clockwork(config(1_000_000).with_faults(plan), 4, 1000);
         // The victim stopped at the stall point; its clock stays parked.
         assert!(report.threads[2].ops < 520);
         assert!(report.threads[2].final_time < 520_000);
@@ -912,11 +811,9 @@ mod tests {
     fn stalled_thread_cedes_its_context_to_a_cotenant() {
         // 16 threads on 8 contexts: thread 0 and its co-tenant share one
         // context; stalling thread 0 should *speed up* the co-tenant.
-        let mut cfg = config(10_000_000);
-        cfg.faults = FaultPlan::new().stall(0, 0, 9_000_000);
-        let faulted = Simulator::new(cfg).run_with(16, |_| Box::new(Clockwork { per_op: 1000 }));
-        let clean = Simulator::new(config(10_000_000))
-            .run_with(16, |_| Box::new(Clockwork { per_op: 1000 }));
+        let plan = FaultPlan::new().stall(0, 0, 9_000_000);
+        let faulted = clockwork(config(10_000_000).with_faults(plan), 16, 1000);
+        let clean = clockwork(config(10_000_000), 16, 1000);
         let mate = (0..16)
             .find(|&i| i != 0 && Topology::haswell().place(i) == Topology::haswell().place(0))
             .expect("oversubscribed context has a co-tenant");
@@ -965,11 +862,9 @@ mod tests {
 
     #[test]
     fn storm_forces_context_switches() {
-        let mut cfg = config(1_000_000);
-        cfg.faults = FaultPlan::new().storm(0, 100_000, 200_000);
-        let report = Simulator::new(cfg).run_with(1, |_| Box::new(Clockwork { per_op: 1000 }));
-        let clean =
-            Simulator::new(config(1_000_000)).run_with(1, |_| Box::new(Clockwork { per_op: 1000 }));
+        let plan = FaultPlan::new().storm(0, 100_000, 200_000);
+        let report = clockwork(config(1_000_000).with_faults(plan), 1, 1000);
+        let clean = clockwork(config(1_000_000), 1, 1000);
         assert!(report.faults.storm_switches > 0);
         assert_eq!(
             report.threads[0].counters.context_switches,
@@ -986,18 +881,121 @@ mod tests {
             .storm(0, 100_000, 100_000)
             .kill(3, 700_000);
         let run = || {
-            let mut cfg = config(1_000_000);
-            cfg.faults = plan.clone();
-            Simulator::new(cfg).run_with(6, |_| Box::new(Clockwork { per_op: 777 }))
+            let r = clockwork(config(1_000_000).with_faults(plan.clone()), 6, 777);
+            let times: Vec<_> = r.threads.iter().map(|t| t.final_time).collect();
+            (r.faults, ops(&r), times)
         };
-        let (a, b) = (run(), run());
-        let fp = |r: &SimReport| {
-            (
-                r.faults,
-                r.threads.iter().map(|t| t.ops).collect::<Vec<_>>(),
-                r.threads.iter().map(|t| t.final_time).collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(fp(&a), fp(&b));
+        assert_eq!(run(), run());
+    }
+
+    /// Worker drawing its charges, outcomes and signal raises from its
+    /// seeded `cpu.rng`: a third of the charges are zero (the backstop's
+    /// one cycle) and a third run the clock up to the next multiple of
+    /// 1,024, so clocks of different threads tie often.
+    /// Each step folds `(thread, clock before the step)` into `hash` as
+    /// FNV-1a over their little-endian bytes.
+    struct Chaos {
+        threads: u64,
+        steps_left: u64,
+        hash: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl Worker for Chaos {
+        fn step(&mut self, cpu: &mut Cpu) -> StepOutcome {
+            let id = (cpu.thread_id as u64).to_le_bytes();
+            let bytes = id.into_iter().chain(cpu.now().to_le_bytes());
+            let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            self.hash.set(bytes.fold(self.hash.get(), fold));
+            let charge = match cpu.rng.below(6) {
+                0 | 1 => 0,
+                2 | 3 => 1_024 - cpu.now() % 1_024,
+                4 => 64 * (1 + cpu.rng.below(4)),
+                _ => cpu.rng.below(2_000),
+            };
+            cpu.charge(charge);
+            if cpu.rng.below(8) == 0 {
+                let target = cpu.rng.below(self.threads) as usize;
+                cpu.raise_signal(target);
+            }
+            if self.steps_left == 0 {
+                return StepOutcome::Finished;
+            }
+            self.steps_left -= 1;
+            match cpu.rng.below(4) {
+                0 => StepOutcome::OpDone,
+                1 => StepOutcome::Idle,
+                _ => StepOutcome::Progress,
+            }
+        }
+
+        fn neutralize(&mut self, cpu: &mut Cpu) {
+            let charge = 64 * cpu.rng.below(3);
+            cpu.charge(charge);
+        }
+    }
+
+    /// Every step of one run, as a hash. Every third thread finishes early.
+    fn pick_order_hash(threads: usize, topology: Topology, faults: FaultPlan) -> u64 {
+        let hash = std::rc::Rc::new(std::cell::Cell::new(0xcbf2_9ce4_8422_2325));
+        let mut cfg = config(1_500_000).with_faults(faults);
+        cfg.topology = topology;
+        // A short quantum makes co-tenants rotate many times per run; on the
+        // 1,024 grid, quantum ends can fall exactly on a step boundary.
+        cfg.costs.quantum = 100 * 1_024;
+        cfg.costs.context_switch = 30 * 1_024;
+        let workers = (0..threads)
+            .map(|i| Chaos {
+                threads: threads as u64,
+                steps_left: if i % 3 == 2 { 200 * i as u64 } else { u64::MAX },
+                hash: hash.clone(),
+            })
+            .collect();
+        assert!(!Simulator::new(cfg).run(workers).0.truncated);
+        hash.get()
+    }
+
+    /// `pick_order_hash` recorded with the quantum-slice scheduler this one
+    /// replaced. Rows: 1, 3, 8, 9, 16 and 24 threads, each on haswell then
+    /// unicore (one thread runs alike on both). Columns: no faults, stall,
+    /// kill, storm.
+    #[rustfmt::skip]
+    const GOLDEN: [[u64; 4]; 12] = [
+        [0xb913e5200c7728f8, 0x2e3c3d62f777f552, 0x72a0e9675b0ff80e, 0x48892665c3d0d820],
+        [0xb913e5200c7728f8, 0x2e3c3d62f777f552, 0x72a0e9675b0ff80e, 0x48892665c3d0d820],
+        [0xcf7a72b2f4e117da, 0x932473ece955ce90, 0x76dc8d1e213c2806, 0xc7a2d8efc0e02a13],
+        [0x3e6f618a6c5719dd, 0x79576904f8122f88, 0x3a943ca947d07ad3, 0xcf0dcdf7b42bdeb6],
+        [0x807315f81d791350, 0xba1352a17c4708bc, 0x59d84c56f1dfef0f, 0xb21c9c992bfa08ab],
+        [0xd5c8af422041267c, 0xca46daadaf72510d, 0xc27904417e776a46, 0xa16e475ce2664603],
+        [0xf4c5ba281d7a4b47, 0x37764f15ae0cbadf, 0x98021edd860df268, 0x51bc128a598bb3cf],
+        [0xf42278144d7173c0, 0x609fb2c9805cdba5, 0xcc64eb7230a2ee31, 0x9f3c5a936fa71621],
+        [0xc41e39cedfacf6e2, 0xe565b98c2c00f9fd, 0x18afe985944cd6bb, 0x1a01b6c88a1565f8],
+        [0x70f18cd6c0b32af9, 0xd1f8b544c078d757, 0xed7483d3804acc37, 0x29731b347c2c29e8],
+        [0x587375c2cb617901, 0x4ab55609495c0bd0, 0xf729a538e85f6f97, 0xb286e53287878f3b],
+        [0xa0b9a43f3a23d4b8, 0x22c6f57c2194bac5, 0x9c2659e3be19449b, 0x84fce0173b49df54],
+    ];
+
+    #[test]
+    fn pick_order_matches_the_recorded_hashes() {
+        let mut rows = GOLDEN.iter();
+        for threads in [1, 3, 8, 9, 16, 24] {
+            let plans = [
+                FaultPlan::new(),
+                // Two threads park at clock 0 and tie on a resume time that
+                // is also a multiple of 1,024.
+                FaultPlan::new()
+                    .stall(1 % threads, 0, 409_600)
+                    .stall(2 % threads, 0, 409_600),
+                FaultPlan::new().kill(threads / 3, 50_000),
+                FaultPlan::new().storm(0, 100_000, 150_000),
+            ];
+            for topology in [Topology::haswell(), Topology::unicore()] {
+                let row = rows.next().expect("one golden row per case");
+                for (faults, &want) in plans.iter().zip(row) {
+                    let got = pick_order_hash(threads, topology, faults.clone());
+                    let events = faults.events();
+                    assert_eq!(got, want, "{threads} threads on {topology:?}, {events:?}");
+                }
+            }
+        }
     }
 }

@@ -50,13 +50,19 @@ impl EpochGlobals {
             max_threads,
         }
     }
+
+    /// Loads thread `t`'s timestamp (one simulated load).
+    fn stamp(&self, heap: &Heap, cpu: &mut Cpu, t: usize) -> Word {
+        heap.load(cpu, self.timestamps, t as u64 * TS_STRIDE)
+    }
 }
 
 /// A pending quiescence wait.
 #[derive(Debug)]
 struct Wait {
-    snapshot: Vec<Word>,
-    cleared: Vec<bool>,
+    /// The threads not yet seen to progress or quiesce, ascending, each
+    /// with the (odd) stamp it showed at the snapshot.
+    pending: Vec<(usize, Word)>,
     /// Virtual time at which the reclaimer stops spinning and hoards.
     give_up_at: u64,
 }
@@ -110,37 +116,24 @@ impl EpochThread {
 
     fn bump_timestamp(&mut self, cpu: &mut Cpu) {
         self.timestamp += 1;
-        self.heap.store(
-            cpu,
-            self.globals.timestamps,
-            self.thread_id as u64 * TS_STRIDE,
-            self.timestamp,
-        );
+        let (stamps, off) = (self.globals.timestamps, self.thread_id as u64 * TS_STRIDE);
+        self.heap.store(cpu, stamps, off, self.timestamp);
         self.heap.fence(cpu);
     }
 
     /// One round of the quiescence wait; returns `true` when finished
     /// (freed, or the spin budget expired and the wait was abandoned).
+    /// A round reloads only the threads still pending, in thread order.
     fn wait_round(&mut self, cpu: &mut Cpu) -> bool {
         let Some(wait) = &mut self.wait else {
             return true;
         };
-        let mut all_clear = true;
-        for t in 0..self.globals.max_threads {
-            if wait.cleared[t] {
-                continue;
-            }
-            let now = self
-                .heap
-                .load(cpu, self.globals.timestamps, t as u64 * TS_STRIDE);
-            // Progress, or quiescent (even), clears the thread.
-            if now != wait.snapshot[t] || now % 2 == 0 {
-                wait.cleared[t] = true;
-            } else {
-                all_clear = false;
-            }
-        }
-        if all_clear {
+        // Progress, or quiescence, clears a thread: its stamp was odd at
+        // the snapshot, so anything but that same stamp clears it.
+        let (globals, heap) = (&self.globals, &self.heap);
+        wait.pending
+            .retain(|&(t, stamp)| globals.stamp(heap, cpu, t) == stamp);
+        if wait.pending.is_empty() {
             self.wait = None;
             self.pinned_by.clear();
             for node in std::mem::take(&mut self.limbo) {
@@ -153,34 +146,21 @@ impl EpochThread {
             // The straggler outlasted the budget: stop spinning, remember
             // who pinned the snapshot, and go back to operating. Limbo is
             // kept and keeps growing — the hoarding failure mode.
-            let wait = self.wait.take().expect("wait present");
-            self.pinned_by = wait
-                .cleared
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| !c)
-                .map(|(t, _)| (t, wait.snapshot[t]))
-                .collect();
+            self.pinned_by = self.wait.take().expect("wait present").pending;
             return true;
         }
         false
     }
 
     /// `true` while every straggler of the last abandoned wait still shows
-    /// the stamp it was abandoned at (one load per straggler).
+    /// the stamp it was abandoned at (one load per straggler, stopping at
+    /// the first that moved).
     fn stragglers_unmoved(&mut self, cpu: &mut Cpu) -> bool {
-        if self.pinned_by.is_empty() {
+        let (globals, heap) = (&self.globals, &self.heap);
+        let moved = |&(t, stamp): &(usize, Word)| globals.stamp(heap, cpu, t) != stamp;
+        if self.pinned_by.is_empty() || self.pinned_by.iter().any(moved) {
+            self.pinned_by.clear();
             return false;
-        }
-        for i in 0..self.pinned_by.len() {
-            let (t, stamp) = self.pinned_by[i];
-            let now = self
-                .heap
-                .load(cpu, self.globals.timestamps, t as u64 * TS_STRIDE);
-            if now != stamp {
-                self.pinned_by.clear();
-                return false;
-            }
         }
         true
     }
@@ -192,21 +172,18 @@ impl EpochThread {
         self.arm_wait(cpu);
     }
 
+    /// Snapshots every timestamp (one load each, in thread order) and
+    /// waits on the threads caught inside an operation, except itself.
     fn arm_wait(&mut self, cpu: &mut Cpu) {
-        let snapshot: Vec<Word> = (0..self.globals.max_threads)
-            .map(|t| {
-                self.heap
-                    .load(cpu, self.globals.timestamps, t as u64 * TS_STRIDE)
-            })
-            .collect();
-        let cleared = snapshot
-            .iter()
-            .enumerate()
-            .map(|(t, &ts)| t == self.thread_id || ts % 2 == 0)
-            .collect();
+        let mut pending = Vec::new();
+        for t in 0..self.globals.max_threads {
+            let stamp = self.globals.stamp(&self.heap, cpu, t);
+            if t != self.thread_id && stamp % 2 == 1 {
+                pending.push((t, stamp));
+            }
+        }
         self.wait = Some(Wait {
-            snapshot,
-            cleared,
+            pending,
             give_up_at: cpu.now().saturating_add(self.wait_budget),
         });
     }
@@ -351,6 +328,14 @@ mod tests {
         m.run_op(cpu, 0, 0, &mut |_, _| Ok(Step::Done(0)));
     }
 
+    /// One operation that retires `node`; at batch 0 it arms a wait at its
+    /// end, which `run_op` leaves unpolled.
+    fn retire_op(m: &mut EpochThread, cpu: &mut Cpu, node: Addr) {
+        m.run_op(cpu, 0, 0, &mut |m, cpu| {
+            m.retire_unlinked(cpu, node).map(|()| Step::Done(0))
+        });
+    }
+
     #[test]
     fn frees_after_quiescence() {
         let (globals, heap) = setup(2);
@@ -365,10 +350,7 @@ mod tests {
         // A retires a node; batch 0 arms the wait at op end, and with
         // everyone quiescent the first poll clears it.
         let node = heap.alloc_untimed(2).unwrap();
-        a.run_op(&mut cpu_a, 0, 0, &mut |m, cpu| {
-            m.retire_unlinked(cpu, node)?;
-            Ok(Step::Done(0))
-        });
+        retire_op(&mut a, &mut cpu_a, node);
         assert!(a.idle_work_pending(), "wait armed but not yet polled");
         a.step_idle(&mut cpu_a);
         assert!(!a.idle_work_pending());
@@ -394,10 +376,7 @@ mod tests {
         for i in 0..50u64 {
             let node = heap.alloc_untimed(2).unwrap();
             nodes.push(node);
-            a.run_op(&mut cpu_a, 0, 0, &mut |m, cpu| {
-                m.retire_unlinked(cpu, node)?;
-                Ok(Step::Done(0))
-            });
+            retire_op(&mut a, &mut cpu_a, node);
             assert_eq!(a.outstanding_garbage(), i + 1, "hoards while B is live");
         }
         assert!(nodes.iter().all(|&n| heap.is_live(n)));
@@ -413,6 +392,34 @@ mod tests {
     }
 
     #[test]
+    fn a_poll_reloads_only_the_straggler() {
+        let (globals, heap) = setup(16);
+        let mut a = EpochThread::new(globals.clone(), heap.clone(), 0, 0, BUDGET);
+        let mut b = EpochThread::new(globals, heap.clone(), 9, 0, BUDGET);
+        let mut cpu_a = test_cpu(0);
+        let mut cpu_b = test_cpu(9);
+
+        // B parks inside an operation; the other 14 threads never ran, so
+        // their stamps are even. A's op-end snapshot loads all 16 stamps.
+        b.begin_op(&mut cpu_b, 0, 0);
+        let node = heap.alloc_untimed(2).unwrap();
+        retire_op(&mut a, &mut cpu_a, node);
+
+        // Every round reloads B's stamp alone, until the budget expires
+        // and the wait hands exactly B to `pinned_by`.
+        let mut rounds = 0;
+        while a.idle_work_pending() {
+            let loads = cpu_a.counters.loads;
+            a.step_idle(&mut cpu_a);
+            assert_eq!(cpu_a.counters.loads - loads, 1, "round {rounds}");
+            rounds += 1;
+        }
+        assert!(rounds > 1, "the budget outlasts one round");
+        assert_eq!(a.pinned_by, [(9, b.timestamp)]);
+        assert!(heap.is_live(node));
+    }
+
+    #[test]
     fn reclaimers_do_not_deadlock_each_other() {
         let (globals, heap) = setup(2);
         let mut a = EpochThread::new(globals.clone(), heap.clone(), 0, 0, BUDGET);
@@ -422,18 +429,10 @@ mod tests {
 
         let na = heap.alloc_untimed(2).unwrap();
         let nb = heap.alloc_untimed(2).unwrap();
-        let mut retire_a = |m: &mut dyn OpMem, cpu: &mut Cpu| {
-            m.retire_unlinked(cpu, na)?;
-            Ok(Step::Done(0))
-        };
-        let mut retire_b = |m: &mut dyn OpMem, cpu: &mut Cpu| {
-            m.retire_unlinked(cpu, nb)?;
-            Ok(Step::Done(0))
-        };
         // Each reclaimer snapshots at its own op boundary, when it is
         // already quiescent — so their polls clear each other, no deadlock.
-        a.run_op(&mut cpu_a, 0, 0, &mut retire_a);
-        b.run_op(&mut cpu_b, 0, 0, &mut retire_b);
+        retire_op(&mut a, &mut cpu_a, na);
+        retire_op(&mut b, &mut cpu_b, nb);
         noop(&mut a, &mut cpu_a);
         noop(&mut b, &mut cpu_b);
         assert!(!heap.is_live(na));
@@ -446,10 +445,7 @@ mod tests {
         let mut a = EpochThread::new(globals, heap.clone(), 0, 100, BUDGET);
         let mut cpu = test_cpu(0);
         let node = heap.alloc_untimed(2).unwrap();
-        a.run_op(&mut cpu, 0, 0, &mut |m, cpu| {
-            m.retire_unlinked(cpu, node)?;
-            Ok(Step::Done(0))
-        });
+        retire_op(&mut a, &mut cpu, node);
         assert_eq!(a.outstanding_garbage(), 1, "below batch: still in limbo");
         a.teardown(&mut cpu);
         assert_eq!(a.outstanding_garbage(), 0);
