@@ -27,11 +27,12 @@
 use crate::experiment::PerThread;
 use st_check::{
     run_schedule, shrink_failure, CheckConfig, Mutation, RecordingController, ReplayToken,
-    Structure, Violation,
+    Violation,
 };
 use st_machine::{FaultPlan, Pcg32};
 use st_obs::{audit, Json, MetricsRegistry, SCHEMA_VERSION};
 use st_reclaim::Scheme;
+use st_structures::StructureKind;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -42,7 +43,7 @@ use std::time::Instant;
 pub struct AuditOpts {
     /// Structures to soak (default: list and hash, the two whose node
     /// turnover is highest per step).
-    pub structures: Vec<Structure>,
+    pub structures: Vec<StructureKind>,
     /// Schemes to soak (default: all six, including the reclaim-none
     /// reference).
     pub schemes: Vec<Scheme>,
@@ -74,7 +75,7 @@ impl Default for AuditOpts {
     fn default() -> Self {
         let base = CheckConfig::default();
         AuditOpts {
-            structures: vec![Structure::List, Structure::Hash],
+            structures: vec![StructureKind::List, StructureKind::Hash],
             schemes: Scheme::all().to_vec(),
             budget_ms: 3_000,
             max_episodes: 40,
@@ -94,7 +95,7 @@ impl Default for AuditOpts {
 #[derive(Debug)]
 pub struct ComboSummary {
     /// Structure soaked.
-    pub structure: Structure,
+    pub structure: StructureKind,
     /// Scheme soaked.
     pub scheme: Scheme,
     /// Episodes executed.
@@ -114,7 +115,7 @@ pub struct ComboSummary {
 }
 
 impl ComboSummary {
-    fn new(structure: Structure, scheme: Scheme, threads: usize) -> Self {
+    fn new(structure: StructureKind, scheme: Scheme, threads: usize) -> Self {
         Self {
             structure,
             scheme,
@@ -167,6 +168,30 @@ fn fault_plan(seed: u64, threads: usize) -> FaultPlan {
         .storm(0, rng.below(20_000), 500 + rng.below(4_000))
 }
 
+/// The config of one episode of `structure` under `scheme`.
+fn episode_config(
+    opts: &AuditOpts,
+    structure: StructureKind,
+    scheme: Scheme,
+    seed: u64,
+) -> CheckConfig {
+    CheckConfig {
+        structure,
+        scheme,
+        threads: opts.threads,
+        ops_per_thread: opts.ops,
+        key_range: opts.keys,
+        seed,
+        mutation: opts.mutation,
+        faults: if opts.faults {
+            fault_plan(seed, opts.threads)
+        } else {
+            FaultPlan::default()
+        },
+        ..CheckConfig::default()
+    }
+}
+
 /// Runs the soak and returns one summary per combination.
 pub fn soak(opts: &AuditOpts) -> Vec<ComboSummary> {
     let started = Instant::now();
@@ -189,21 +214,7 @@ pub fn soak(opts: &AuditOpts) -> Vec<ComboSummary> {
                 continue;
             }
             let seed = opts.seed.wrapping_add(e.wrapping_mul(0x9e37_79b9));
-            let config = CheckConfig {
-                structure: combo.structure,
-                scheme: combo.scheme,
-                threads: opts.threads,
-                ops_per_thread: opts.ops,
-                key_range: opts.keys,
-                seed,
-                mutation: opts.mutation,
-                faults: if opts.faults {
-                    fault_plan(seed, opts.threads)
-                } else {
-                    FaultPlan::default()
-                },
-                ..CheckConfig::default()
-            };
+            let config = episode_config(opts, combo.structure, combo.scheme, seed);
             let ctrl = Arc::new(RecordingController::random(
                 seed ^ 0x51ed_c0de,
                 opts.percent,
@@ -265,7 +276,7 @@ pub fn audit_snapshot(name: &str, budget_ms: u64, combos: &[ComboSummary]) -> Js
                 .collect();
             let mut run = Json::obj();
             run.set("scheme", c.scheme.name());
-            run.set("structure", c.structure.name());
+            run.set("structure", c.structure.to_string());
             run.set("threads", c.per_thread_ops.len());
             run.set("duration_ms", budget_ms);
             run.set("per_thread", Json::Arr(rows));
@@ -279,7 +290,7 @@ pub fn audit_snapshot(name: &str, budget_ms: u64, combos: &[ComboSummary]) -> Js
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: st-bench audit [--structures list,hash,queue,skiplist] \
+        "usage: st-bench audit [--structures list,hash,queue,skiplist,rbtree] \
          [--schemes None,Hazards,Epoch,StackTrack,DTA,RefCount,NBR,Hyaline] [--budget-ms N] \
          [--episodes N] [--threads N] [--ops N] [--keys N] [--seed N] \
          [--faults on|off] [--percent N] \
@@ -307,7 +318,7 @@ pub fn run(args: &[String]) -> ExitCode {
             "--structures" => value
                 .split(',')
                 .map(|s| s.trim().parse())
-                .collect::<Result<Vec<Structure>, _>>()
+                .collect::<Result<Vec<StructureKind>, _>>()
                 .map(|v| opts.structures = v),
             "--schemes" => value
                 .split(',')
@@ -344,6 +355,14 @@ pub fn run(args: &[String]) -> ExitCode {
             return usage();
         }
         i += 2;
+    }
+    for &structure in &opts.structures {
+        for &scheme in &opts.schemes {
+            if let Err(e) = episode_config(&opts, structure, scheme, opts.seed).validate() {
+                eprintln!("{e}");
+                return usage();
+            }
+        }
     }
 
     let combos = soak(&opts);

@@ -14,11 +14,10 @@
 //! it, explores every requested structure × scheme pair and exits
 //! non-zero if any schedule violates an oracle.
 
-use st_check::{
-    check, replay, CheckConfig, ExploreConfig, ExploreMode, Mutation, ReplayToken, Structure,
-};
+use st_check::{check, replay, CheckConfig, ExploreConfig, ExploreMode, Mutation, ReplayToken};
 use st_obs::MetricsRegistry;
 use st_reclaim::Scheme;
+use st_structures::StructureKind;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -34,7 +33,7 @@ fn usage() -> ExitCode {
 }
 
 struct CheckOpts {
-    structures: Vec<Structure>,
+    structures: Vec<StructureKind>,
     schemes: Vec<Scheme>,
     dfs: bool,
     depth: u64,
@@ -53,7 +52,13 @@ impl Default for CheckOpts {
     fn default() -> Self {
         let base = CheckConfig::default();
         CheckOpts {
-            structures: Structure::all().to_vec(),
+            structures: vec![
+                StructureKind::List,
+                StructureKind::Hash,
+                StructureKind::Queue,
+                StructureKind::SkipList,
+                StructureKind::RbTree,
+            ],
             schemes: vec![Scheme::StackTrack, Scheme::Epoch],
             dfs: true,
             depth: 12,
@@ -89,7 +94,7 @@ pub fn run(args: &[String]) -> ExitCode {
             "--structures" => value
                 .split(',')
                 .map(|s| s.trim().parse())
-                .collect::<Result<Vec<Structure>, _>>()
+                .collect::<Result<Vec<StructureKind>, _>>()
                 .map(|v| opts.structures = v),
             "--schemes" => value
                 .split(',')
@@ -132,7 +137,35 @@ pub fn run(args: &[String]) -> ExitCode {
     if let Some(token) = opts.replay_token {
         return run_replay(&token);
     }
-    explore(&opts)
+    match configs(&opts) {
+        Ok(configs) => explore(&opts, &configs),
+        Err(e) => {
+            eprintln!("{e}");
+            usage()
+        }
+    }
+}
+
+/// One config per requested structure × scheme pair, each validated.
+fn configs(opts: &CheckOpts) -> Result<Vec<CheckConfig>, String> {
+    let mut configs = Vec::new();
+    for &structure in &opts.structures {
+        for &scheme in &opts.schemes {
+            let config = CheckConfig {
+                structure,
+                scheme,
+                threads: opts.threads,
+                ops_per_thread: opts.ops,
+                key_range: opts.keys,
+                seed: opts.seed,
+                mutation: opts.mutation,
+                ..CheckConfig::default()
+            };
+            config.validate()?;
+            configs.push(config);
+        }
+    }
+    Ok(configs)
 }
 
 fn run_replay(token: &str) -> ExitCode {
@@ -159,7 +192,7 @@ fn run_replay(token: &str) -> ExitCode {
     }
 }
 
-fn explore(opts: &CheckOpts) -> ExitCode {
+fn explore(opts: &CheckOpts, configs: &[CheckConfig]) -> ExitCode {
     let explore = ExploreConfig {
         mode: if opts.dfs {
             ExploreMode::Dfs {
@@ -175,41 +208,30 @@ fn explore(opts: &CheckOpts) -> ExitCode {
     };
     let mut metrics = MetricsRegistry::new();
     let mut failed = false;
-    for &structure in &opts.structures {
-        for &scheme in &opts.schemes {
-            let config = CheckConfig {
-                structure,
-                scheme,
-                threads: opts.threads,
-                ops_per_thread: opts.ops,
-                key_range: opts.keys,
-                seed: opts.seed,
-                mutation: opts.mutation,
-                ..CheckConfig::default()
-            };
-            let report = check(&config, &explore);
-            metrics.add("check.schedules", report.schedules_run);
-            metrics.add("check.decisions", report.total_decisions);
-            match &report.failure {
-                None => {
-                    println!(
-                        "check {structure}/{scheme}: {} schedules, {} decisions: pass",
-                        report.schedules_run, report.total_decisions
-                    );
+    for config in configs {
+        let (structure, scheme) = (config.structure, config.scheme);
+        let report = check(config, &explore);
+        metrics.add("check.schedules", report.schedules_run);
+        metrics.add("check.decisions", report.total_decisions);
+        match &report.failure {
+            None => {
+                println!(
+                    "check {structure}/{scheme}: {} schedules, {} decisions: pass",
+                    report.schedules_run, report.total_decisions
+                );
+            }
+            Some(f) => {
+                failed = true;
+                metrics.add("check.failures", 1);
+                println!(
+                    "check {structure}/{scheme}: FAILED after {} schedules \
+                     ({} deviations before shrinking)",
+                    report.schedules_run, f.original_deviations
+                );
+                for v in &f.violations {
+                    println!("  violation: {v}");
                 }
-                Some(f) => {
-                    failed = true;
-                    metrics.add("check.failures", 1);
-                    println!(
-                        "check {structure}/{scheme}: FAILED after {} schedules \
-                         ({} deviations before shrinking)",
-                        report.schedules_run, f.original_deviations
-                    );
-                    for v in &f.violations {
-                        println!("  violation: {v}");
-                    }
-                    println!("  replay with: st-bench check --replay {}", f.token);
-                }
+                println!("  replay with: st-bench check --replay {}", f.token);
             }
         }
     }

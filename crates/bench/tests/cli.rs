@@ -1,6 +1,7 @@
 //! Command-line rejection paths of the `st-bench` binary: a zero run
-//! length, thread count or job count is a usage error (exit 2) and must
-//! leave the output directory untouched.
+//! length, thread count or job count, or a checker config past its
+//! limits, is a usage error (exit 2) and must leave the output directory
+//! untouched.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -45,5 +46,77 @@ fn zero_counts_are_usage_errors_that_write_nothing() {
             "{args:?} must name the flag; stderr: {stderr}"
         );
         assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+}
+
+/// Runs `st-bench` with `args`; returns the exit code and stderr.
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let result = Command::new(env!("CARGO_BIN_EXE_st-bench"))
+        .args(args)
+        .output()
+        .expect("spawn st-bench");
+    let stderr = String::from_utf8_lossy(&result.stderr).into_owned();
+    (result.status.code(), stderr)
+}
+
+/// A checker config past one of its limits: a history longer than the
+/// linearizability check searches, or more StackTrack thread contexts
+/// than the checker's heap holds. `check`, `check --replay` and `audit`
+/// reject each before running anything (`check` writes no files).
+#[test]
+fn checker_configs_past_their_limits_are_usage_errors() {
+    let history = "a checked history holds at most 64 operations";
+    let contexts = "StackTrack fits at most 7 thread contexts";
+    let long = [
+        "--structures",
+        "list",
+        "--schemes",
+        "Hazards",
+        "--threads",
+        "3",
+        "--ops",
+        "21",
+    ];
+    let wide = [
+        "--structures",
+        "list",
+        "--schemes",
+        "StackTrack",
+        "--threads",
+        "8",
+    ];
+    for (flags, message) in [(&long[..], history), (&wide[..], contexts)] {
+        let (code, stderr) = run(&[&["check"], flags].concat());
+        assert_eq!(
+            code,
+            Some(2),
+            "check {flags:?} must exit 2; stderr: {stderr}"
+        );
+        assert!(stderr.contains(message), "check {flags:?}: {stderr}");
+
+        let (code, stderr, written) = run_into_empty_out("audit", &[&["audit"], flags].concat());
+        assert_eq!(
+            code,
+            Some(2),
+            "audit {flags:?} must exit 2; stderr: {stderr}"
+        );
+        assert!(stderr.contains(message), "audit {flags:?}: {stderr}");
+        assert!(written.is_empty(), "audit {flags:?} wrote {written:?}");
+    }
+    for (token, message) in [
+        ("stck1:list:Hazards:t3:o21:k6:s1:mnone:-", history),
+        ("stck1:list:StackTrack:t8:o1:k6:s1:mnone:-", contexts),
+    ] {
+        let (code, stderr) = run(&["check", "--replay", token]);
+        assert_eq!(code, Some(2), "{token} must exit 2; stderr: {stderr}");
+        assert!(stderr.contains(message), "{token}: {stderr}");
+    }
+    // One step inside each limit still runs.
+    for token in [
+        "stck1:list:Hazards:t3:o20:k6:s1:mnone:-",
+        "stck1:list:StackTrack:t7:o1:k6:s1:mnone:-",
+    ] {
+        let (code, stderr) = run(&["check", "--replay", token]);
+        assert_eq!(code, Some(0), "{token} must run clean; stderr: {stderr}");
     }
 }

@@ -15,85 +15,14 @@ use crate::schedule::RecordingController;
 use st_machine::{
     CostModel, Cpu, Cycles, FaultPlan, Pcg32, SimConfig, StepOutcome, Topology, Worker,
 };
-use st_reclaim::{ReclaimConfig, Scheme, SchemeFactory, SchemeThread};
-use st_simheap::{Heap, HeapConfig, LedgerStats};
+use st_reclaim::{ReclaimConfig, Scheme, SchemeFactory};
+use st_simheap::{Heap, HeapConfig, LedgerStats, Word};
 use st_simhtm::{HtmConfig, HtmEngine};
-use st_structures::history::{check_linearizable, DsOp, HistoryRecorder, SpecKind};
-use st_structures::{hash, list, queue, rbtree, skiplist};
-use stacktrack::{OpBody, StConfig};
+use st_structures::history::{check_linearizable, DsOp, HistoryRecorder, MAX_HISTORY};
+use st_structures::{OpDriver, OpSource, StructureInstance, StructureKind};
+use stacktrack::StConfig;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-
-/// The four structures of the paper's evaluation, plus its running
-/// example (the red-black tree of Algorithm 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Structure {
-    /// Harris linked list.
-    List,
-    /// Hash table over Harris lists.
-    Hash,
-    /// Michael-Scott queue.
-    Queue,
-    /// Fraser-Harris skip list.
-    SkipList,
-    /// Single-writer red-black tree with transactional readers.
-    RbTree,
-}
-
-impl Structure {
-    /// All five, in checking order.
-    pub fn all() -> [Structure; 5] {
-        [
-            Structure::List,
-            Structure::Hash,
-            Structure::Queue,
-            Structure::SkipList,
-            Structure::RbTree,
-        ]
-    }
-
-    /// Short name (used in replay tokens and CLI flags).
-    pub fn name(self) -> &'static str {
-        match self {
-            Structure::List => "list",
-            Structure::Hash => "hash",
-            Structure::Queue => "queue",
-            Structure::SkipList => "skiplist",
-            Structure::RbTree => "rbtree",
-        }
-    }
-
-    /// The sequential specification this structure implements.
-    pub fn spec(self) -> SpecKind {
-        match self {
-            Structure::Queue => SpecKind::Queue,
-            _ => SpecKind::Set,
-        }
-    }
-}
-
-impl std::fmt::Display for Structure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Structure {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "list" => Ok(Structure::List),
-            "hash" => Ok(Structure::Hash),
-            "queue" => Ok(Structure::Queue),
-            "skiplist" | "skip" => Ok(Structure::SkipList),
-            "rbtree" | "rb" => Ok(Structure::RbTree),
-            _ => Err(format!(
-                "unknown structure {s:?} (expected list, hash, queue, skiplist, or rbtree)"
-            )),
-        }
-    }
-}
 
 /// Protocol mutations the checker can inject to prove its oracles have
 /// teeth (see `docs/TESTING.md` and `docs/AUDIT.md`).
@@ -172,7 +101,7 @@ impl std::str::FromStr for Mutation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckConfig {
     /// Structure under check.
-    pub structure: Structure,
+    pub structure: StructureKind,
     /// Reclamation scheme under check.
     pub scheme: Scheme,
     /// Simulated threads.
@@ -196,7 +125,7 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         Self {
-            structure: Structure::List,
+            structure: StructureKind::List,
             scheme: Scheme::StackTrack,
             threads: 3,
             ops_per_thread: 4,
@@ -206,6 +135,44 @@ impl Default for CheckConfig {
             step_limit: 60_000,
             faults: FaultPlan::default(),
         }
+    }
+}
+
+/// Words of simulated heap every schedule runs in.
+const HEAP_WORDS: u64 = 1 << 18;
+
+/// Operations recorded before the scripts start (two keys, or two
+/// values for the queue).
+const SETUP_OPS: usize = 2;
+
+impl CheckConfig {
+    /// Rejects a config whose schedules cannot run: a history longer than
+    /// the linearizability check searches, or more StackTrack thread
+    /// contexts than the heap holds.
+    pub fn validate(&self) -> Result<(), String> {
+        let ops = self
+            .threads
+            .checked_mul(self.ops_per_thread)
+            .and_then(|n| n.checked_add(SETUP_OPS));
+        if ops.is_none_or(|n| n > MAX_HISTORY) {
+            return Err(format!(
+                "a checked history holds at most {MAX_HISTORY} operations, but {} threads x {} \
+                 ops plus {SETUP_OPS} set-up ops exceed it",
+                self.threads, self.ops_per_thread
+            ));
+        }
+        // Each context takes a whole size-class block; word 0 of the heap
+        // is reserved, so one block's worth always goes to everything else.
+        let ctx_block = stacktrack::layout::CTX_WORDS.next_power_of_two() as u64;
+        let max_contexts = (HEAP_WORDS / ctx_block - 1) as usize;
+        if self.scheme == Scheme::StackTrack && self.threads > max_contexts {
+            return Err(format!(
+                "StackTrack fits at most {max_contexts} thread contexts in the checker's \
+                 {HEAP_WORDS}-word heap, but {} threads were asked for",
+                self.threads
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -263,134 +230,46 @@ pub struct ScheduleOutcome {
     pub ledger: LedgerStats,
 }
 
-/// The shared structure of a run (a cloneable shape).
-#[derive(Clone)]
-enum Shape {
-    List(list::ListShape),
-    Hash(hash::HashShape),
-    Queue(queue::QueueShape),
-    SkipList(skiplist::SkipShape),
-    RbTree(rbtree::RbShape),
+/// A thread's fixed script, recording invoke/respond events.
+struct Script {
+    thread_id: usize,
+    ops: VecDeque<DsOp>,
+    recorder: Arc<HistoryRecorder>,
+    /// History index of the operation in flight.
+    pending: Option<usize>,
 }
 
-fn body_for(shape: &Shape, op: DsOp) -> (u32, usize, Box<OpBody<'static>>) {
-    match (shape, op) {
-        (Shape::List(s), DsOp::Contains(k)) => {
-            (0, list::LIST_SLOTS, Box::new(list::contains_body(*s, k)))
-        }
-        (Shape::List(s), DsOp::Insert(k)) => {
-            (1, list::LIST_SLOTS, Box::new(list::insert_body(*s, k)))
-        }
-        (Shape::List(s), DsOp::Delete(k)) => {
-            (2, list::LIST_SLOTS, Box::new(list::delete_body(*s, k)))
-        }
-        (Shape::Hash(s), DsOp::Contains(k)) => {
-            (0, list::LIST_SLOTS, Box::new(hash::contains_body(s, k)))
-        }
-        (Shape::Hash(s), DsOp::Insert(k)) => {
-            (1, list::LIST_SLOTS, Box::new(hash::insert_body(s, k)))
-        }
-        (Shape::Hash(s), DsOp::Delete(k)) => {
-            (2, list::LIST_SLOTS, Box::new(hash::delete_body(s, k)))
-        }
-        (Shape::Queue(s), DsOp::Enqueue(v)) => {
-            (0, queue::QUEUE_SLOTS, Box::new(queue::enqueue_body(*s, v)))
-        }
-        (Shape::Queue(s), DsOp::Dequeue) => {
-            (1, queue::QUEUE_SLOTS, Box::new(queue::dequeue_body(*s)))
-        }
-        (Shape::SkipList(s), DsOp::Contains(k)) => (
-            0,
-            skiplist::SKIP_SLOTS,
-            Box::new(skiplist::contains_body(*s, k)),
-        ),
-        (Shape::SkipList(s), DsOp::Insert(k)) => (
-            1,
-            skiplist::SKIP_SLOTS,
-            Box::new(skiplist::insert_body(*s, k)),
-        ),
-        (Shape::SkipList(s), DsOp::Delete(k)) => (
-            2,
-            skiplist::SKIP_SLOTS,
-            Box::new(skiplist::delete_body(*s, k)),
-        ),
-        (Shape::RbTree(s), DsOp::Contains(k)) => (
-            rbtree::OP_SEARCH,
-            rbtree::RB_SLOTS,
-            Box::new(rbtree::search_body(*s, k)),
-        ),
-        (Shape::RbTree(s), DsOp::Insert(k)) => (
-            rbtree::OP_INSERT,
-            rbtree::RB_SLOTS,
-            Box::new(rbtree::insert_body(*s, k)),
-        ),
-        (Shape::RbTree(s), DsOp::Delete(k)) => (
-            rbtree::OP_DELETE,
-            rbtree::RB_SLOTS,
-            Box::new(rbtree::delete_body(*s, k)),
-        ),
-        (_, op) => panic!("operation {op} does not fit this structure"),
+impl OpSource for Script {
+    fn next_op(&mut self, _cpu: &mut Cpu) -> Option<DsOp> {
+        let op = self.ops.pop_front()?;
+        self.pending = Some(self.recorder.invoke(self.thread_id, op));
+        Some(op)
+    }
+
+    fn op_done(&mut self, result: Word) {
+        let id = self.pending.take().expect("an operation in flight");
+        self.recorder.respond(id, result);
     }
 }
 
-/// A worker running its fixed script, recording invoke/respond events.
+/// A worker running its script through an [`OpDriver`].
 struct ScriptWorker {
-    th: Box<dyn SchemeThread>,
-    thread_id: usize,
-    shape: Shape,
-    script: VecDeque<DsOp>,
-    recorder: Arc<HistoryRecorder>,
-    current: Option<(usize, Box<OpBody<'static>>)>,
+    driver: OpDriver,
+    script: Script,
 }
 
 impl Worker for ScriptWorker {
     fn step(&mut self, cpu: &mut Cpu) -> StepOutcome {
-        if self.th.idle_work_pending() {
-            self.th.step_idle(cpu);
-            return StepOutcome::Progress;
-        }
-        if self.current.is_none() {
-            let Some(op) = self.script.pop_front() else {
-                return StepOutcome::Finished;
-            };
-            let (op_id, slots, body) = body_for(&self.shape, op);
-            let hid = self.recorder.invoke(self.thread_id, op);
-            self.th.begin_op(cpu, op_id, slots);
-            self.current = Some((hid, body));
-            return StepOutcome::Progress;
-        }
-        let (hid, body) = self.current.as_mut().expect("active op");
-        match self.th.step_op(cpu, body.as_mut()) {
-            Some(v) => {
-                self.recorder.respond(*hid, v);
-                self.current = None;
-                StepOutcome::OpDone
-            }
-            None => StepOutcome::Progress,
-        }
+        self.driver.step(cpu, &mut self.script)
     }
 
     fn finish(&mut self, cpu: &mut Cpu) {
-        self.th.teardown(cpu);
+        self.driver.executor_mut().teardown(cpu);
     }
 
     fn neutralize(&mut self, cpu: &mut Cpu) {
-        self.th.neutralize(cpu);
+        self.driver.neutralize(cpu);
     }
-}
-
-/// A standalone CPU for pre-population setup work (never enters the
-/// simulated schedule).
-fn scratch_cpu() -> Cpu {
-    use st_machine::{cpu::ActivityBoard, HwContext};
-    let topo = Topology::haswell();
-    Cpu::new(
-        0,
-        HwContext::new(&topo, 0),
-        Arc::new(CostModel::default()),
-        Arc::new(ActivityBoard::new(topo.hw_contexts())),
-        0x5e7,
-    )
 }
 
 /// Generates thread `t`'s script.
@@ -398,7 +277,7 @@ fn script(config: &CheckConfig, t: usize) -> VecDeque<DsOp> {
     let mut rng = Pcg32::new_stream(config.seed ^ 0x5c81_9e1d, t as u64);
     (0..config.ops_per_thread)
         .map(|i| match config.structure {
-            Structure::Queue => {
+            StructureKind::Queue => {
                 if rng.below(2) == 0 {
                     DsOp::Enqueue(((t + 1) * 100 + i) as u64)
                 } else {
@@ -420,7 +299,7 @@ fn script(config: &CheckConfig, t: usize) -> VecDeque<DsOp> {
 /// Runs one schedule under `controller` and reports what both oracles saw.
 pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) -> ScheduleOutcome {
     let heap = Arc::new(Heap::new(HeapConfig {
-        capacity_words: 1 << 18,
+        capacity_words: HEAP_WORDS,
         ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(
@@ -478,75 +357,30 @@ pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) 
     }
 
     let recorder = Arc::new(HistoryRecorder::new());
-    let shape = match config.structure {
-        Structure::List => Shape::List(list::ListShape::new_untimed(&heap)),
-        Structure::Hash => Shape::Hash(hash::HashShape::new_untimed(&heap, 4)),
-        Structure::Queue => Shape::Queue(queue::QueueShape::new_untimed(&heap)),
-        Structure::SkipList => Shape::SkipList(skiplist::SkipShape::new_untimed(&heap)),
-        Structure::RbTree => Shape::RbTree(rbtree::RbShape::new_untimed(&heap)),
-    };
+    let instance = Arc::new(StructureInstance::new_untimed(config.structure, &heap, 4));
     // Pre-populate (untimed, before the clock starts) and record the
     // set-up operations so the specification starts from the same state.
-    let mut seed_rng = Pcg32::new_stream(config.seed, 0x5eed);
-    match &shape {
-        Shape::List(s) => {
-            for key in [2, 4] {
-                if s.insert_untimed(&heap, key) {
-                    let id = recorder.invoke(0, DsOp::Insert(key));
-                    recorder.respond(id, 1);
-                }
-            }
-        }
-        Shape::Hash(s) => {
-            for key in [2, 4] {
-                if s.insert_untimed(&heap, key) {
-                    let id = recorder.invoke(0, DsOp::Insert(key));
-                    recorder.respond(id, 1);
-                }
-            }
-        }
-        Shape::SkipList(s) => {
-            for key in [2, 4] {
-                if s.insert_untimed(&heap, key, &mut seed_rng) {
-                    let id = recorder.invoke(0, DsOp::Insert(key));
-                    recorder.respond(id, 1);
-                }
-            }
-        }
-        Shape::Queue(s) => {
-            for value in [901, 902] {
-                s.enqueue_untimed(&heap, value);
-                let id = recorder.invoke(0, DsOp::Enqueue(value));
-                recorder.respond(id, 1);
-            }
-        }
-        Shape::RbTree(s) => {
-            // No untimed populate for the tree (balance bookkeeping);
-            // build it through a throwaway writer on a scratch cpu, as
-            // the bench workload does. NoReclaim never frees, so the
-            // setup cannot disturb the oracles armed above.
-            let mut cpu = scratch_cpu();
-            let mut writer = st_reclaim::none::NoReclaimThread::new(heap.clone());
-            for key in [2, 4] {
-                let mut body = rbtree::insert_body(*s, key);
-                if writer.run_op(&mut cpu, rbtree::OP_INSERT, rbtree::RB_SLOTS, &mut body) == 1 {
-                    let id = recorder.invoke(0, DsOp::Insert(key));
-                    recorder.respond(id, 1);
-                }
-            }
-        }
+    let (keys, record): (&[u64], fn(u64) -> DsOp) = match config.structure {
+        StructureKind::Queue => (&[901, 902], DsOp::Enqueue),
+        _ => (&[2, 4], DsOp::Insert),
+    };
+    let mut level_rng = Pcg32::new_stream(config.seed, 0x5eed);
+    for key in instance.insert_untimed(&heap, keys, &mut level_rng) {
+        let id = recorder.invoke(0, record(key));
+        recorder.respond(id, 1);
     }
 
     let prepop_ops = recorder.history().len() as u64;
 
     let workers: Vec<ScriptWorker> = (0..config.threads)
         .map(|t| ScriptWorker {
-            th: factory.thread(t),
-            thread_id: t,
-            shape: shape.clone(),
-            script: script(config, t),
-            recorder: recorder.clone(),
-            current: None,
+            driver: OpDriver::new(factory.thread(t), instance.clone()),
+            script: Script {
+                thread_id: t,
+                ops: script(config, t),
+                recorder: recorder.clone(),
+                pending: None,
+            },
         })
         .collect();
 
@@ -581,7 +415,7 @@ pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) 
     };
     let (mut scans, mut scan_retries) = (0, 0);
     for w in &finished_workers {
-        if let Some(st) = w.th.st_stats() {
+        if let Some(st) = w.driver.executor().st_stats() {
             scans += st.scans;
             scan_retries += st.scan_retries;
         }

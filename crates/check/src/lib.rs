@@ -39,6 +39,6 @@ pub mod token;
 pub use explore::{
     check, replay, shrink_failure, CheckReport, ExploreConfig, ExploreMode, Failure,
 };
-pub use harness::{run_schedule, CheckConfig, Mutation, ScheduleOutcome, Structure, Violation};
+pub use harness::{run_schedule, CheckConfig, Mutation, ScheduleOutcome, Violation};
 pub use schedule::{Decision, RecordingController};
 pub use token::ReplayToken;

@@ -18,9 +18,10 @@
 //! (preemption storm), `K<t>@<at>` (kill) — and is omitted when the plan
 //! is empty, so pre-fault tokens keep parsing unchanged.
 
-use crate::harness::{CheckConfig, Mutation, Structure};
+use crate::harness::{CheckConfig, Mutation};
 use st_machine::{FaultEvent, FaultPlan};
 use st_reclaim::Scheme;
+use st_structures::StructureKind as Structure;
 use std::collections::BTreeMap;
 
 /// A self-contained, replayable description of one schedule.
@@ -190,20 +191,19 @@ impl std::str::FromStr for ReplayToken {
         if parts.next().is_some() {
             return Err("trailing fields in replay token".to_string());
         }
-        Ok(ReplayToken {
-            config: CheckConfig {
-                structure,
-                scheme,
-                threads,
-                ops_per_thread,
-                key_range,
-                seed,
-                mutation,
-                faults,
-                ..CheckConfig::default()
-            },
-            deviations,
-        })
+        let config = CheckConfig {
+            structure,
+            scheme,
+            threads,
+            ops_per_thread,
+            key_range,
+            seed,
+            mutation,
+            faults,
+            ..CheckConfig::default()
+        };
+        config.validate()?;
+        Ok(ReplayToken { config, deviations })
     }
 }
 

@@ -30,6 +30,8 @@ pub enum DsOp {
     Enqueue(u64),
     /// Queue: dequeue; returns the value, or 0 when empty.
     Dequeue,
+    /// Queue: read the front; returns the value, or 0 when empty.
+    Peek,
 }
 
 impl std::fmt::Display for DsOp {
@@ -40,6 +42,7 @@ impl std::fmt::Display for DsOp {
             DsOp::Contains(k) => write!(f, "contains({k})"),
             DsOp::Enqueue(v) => write!(f, "enqueue({v})"),
             DsOp::Dequeue => write!(f, "dequeue()"),
+            DsOp::Peek => write!(f, "peek()"),
         }
     }
 }
@@ -150,6 +153,7 @@ impl Spec {
                 1
             }
             (Spec::Queue(q), DsOp::Dequeue) => q.pop_front().unwrap_or(0),
+            (Spec::Queue(q), DsOp::Peek) => q.front().copied().unwrap_or(0),
             (spec, op) => panic!("operation {op} does not fit spec {spec:?}"),
         }
     }
@@ -176,18 +180,24 @@ impl std::fmt::Display for LinearizabilityViolation {
     }
 }
 
+/// The longest history [`check_linearizable`] searches (one bit of a
+/// `u64` mask per operation).
+pub const MAX_HISTORY: usize = 64;
+
 /// Checks `history` against `kind` with Wing–Gong search.
 ///
 /// Pending operations (no response) may be linearized at any point after
 /// their invocation — or not at all (they may never have taken effect).
-/// Supports histories of up to 64 operations; the model-check harness
-/// stays far below that.
+///
+/// # Panics
+///
+/// Panics on a history longer than [`MAX_HISTORY`].
 pub fn check_linearizable(
     kind: SpecKind,
     history: &[OpRecord],
 ) -> Result<(), LinearizabilityViolation> {
     assert!(
-        history.len() <= 64,
+        history.len() <= MAX_HISTORY,
         "history too long for the bitmask search"
     );
     let n = history.len();
@@ -326,6 +336,27 @@ mod tests {
             rec(1, DsOp::Dequeue, 6, 7, 10),
         ];
         assert!(check_linearizable(SpecKind::Queue, &lifo).is_err());
+    }
+
+    #[test]
+    fn peeks_must_return_the_current_front() {
+        let good = vec![
+            rec(0, DsOp::Peek, 0, 1, 0),
+            rec(0, DsOp::Enqueue(10), 2, 3, 1),
+            rec(1, DsOp::Peek, 4, 5, 10),
+            rec(0, DsOp::Enqueue(20), 6, 7, 1),
+            rec(1, DsOp::Peek, 8, 9, 10),
+            rec(1, DsOp::Dequeue, 10, 11, 10),
+            rec(1, DsOp::Peek, 12, 13, 20),
+        ];
+        assert!(check_linearizable(SpecKind::Queue, &good).is_ok());
+        // 20 was enqueued, but never at the front while the peek ran.
+        let behind = vec![
+            rec(0, DsOp::Enqueue(10), 0, 1, 1),
+            rec(0, DsOp::Enqueue(20), 2, 3, 1),
+            rec(1, DsOp::Peek, 4, 5, 20),
+        ];
+        assert!(check_linearizable(SpecKind::Queue, &behind).is_err());
     }
 
     #[test]

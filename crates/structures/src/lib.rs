@@ -25,6 +25,15 @@
 //! next to its node layout); harnesses that drive the whole matrix
 //! through one factory size guard slots with [`max_guard_requirement`].
 //!
+//! The matrix itself is written here once, for every harness (the
+//! benchmark, the model checker, the integration tests): [`workload`]
+//! names the structures ([`StructureKind`]), the operation mix
+//! ([`WorkloadSpec`]) and the shared instance that builds, populates and
+//! checks a structure and turns a [`history::DsOp`] into its body
+//! ([`StructureInstance`]); [`driver`] runs a thread's operations through
+//! its scheme executor ([`OpDriver`]), asking an [`OpSource`] policy
+//! which operation comes next.
+//!
 //! # Conventions
 //!
 //! - Keys are `u64` in `1..u64::MAX` (0 and `u64::MAX` are the sentinel
@@ -37,18 +46,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod driver;
 pub mod hash;
 pub mod history;
 pub mod list;
 pub mod queue;
 pub mod rbtree;
 pub mod skiplist;
+pub mod workload;
 
+pub use driver::{OpDriver, OpSource};
 pub use hash::HashSet;
 pub use list::LockFreeList;
 pub use queue::MsQueue;
 pub use rbtree::RbTree;
 pub use skiplist::SkipList;
+pub use workload::{StructureInstance, StructureKind, WorkloadSpec};
 
 /// The pointwise maximum of every structure's declared guard requirement
 /// — what a harness that drives any structure through one factory passes

@@ -15,9 +15,10 @@
 
 use st_bench::auditcmd::{audit_snapshot, soak, AuditOpts, ComboSummary};
 use st_bench::report;
-use st_check::{replay, Mutation, Structure, Violation};
+use st_check::{replay, Mutation, Violation};
 use st_obs::audit;
 use st_reclaim::Scheme;
+use st_structures::StructureKind as Structure;
 
 /// The PR-smoke budget: enough episodes to flush each seeded defect
 /// (both fire on the very first seed), small enough to stay fast. The

@@ -4,12 +4,13 @@
 
 mod common;
 
-use common::{build_env, run_mix, run_mix_faulted, snapshot, Target, MS};
+use common::{build_env, run_mix, run_mix_faulted, snapshot, MS};
 use st_machine::FaultPlan;
 use st_reclaim::Scheme;
+use st_structures::StructureKind;
 
 fn fingerprint(seed: u64) -> (u64, Vec<u64>, u64, u64) {
-    let env = build_env(Target::SkipList, Scheme::StackTrack, 8, 128, seed);
+    let env = build_env(StructureKind::SkipList, Scheme::StackTrack, 8, 128, seed);
     let (report, workers) = run_mix(&env, 8, 1, 256, seed);
     let per_thread: Vec<u64> = report.threads.iter().map(|t| t.ops).collect();
     let htm = env.engine.total_stats();
@@ -69,7 +70,7 @@ fn every_scheme_times_every_fault_kind_is_byte_identical() {
     ] {
         for (kind, mk_plan) in &kinds {
             let run = || {
-                let env = build_env(Target::List, scheme, 4, 100, 23);
+                let env = build_env(StructureKind::List, scheme, 4, 100, 23);
                 let (report, workers) = run_mix_faulted(&env, 4, 1, 200, 23, mk_plan());
                 snapshot(&report, &workers)
             };
@@ -168,7 +169,7 @@ fn every_scheme_is_deterministic() {
         Scheme::StackTrack,
     ] {
         let run = |seed| {
-            let env = build_env(Target::Hash, scheme, 4, 64, seed);
+            let env = build_env(StructureKind::Hash, scheme, 4, 64, seed);
             let (report, _) = run_mix(&env, 4, 1, 128, seed);
             report.total_ops()
         };

@@ -3,19 +3,18 @@
 
 mod common;
 
-use common::{
-    build_env, build_env_cfg, check_instance, run_mix_faulted, snapshot, stall_storm_plan, Target,
-    MS,
-};
+use common::{build_env, build_env_cfg, run_mix_faulted, snapshot, stall_storm_plan, MS};
+use st_bench::workload::BenchWorker;
 use st_machine::FaultPlan;
 use st_reclaim::{ReclaimConfig, Scheme};
+use st_structures::StructureKind;
 
 /// The tentpole guarantee: one seed plus one fault plan is one execution.
 /// Two runs must agree on every metric, byte for byte.
 #[test]
 fn identical_seed_and_plan_reproduce_identical_metrics() {
     let mk = || {
-        let env = build_env(Target::List, Scheme::StackTrack, 4, 150, 7);
+        let env = build_env(StructureKind::List, Scheme::StackTrack, 4, 150, 7);
         let (report, workers) = run_mix_faulted(&env, 4, 2, 300, 7, stall_storm_plan());
         snapshot(&report, &workers)
     };
@@ -28,9 +27,9 @@ fn identical_seed_and_plan_reproduce_identical_metrics() {
 /// determinism assertion above would be vacuous.
 #[test]
 fn different_seed_changes_the_execution() {
-    let env_a = build_env(Target::List, Scheme::StackTrack, 4, 150, 7);
+    let env_a = build_env(StructureKind::List, Scheme::StackTrack, 4, 150, 7);
     let (report_a, workers_a) = run_mix_faulted(&env_a, 4, 2, 300, 7, stall_storm_plan());
-    let env_b = build_env(Target::List, Scheme::StackTrack, 4, 150, 8);
+    let env_b = build_env(StructureKind::List, Scheme::StackTrack, 4, 150, 8);
     let (report_b, workers_b) = run_mix_faulted(&env_b, 4, 2, 300, 8, stall_storm_plan());
     assert_ne!(
         snapshot(&report_a, &workers_a),
@@ -43,7 +42,7 @@ fn different_seed_changes_the_execution() {
 fn stall_is_accounted_and_costs_the_victim_ops() {
     // Hazard pointers: peers are unaffected by a stalled thread, so the
     // ops contrast cleanly isolates the fault's cost to the victim.
-    let env = build_env(Target::List, Scheme::Hazard, 4, 150, 11);
+    let env = build_env(StructureKind::List, Scheme::Hazard, 4, 150, 11);
     let stall_for = MS; // 1 ms of a 2 ms run
     let (report, _workers) = run_mix_faulted(
         &env,
@@ -78,7 +77,7 @@ fn killed_thread_leaves_structure_sound() {
         Scheme::StackTrack,
         Scheme::Dta,
     ] {
-        let env = build_env(Target::List, scheme, 4, 150, 13);
+        let env = build_env(StructureKind::List, scheme, 4, 150, 13);
         let (report, _workers) =
             run_mix_faulted(&env, 4, 2, 300, 13, FaultPlan::default().kill(1, MS / 2));
         assert_eq!(report.faults.kills, 1, "{scheme:?}");
@@ -88,7 +87,7 @@ fn killed_thread_leaves_structure_sound() {
         );
         let survivors: u64 = [0, 2, 3].iter().map(|&t| report.threads[t].ops).sum();
         assert!(survivors > 0, "{scheme:?}: survivors made no progress");
-        check_instance(&env);
+        env.instance.check_invariants_untimed(&env.heap);
     }
 }
 
@@ -107,7 +106,7 @@ fn epoch_garbage_drains_after_a_stall_resumes() {
     // several re-arm opportunities fit in the post-resume window.
     rc.epoch_wait_budget = MS / 4;
     let plan = |stall_for| FaultPlan::default().stall(0, MS / 2, stall_for);
-    let garbage = |workers: &[common::MixWorker]| -> u64 {
+    let garbage = |workers: &[BenchWorker]| -> u64 {
         workers
             .iter()
             .map(|w| w.executor().outstanding_garbage())
@@ -115,13 +114,13 @@ fn epoch_garbage_drains_after_a_stall_resumes() {
     };
 
     // Reference: the straggler never comes back, so limbo hoards to the end.
-    let env = build_env_cfg(Target::List, Scheme::Epoch, 4, 150, 19, rc.clone());
+    let env = build_env_cfg(StructureKind::List, Scheme::Epoch, 4, 150, 19, rc.clone());
     let (_report, workers) = run_mix_faulted(&env, 4, 4, 300, 19, plan(10 * MS));
     let hoarded = garbage(&workers);
     assert!(hoarded > 0, "a run-long stall must hoard limbo garbage");
 
     // Same seed, but the stall ends mid-run: 2.5 virtual ms of recovery.
-    let env = build_env_cfg(Target::List, Scheme::Epoch, 4, 150, 19, rc);
+    let env = build_env_cfg(StructureKind::List, Scheme::Epoch, 4, 150, 19, rc);
     let (report, workers) = run_mix_faulted(&env, 4, 4, 300, 19, plan(MS));
     assert_eq!(report.faults.stalls, 1);
     let drained = garbage(&workers);
@@ -130,17 +129,17 @@ fn epoch_garbage_drains_after_a_stall_resumes() {
         "reclaimers must drain after the straggler resumes \
          (post-resume garbage {drained} vs hoarded {hoarded})"
     );
-    check_instance(&env);
+    env.instance.check_invariants_untimed(&env.heap);
 }
 
 /// A preemption storm on one context slows its tenants but the run stays
 /// deterministic and sound.
 #[test]
 fn preemption_storm_costs_throughput() {
-    let quiet = build_env(Target::List, Scheme::StackTrack, 4, 150, 17);
+    let quiet = build_env(StructureKind::List, Scheme::StackTrack, 4, 150, 17);
     let (report_quiet, _w) = run_mix_faulted(&quiet, 4, 2, 300, 17, FaultPlan::default());
 
-    let stormy = build_env(Target::List, Scheme::StackTrack, 4, 150, 17);
+    let stormy = build_env(StructureKind::List, Scheme::StackTrack, 4, 150, 17);
     let (report_storm, _w) = run_mix_faulted(
         &stormy,
         4,
@@ -157,5 +156,5 @@ fn preemption_storm_costs_throughput() {
         report_storm.total_ops(),
         report_quiet.total_ops()
     );
-    check_instance(&stormy);
+    stormy.instance.check_invariants_untimed(&stormy.heap);
 }

@@ -12,10 +12,10 @@
 //!    back, reproduces the same violation.
 
 use st_check::{
-    check, replay, CheckConfig, ExploreConfig, ExploreMode, Mutation, ReplayToken, Structure,
-    Violation,
+    check, replay, CheckConfig, ExploreConfig, ExploreMode, Mutation, ReplayToken, Violation,
 };
 use st_reclaim::Scheme;
+use st_structures::StructureKind as Structure;
 
 /// The exploration bound used by every mutation-detection test and its
 /// intact twin: systematic DFS, three forced preemptions, branching on

@@ -13,8 +13,9 @@
 //! registry access, and explicit (seed, schedule-token) pairs make
 //! failures replayable by construction.
 
-use st_check::{check, CheckConfig, ExploreConfig, ExploreMode, Structure};
+use st_check::{check, CheckConfig, ExploreConfig, ExploreMode};
 use st_reclaim::Scheme;
+use st_structures::StructureKind as Structure;
 
 const STRUCTURES: [Structure; 5] = [
     Structure::List,

@@ -4,9 +4,10 @@
 
 mod common;
 
-use common::{build_env, run_mix, Target};
+use common::{build_env, run_mix};
 use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
 use st_reclaim::Scheme;
+use st_structures::{StructureInstance, StructureKind};
 use std::sync::Arc;
 
 fn teardown_cpu(t: usize) -> Cpu {
@@ -23,7 +24,7 @@ fn teardown_cpu(t: usize) -> Cpu {
 /// Runs a mutation-heavy hash workload and returns (live objects after
 /// teardown, live objects before the run, total ops).
 fn churn(scheme: Scheme) -> (u64, u64, u64) {
-    let env = build_env(Target::Hash, scheme, 4, 64, 7);
+    let env = build_env(StructureKind::Hash, scheme, 4, 64, 7);
     let before = env.heap.stats().alloc.live_objects;
     let (report, mut workers) = run_mix(&env, 4, 2, 128, 7);
     for (t, w) in workers.iter_mut().enumerate() {
@@ -78,14 +79,14 @@ fn stalled_thread_blocks_epoch_but_not_stacktrack() {
     // A thread parked inside an operation: epoch reclaimers stall; the
     // StackTrack scan just reads its committed (empty) stack and frees.
     for (scheme, expect_freed) in [(Scheme::Epoch, false), (Scheme::StackTrack, true)] {
-        let env = build_env(Target::List, scheme, 2, 8, 3);
+        let env = build_env(StructureKind::List, scheme, 2, 8, 3);
         let mut stalled = env.factory.thread(0);
         let mut reclaimer = env.factory.thread(1);
         let mut cpu_a = teardown_cpu(0);
         let mut cpu_b = teardown_cpu(1);
 
         // Thread 0 parks mid-operation (never completes).
-        let common::Instance::List(shape) = env.instance else {
+        let StructureInstance::List(shape) = *env.instance else {
             unreachable!()
         };
         let mut park = st_structures::list::contains_body(shape, 1);

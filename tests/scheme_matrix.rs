@@ -8,18 +8,19 @@
 
 mod common;
 
-use common::{build_env, check_instance, run_mix, run_mix_faulted, Target};
+use common::{build_env, run_mix, run_mix_faulted};
 use st_machine::{FaultPlan, CYCLES_PER_SECOND};
 use st_reclaim::Scheme;
+use st_structures::StructureKind;
 
-fn storm(target: Target, scheme: Scheme, threads: usize) {
+fn storm(target: StructureKind, scheme: Scheme, threads: usize) {
     let env = build_env(target, scheme, threads, 200, 42);
     let (report, mut workers) = run_mix(&env, threads, 1, 400, 42);
     assert!(
         report.total_ops() > 0,
         "{target:?}/{scheme:?}: no operations completed"
     );
-    check_instance(&env);
+    env.instance.check_invariants_untimed(&env.heap);
 
     // Drain deferred reclamation; the structure must stay sound.
     for (t, w) in workers.iter_mut().enumerate() {
@@ -33,66 +34,56 @@ fn storm(target: Target, scheme: Scheme, threads: usize) {
         );
         w.executor_mut().teardown(&mut cpu);
     }
-    check_instance(&env);
+    env.instance.check_invariants_untimed(&env.heap);
 }
 
 macro_rules! matrix_test {
-    ($name:ident, $target:expr, $scheme:expr, $threads:expr) => {
+    ($name:ident, $kind:ident, $scheme:expr, $threads:expr) => {
         #[test]
         fn $name() {
-            storm($target, $scheme, $threads);
+            storm(StructureKind::$kind, $scheme, $threads);
         }
     };
 }
 
 // List under every scheme (including DTA, which is list-only).
-matrix_test!(list_original_8, Target::List, Scheme::None, 8);
-matrix_test!(list_epoch_8, Target::List, Scheme::Epoch, 8);
-matrix_test!(list_hazard_8, Target::List, Scheme::Hazard, 8);
-matrix_test!(list_dta_8, Target::List, Scheme::Dta, 8);
-matrix_test!(list_refcount_4, Target::List, Scheme::RefCount, 4);
-matrix_test!(list_stacktrack_8, Target::List, Scheme::StackTrack, 8);
-matrix_test!(list_stacktrack_16, Target::List, Scheme::StackTrack, 16);
-matrix_test!(list_nbr_8, Target::List, Scheme::Nbr, 8);
-matrix_test!(list_hyaline_8, Target::List, Scheme::Hyaline, 8);
+matrix_test!(list_original_8, List, Scheme::None, 8);
+matrix_test!(list_epoch_8, List, Scheme::Epoch, 8);
+matrix_test!(list_hazard_8, List, Scheme::Hazard, 8);
+matrix_test!(list_dta_8, List, Scheme::Dta, 8);
+matrix_test!(list_refcount_4, List, Scheme::RefCount, 4);
+matrix_test!(list_stacktrack_8, List, Scheme::StackTrack, 8);
+matrix_test!(list_stacktrack_16, List, Scheme::StackTrack, 16);
+matrix_test!(list_nbr_8, List, Scheme::Nbr, 8);
+matrix_test!(list_hyaline_8, List, Scheme::Hyaline, 8);
 
 // Skip list.
-matrix_test!(skiplist_original_8, Target::SkipList, Scheme::None, 8);
-matrix_test!(skiplist_epoch_8, Target::SkipList, Scheme::Epoch, 8);
-matrix_test!(skiplist_hazard_8, Target::SkipList, Scheme::Hazard, 8);
-matrix_test!(
-    skiplist_stacktrack_8,
-    Target::SkipList,
-    Scheme::StackTrack,
-    8
-);
-matrix_test!(
-    skiplist_stacktrack_16,
-    Target::SkipList,
-    Scheme::StackTrack,
-    16
-);
-matrix_test!(skiplist_nbr_8, Target::SkipList, Scheme::Nbr, 8);
-matrix_test!(skiplist_hyaline_8, Target::SkipList, Scheme::Hyaline, 8);
+matrix_test!(skiplist_original_8, SkipList, Scheme::None, 8);
+matrix_test!(skiplist_epoch_8, SkipList, Scheme::Epoch, 8);
+matrix_test!(skiplist_hazard_8, SkipList, Scheme::Hazard, 8);
+matrix_test!(skiplist_stacktrack_8, SkipList, Scheme::StackTrack, 8);
+matrix_test!(skiplist_stacktrack_16, SkipList, Scheme::StackTrack, 16);
+matrix_test!(skiplist_nbr_8, SkipList, Scheme::Nbr, 8);
+matrix_test!(skiplist_hyaline_8, SkipList, Scheme::Hyaline, 8);
 
 // Queue.
-matrix_test!(queue_original_8, Target::Queue, Scheme::None, 8);
-matrix_test!(queue_epoch_8, Target::Queue, Scheme::Epoch, 8);
-matrix_test!(queue_hazard_8, Target::Queue, Scheme::Hazard, 8);
-matrix_test!(queue_stacktrack_8, Target::Queue, Scheme::StackTrack, 8);
-matrix_test!(queue_stacktrack_16, Target::Queue, Scheme::StackTrack, 16);
-matrix_test!(queue_nbr_8, Target::Queue, Scheme::Nbr, 8);
-matrix_test!(queue_hyaline_8, Target::Queue, Scheme::Hyaline, 8);
+matrix_test!(queue_original_8, Queue, Scheme::None, 8);
+matrix_test!(queue_epoch_8, Queue, Scheme::Epoch, 8);
+matrix_test!(queue_hazard_8, Queue, Scheme::Hazard, 8);
+matrix_test!(queue_stacktrack_8, Queue, Scheme::StackTrack, 8);
+matrix_test!(queue_stacktrack_16, Queue, Scheme::StackTrack, 16);
+matrix_test!(queue_nbr_8, Queue, Scheme::Nbr, 8);
+matrix_test!(queue_hyaline_8, Queue, Scheme::Hyaline, 8);
 
 /// Total retired-but-unfreed nodes at the deadline of a run whose last
 /// thread stalls from 30 % of the way in until past the deadline.
 fn garbage_under_stalled_reader(scheme: Scheme, duration_ms: u64) -> u64 {
     const MS: u64 = CYCLES_PER_SECOND / 1000;
     let threads = 4;
-    let env = build_env(Target::List, scheme, threads, 200, 42);
+    let env = build_env(StructureKind::List, scheme, threads, 200, 42);
     let plan = FaultPlan::default().stall(threads - 1, duration_ms * MS * 3 / 10, u64::MAX / 2);
     let (_report, workers) = run_mix_faulted(&env, threads, duration_ms, 400, 42, plan);
-    check_instance(&env);
+    env.instance.check_invariants_untimed(&env.heap);
     workers
         .iter()
         .map(|w| w.executor().outstanding_garbage())
@@ -142,10 +133,10 @@ fn stalled_reader_bounds_garbage_except_for_epoch() {
 fn garbage_with_fixed_stall(scheme: Scheme, duration_ms: u64) -> u64 {
     const MS: u64 = CYCLES_PER_SECOND / 1000;
     let threads = 4;
-    let env = build_env(Target::List, scheme, threads, 200, 42);
+    let env = build_env(StructureKind::List, scheme, threads, 200, 42);
     let plan = FaultPlan::default().stall(threads - 1, MS, u64::MAX / 2);
     let (_report, workers) = run_mix_faulted(&env, threads, duration_ms, 400, 42, plan);
-    check_instance(&env);
+    env.instance.check_invariants_untimed(&env.heap);
     workers
         .iter()
         .map(|w| w.executor().outstanding_garbage())
@@ -182,10 +173,18 @@ fn stalled_reader_bounds_nbr_and_hyaline_garbage() {
 }
 
 // Hash table.
-matrix_test!(hash_original_8, Target::Hash, Scheme::None, 8);
-matrix_test!(hash_epoch_8, Target::Hash, Scheme::Epoch, 8);
-matrix_test!(hash_hazard_8, Target::Hash, Scheme::Hazard, 8);
-matrix_test!(hash_stacktrack_8, Target::Hash, Scheme::StackTrack, 8);
-matrix_test!(hash_refcount_4, Target::Hash, Scheme::RefCount, 4);
-matrix_test!(hash_nbr_8, Target::Hash, Scheme::Nbr, 8);
-matrix_test!(hash_hyaline_8, Target::Hash, Scheme::Hyaline, 8);
+matrix_test!(hash_original_8, Hash, Scheme::None, 8);
+matrix_test!(hash_epoch_8, Hash, Scheme::Epoch, 8);
+matrix_test!(hash_hazard_8, Hash, Scheme::Hazard, 8);
+matrix_test!(hash_stacktrack_8, Hash, Scheme::StackTrack, 8);
+matrix_test!(hash_refcount_4, Hash, Scheme::RefCount, 4);
+matrix_test!(hash_nbr_8, Hash, Scheme::Nbr, 8);
+matrix_test!(hash_hyaline_8, Hash, Scheme::Hyaline, 8);
+
+// Red-black tree (DTA is list-only).
+matrix_test!(rbtree_original_8, RbTree, Scheme::None, 8);
+matrix_test!(rbtree_epoch_8, RbTree, Scheme::Epoch, 8);
+matrix_test!(rbtree_hazard_8, RbTree, Scheme::Hazard, 8);
+matrix_test!(rbtree_stacktrack_8, RbTree, Scheme::StackTrack, 8);
+matrix_test!(rbtree_nbr_8, RbTree, Scheme::Nbr, 8);
+matrix_test!(rbtree_hyaline_8, RbTree, Scheme::Hyaline, 8);

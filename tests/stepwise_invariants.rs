@@ -9,15 +9,17 @@
 
 mod common;
 
-use common::{build_env, Instance, MixWorker, Target};
+use common::{build_env, mix_worker};
+use st_bench::workload::BenchWorker;
 use st_machine::{Cpu, SimConfig, Simulator, StepOutcome, Topology, Worker};
 use st_reclaim::Scheme;
 use st_simheap::{Heap, TaggedPtr};
 use st_structures::skiplist::{SkipShape, NODE_KEY, NODE_NEXT0};
+use st_structures::{StructureInstance, StructureKind};
 use std::sync::Arc;
 
 struct Checked {
-    inner: MixWorker,
+    inner: BenchWorker,
     shape: SkipShape,
     heap: Arc<Heap>,
 }
@@ -77,13 +79,13 @@ impl Worker for Checked {
 }
 
 fn storm(scheme: Scheme, duration_cycles: u64) {
-    let env = build_env(Target::SkipList, scheme, 8, 200, 42);
-    let Instance::SkipList(shape) = env.instance.clone() else {
+    let env = build_env(StructureKind::SkipList, scheme, 8, 200, 42);
+    let StructureInstance::SkipList(shape) = *env.instance else {
         unreachable!()
     };
     let workers: Vec<Checked> = (0..8)
         .map(|t| Checked {
-            inner: MixWorker::new(env.factory.thread(t), env.instance.clone(), 400),
+            inner: mix_worker(&env, t, 400),
             shape,
             heap: env.heap.clone(),
         })
@@ -126,7 +128,7 @@ fn skiplist_stepwise_under_original() {
 // ----------------------------------------------------------------------
 
 struct CheckedList {
-    inner: MixWorker,
+    inner: BenchWorker,
     shape: st_structures::list::ListShape,
     heap: Arc<Heap>,
 }
@@ -178,13 +180,13 @@ impl Worker for CheckedList {
 }
 
 fn list_storm(scheme: Scheme) {
-    let env = build_env(Target::List, scheme, 8, 100, 21);
-    let Instance::List(shape) = env.instance.clone() else {
+    let env = build_env(StructureKind::List, scheme, 8, 100, 21);
+    let StructureInstance::List(shape) = *env.instance else {
         unreachable!()
     };
     let workers: Vec<CheckedList> = (0..8)
         .map(|t| CheckedList {
-            inner: MixWorker::new(env.factory.thread(t), env.instance.clone(), 200),
+            inner: mix_worker(&env, t, 200),
             shape,
             heap: env.heap.clone(),
         })
