@@ -1,24 +1,29 @@
-//! Drivers that regenerate every figure and table of the paper's
-//! evaluation (section 6), plus the ablations called out in DESIGN.md.
+//! Every figure and table of the paper's evaluation (section 6), plus the
+//! ablations called out in DESIGN.md, declared as data in [`FIGURES`].
 //!
-//! Every driver has the same three-phase shape: build the full list of
-//! [`RunConfig`]s in table order, hand the list to the parallel sweep
-//! scheduler ([`crate::sweep::run_batch`]), then build tables from the
-//! ordered results. Config construction is pure and results come back in
-//! config order, so the persisted artifacts do not depend on `--jobs`
-//! (see `docs/PERF.md` for the serial-equivalence guarantee).
+//! Most figures are a grid: one workload, thread counts down the rows,
+//! and one column per scheme or per labelled tuning of one scheme's
+//! [`RunConfig`]. Figures 3–4, the scan table and the robustness run
+//! build their own configs and tables. Every figure runs the same way
+//! ([`Figure::run`]): build the full list of configs in table order, hand
+//! it to the parallel sweep scheduler ([`crate::sweep::run_batch`]), then
+//! build, print and persist the tables from the ordered results. Config
+//! construction is pure and results come back in config order, so the
+//! persisted artifacts do not depend on `--jobs` (see `docs/PERF.md` for
+//! the serial-equivalence guarantee).
 
 use crate::experiment::{ms_to_cycles, RunConfig, RunResult};
-use crate::report::{fmt_f, fmt_ops, persist, Table};
+use crate::report::{fmt_f, fmt_ops, naming, persist, Table};
 use crate::sweep::{self, TimingSink};
 use crate::workload::WorkloadSpec;
 use st_machine::FaultPlan;
 use st_reclaim::Scheme;
 use stacktrack::{ScanMode, StConfig};
+use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Shared driver options.
+/// Options shared by every figure.
 #[derive(Debug, Clone)]
 pub struct BenchOpts {
     /// Virtual run length per configuration, in milliseconds.
@@ -33,7 +38,8 @@ pub struct BenchOpts {
     pub max_threads: usize,
     /// Unmeasured warm-up per configuration, in milliseconds.
     pub warmup_ms: u64,
-    /// Scheme subset override (`None` = each driver's default set).
+    /// The schemes of a fault experiment (`None` = every scheme); the
+    /// other figures have fixed columns.
     pub schemes: Option<Vec<Scheme>>,
     /// Sweep worker threads (`1` = serial; results are identical either
     /// way — see `docs/PERF.md`).
@@ -73,304 +79,407 @@ impl BenchOpts {
         c.warmup_ms = self.warmup_ms;
         c
     }
+}
 
-    fn sweep(&self) -> Vec<usize> {
-        (1..=self.max_threads).collect()
-    }
+/// Run length of a fault experiment run on its own without `--ms`: a
+/// stall is only visible against a run that dwarfs it.
+pub const FAULT_RUN_MS: u64 = 250;
 
-    /// Runs a figure's config list through the sweep scheduler.
-    fn batch(&self, figure: &str, configs: &[RunConfig]) -> Vec<RunResult> {
-        let results = sweep::run_batch(configs, self.jobs, figure, self.timing.as_deref());
+/// One figure or table: the subcommands that run it, where it is
+/// persisted, and how its configs and tables are built.
+#[derive(Debug)]
+pub struct Figure {
+    /// Subcommands that run it; the first is its name in `all`.
+    pub commands: &'static [&'static str],
+    /// File stem of its artifacts under `--out`, and its sweep label.
+    pub stem: &'static str,
+    /// A fault experiment: its columns are the `--schemes` set, and run on
+    /// its own without `--ms` it runs [`FAULT_RUN_MS`].
+    pub fault: bool,
+    /// How its configs and tables are built.
+    build: Build,
+}
+
+/// How a figure's configs and tables are built.
+#[derive(Debug)]
+enum Build {
+    /// A throughput grid.
+    Grid(Grid),
+    /// Its own config list (in table order) and table builder.
+    Custom {
+        /// Builds the config list.
+        configs: fn(&BenchOpts) -> Vec<RunConfig>,
+        /// Builds the tables from the results, in config order.
+        tables: fn(&BenchOpts, &[RunResult]) -> Vec<Table>,
+    },
+}
+
+/// One workload over a thread axis (rows) and a set of columns, configs
+/// in row-major order.
+#[derive(Debug)]
+struct Grid {
+    /// Table title.
+    title: &'static str,
+    /// The workload at the paper's size (shrunk by `--scale`).
+    spec: fn() -> WorkloadSpec,
+    /// Thread counts, one row each.
+    threads: Threads,
+    /// The columns after `threads`.
+    columns: Columns,
+    /// What each cell shows.
+    cell: Cell,
+}
+
+/// A grid's thread axis.
+#[derive(Debug)]
+enum Threads {
+    /// `1..=--threads`.
+    UpTo,
+    /// A fixed list, capped at `--threads`.
+    Capped(&'static [usize]),
+}
+
+/// A grid's columns.
+#[derive(Debug)]
+enum Columns {
+    /// One column per scheme, headed by its name.
+    Schemes(&'static [Scheme]),
+    /// One column per tuning of the scheme's default config.
+    Tunings(Scheme, &'static [Tuning]),
+}
+
+/// A column label and the change it makes to a default [`RunConfig`].
+type Tuning = (&'static str, fn(&mut RunConfig));
+
+/// What a grid cell shows.
+#[derive(Debug)]
+enum Cell {
+    /// Throughput.
+    Ops,
+    /// Throughput and outstanding garbage, `ops | garbage`.
+    OpsGarbage,
+    /// Throughput as a percentage of the row's first column.
+    PercentOfFirst,
+}
+
+/// The schemes of Figures 1b–2b and the rbtree extra.
+const COMPARED: &[Scheme] = &[
+    Scheme::None,
+    Scheme::Hazard,
+    Scheme::Epoch,
+    Scheme::StackTrack,
+    Scheme::Nbr,
+    Scheme::Hyaline,
+];
+
+/// Every figure, in the order `all` runs them.
+pub static FIGURES: &[Figure] = &[
+    Figure {
+        commands: &["fig1-list"],
+        stem: "fig1_list",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Figure 1a — List: 5K nodes, 20% mutations (ops/s vs threads)",
+            spec: WorkloadSpec::paper_list,
+            threads: Threads::UpTo,
+            columns: Columns::Schemes(&[
+                Scheme::None,
+                Scheme::Hazard,
+                Scheme::Epoch,
+                Scheme::StackTrack,
+                Scheme::Dta,
+                Scheme::Nbr,
+                Scheme::Hyaline,
+            ]),
+            cell: Cell::Ops,
+        }),
+    },
+    Figure {
+        commands: &["fig1-skiplist"],
+        stem: "fig1_skiplist",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Figure 1b — SkipList: 100K nodes, 20% mutations (ops/s vs threads)",
+            spec: WorkloadSpec::paper_skiplist,
+            threads: Threads::UpTo,
+            columns: Columns::Schemes(COMPARED),
+            cell: Cell::Ops,
+        }),
+    },
+    Figure {
+        commands: &["fig2-queue"],
+        stem: "fig2_queue",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Figure 2a — Queue: 20% mutations (ops/s vs threads)",
+            spec: WorkloadSpec::paper_queue,
+            threads: Threads::UpTo,
+            columns: Columns::Schemes(COMPARED),
+            cell: Cell::Ops,
+        }),
+    },
+    Figure {
+        commands: &["fig2-hash"],
+        stem: "fig2_hash",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Figure 2b — Hash: 10K nodes, 20% mutations (ops/s vs threads)",
+            spec: WorkloadSpec::paper_hash,
+            threads: Threads::UpTo,
+            columns: Columns::Schemes(COMPARED),
+            cell: Cell::Ops,
+        }),
+    },
+    // StackTrack's HTM behaviour on the list: abort taxonomy per segment,
+    // splits per operation, split lengths.
+    Figure {
+        commands: &["fig3-fig4", "fig3-aborts", "fig4-splits"],
+        stem: "fig3_fig4",
+        fault: false,
+        build: Build::Custom {
+            configs: fig3_fig4_configs,
+            tables: fig3_fig4_tables,
+        },
+    },
+    Figure {
+        commands: &["fig5-slowpath"],
+        stem: "fig5_slowpath",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Figure 5 — SkipList: forced slow-path fraction (relative throughput, Slow-0 = 100%)",
+            spec: WorkloadSpec::paper_skiplist,
+            threads: Threads::Capped(&[1, 2, 3, 4, 6, 8, 10, 12, 14]),
+            columns: Columns::Tunings(
+                Scheme::StackTrack,
+                &[
+                    ("Slow-0", |c| c.st_config.forced_slow_prob = 0.0),
+                    ("Slow-10", |c| c.st_config.forced_slow_prob = 0.1),
+                    ("Slow-50", |c| c.st_config.forced_slow_prob = 0.5),
+                    ("Slow-100", |c| c.st_config.forced_slow_prob = 1.0),
+                ],
+            ),
+            cell: Cell::PercentOfFirst,
+        }),
+    },
+    // The section 6 "Scan behavior" table: scan frequency (every free vs
+    // every 10 frees), inspected depth, retries, and scan penalty.
+    Figure {
+        commands: &["scan-overhead"],
+        stem: "scan_overhead",
+        fault: false,
+        build: Build::Custom {
+            configs: scan_overhead_configs,
+            tables: scan_overhead_tables,
+        },
+    },
+    // Ablation 2 (DESIGN.md): adaptive split predictor vs fixed lengths.
+    Figure {
+        commands: &["ablation-predictor"],
+        stem: "ablation_predictor",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Ablation — split-length predictor (List, StackTrack, ops/s)",
+            spec: WorkloadSpec::paper_list,
+            threads: Threads::Capped(&[1, 2, 4, 8, 12, 16]),
+            columns: Columns::Tunings(
+                Scheme::StackTrack,
+                &[
+                    ("adaptive", |_| {}),
+                    ("fixed-1", |c| c.st_config = fixed_split(1)),
+                    ("fixed-10", |c| c.st_config = fixed_split(10)),
+                    ("fixed-50", |c| c.st_config = fixed_split(50)),
+                ],
+            ),
+            cell: Cell::Ops,
+        }),
+    },
+    // Ablation 3 (DESIGN.md): register-file exposure on/off.
+    Figure {
+        commands: &["ablation-regfile"],
+        stem: "ablation_regfile",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Ablation — register-file exposure (List, StackTrack, ops/s)",
+            spec: WorkloadSpec::paper_list,
+            threads: Threads::Capped(&[1, 2, 4, 8, 16]),
+            columns: Columns::Tunings(
+                Scheme::StackTrack,
+                &[
+                    ("exposed", |c| c.st_config.expose_registers = true),
+                    ("suppressed", |c| c.st_config.expose_registers = false),
+                ],
+            ),
+            cell: Cell::Ops,
+        }),
+    },
+    // Ablation 1 (DESIGN.md): linear vs hashed vs batched `SCAN_AND_FREE`.
+    Figure {
+        commands: &["ablation-scanmode"],
+        stem: "ablation_scanmode",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Ablation — scan strategy (List, StackTrack, ops/s)",
+            spec: WorkloadSpec::paper_list,
+            threads: Threads::Capped(&[1, 2, 4, 8, 16]),
+            columns: Columns::Tunings(
+                Scheme::StackTrack,
+                &[
+                    ("linear", |c| scan_often(c, ScanMode::Linear)),
+                    ("hashed", |c| scan_often(c, ScanMode::Hashed)),
+                    ("batched", |c| scan_often(c, ScanMode::Batched)),
+                ],
+            ),
+            cell: Cell::Ops,
+        }),
+    },
+    // Extra comparator: reference counting vs hazard pointers (the
+    // paper's "upper bound" claim).
+    Figure {
+        commands: &["ablation-refcount"],
+        stem: "ablation_refcount",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Ablation — RefCount vs Hazards vs Original (List, ops/s)",
+            spec: WorkloadSpec::paper_list,
+            threads: Threads::Capped(&[1, 2, 4, 8]),
+            columns: Columns::Schemes(&[Scheme::None, Scheme::Hazard, Scheme::RefCount]),
+            cell: Cell::Ops,
+        }),
+    },
+    // Extra ablation: Drop-the-Anchor's anchor period `K` — the fence
+    // amortization that makes DTA fast, against the reclamation lag (and
+    // garbage) that longer windows cost.
+    Figure {
+        commands: &["ablation-dta-k"],
+        stem: "ablation_dta_k",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Ablation — DTA anchor period K (List, ops/s | garbage nodes)",
+            spec: WorkloadSpec::paper_list,
+            threads: Threads::Capped(&[1, 2, 4, 8, 16]),
+            columns: Columns::Tunings(
+                Scheme::Dta,
+                &[
+                    ("K=4", |c| c.reclaim_config.dta_k = 4),
+                    ("K=10", |c| c.reclaim_config.dta_k = 10),
+                    ("K=20", |c| c.reclaim_config.dta_k = 20),
+                    ("K=50", |c| c.reclaim_config.dta_k = 50),
+                ],
+            ),
+            cell: Cell::OpsGarbage,
+        }),
+    },
+    // Extra workload beyond the paper's figures: the Algorithm 3
+    // red-black tree under a read-dominated mix.
+    Figure {
+        commands: &["extra-rbtree"],
+        stem: "extra_rbtree",
+        fault: false,
+        build: Build::Grid(Grid {
+            title: "Extra — RbTree: 10K keys, 10% mutations (ops/s vs threads)",
+            spec: WorkloadSpec::extra_rbtree,
+            threads: Threads::UpTo,
+            columns: Columns::Schemes(COMPARED),
+            cell: Cell::Ops,
+        }),
+    },
+    // Robustness under faults: every scheme runs the list workload while
+    // one worker stalls mid-run (at 30 % of the duration, for 40 % of it —
+    // 100 ms at `FAULT_RUN_MS`). The table is the outstanding-garbage
+    // time-series: hazard pointers, DTA and StackTrack must stay bounded
+    // while the stalled thread makes epoch-based reclamation hoard
+    // (section 2's robustness argument).
+    Figure {
+        commands: &["robustness"],
+        stem: "robustness",
+        fault: true,
+        build: Build::Custom {
+            configs: robustness_configs,
+            tables: robustness_tables,
+        },
+    },
+];
+
+/// The figure `command` runs, if any.
+pub fn find(command: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.commands.contains(&command))
+}
+
+impl Figure {
+    /// Runs the figure: creates `opts.out`, runs every config through the
+    /// sweep scheduler, then prints the tables and persists them with the
+    /// results. An error names the directory or file it could not write.
+    pub fn run(&self, opts: &BenchOpts) -> io::Result<Vec<RunResult>> {
+        std::fs::create_dir_all(&opts.out).map_err(naming(&opts.out))?;
+        let configs = match &self.build {
+            Build::Grid(grid) => grid.configs(opts),
+            Build::Custom { configs, .. } => configs(opts),
+        };
+        let results = sweep::run_batch(&configs, opts.jobs, self.stem, opts.timing.as_deref());
         eprintln!();
-        results
-    }
-}
-
-/// A throughput-vs-threads sweep for a set of schemes (Figures 1 and 2).
-fn throughput_figure(
-    opts: &BenchOpts,
-    name: &str,
-    title: &str,
-    spec: WorkloadSpec,
-    schemes: &[Scheme],
-) -> Vec<RunResult> {
-    let threads_list = opts.sweep();
-    let mut configs = Vec::new();
-    for &threads in &threads_list {
-        for &scheme in schemes {
-            configs.push(opts.config(spec.clone(), scheme, threads));
+        let tables = match &self.build {
+            Build::Grid(grid) => vec![grid.table(&results)],
+            Build::Custom { tables, .. } => tables(opts, &results),
+        };
+        for table in &tables {
+            table.print();
         }
+        persist(&opts.out, self.stem, &results, &tables)?;
+        Ok(results)
     }
-    let results = opts.batch(name, &configs);
-
-    let mut columns = vec!["threads".to_string()];
-    columns.extend(schemes.iter().map(|s| s.name().to_string()));
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let mut table = Table::new(title, &col_refs);
-    let mut rows = results.chunks(schemes.len());
-    for &threads in &threads_list {
-        let group = rows.next().expect("one result group per thread count");
-        let mut row = vec![threads.to_string()];
-        row.extend(group.iter().map(|r| fmt_ops(r.ops_per_sec)));
-        table.row(row);
-    }
-    table.print();
-    persist(&opts.out, name, &results, &[table]);
-    results
 }
 
-/// Figure 1a: list throughput (5 K nodes, 20 % mutations).
-pub fn fig1_list(opts: &BenchOpts) -> Vec<RunResult> {
-    throughput_figure(
-        opts,
-        "fig1_list",
-        "Figure 1a — List: 5K nodes, 20% mutations (ops/s vs threads)",
-        opts.spec(WorkloadSpec::paper_list()),
-        &[
-            Scheme::None,
-            Scheme::Hazard,
-            Scheme::Epoch,
-            Scheme::StackTrack,
-            Scheme::Dta,
-            Scheme::Nbr,
-            Scheme::Hyaline,
-        ],
-    )
-}
-
-/// Figure 1b: skip-list throughput (100 K nodes, 20 % mutations).
-pub fn fig1_skiplist(opts: &BenchOpts) -> Vec<RunResult> {
-    throughput_figure(
-        opts,
-        "fig1_skiplist",
-        "Figure 1b — SkipList: 100K nodes, 20% mutations (ops/s vs threads)",
-        opts.spec(WorkloadSpec::paper_skiplist()),
-        &[
-            Scheme::None,
-            Scheme::Hazard,
-            Scheme::Epoch,
-            Scheme::StackTrack,
-            Scheme::Nbr,
-            Scheme::Hyaline,
-        ],
-    )
-}
-
-/// Figure 2a: queue throughput (20 % mutations).
-pub fn fig2_queue(opts: &BenchOpts) -> Vec<RunResult> {
-    throughput_figure(
-        opts,
-        "fig2_queue",
-        "Figure 2a — Queue: 20% mutations (ops/s vs threads)",
-        opts.spec(WorkloadSpec::paper_queue()),
-        &[
-            Scheme::None,
-            Scheme::Hazard,
-            Scheme::Epoch,
-            Scheme::StackTrack,
-            Scheme::Nbr,
-            Scheme::Hyaline,
-        ],
-    )
-}
-
-/// Figure 2b: hash-table throughput (10 K nodes, 20 % mutations).
-pub fn fig2_hash(opts: &BenchOpts) -> Vec<RunResult> {
-    throughput_figure(
-        opts,
-        "fig2_hash",
-        "Figure 2b — Hash: 10K nodes, 20% mutations (ops/s vs threads)",
-        opts.spec(WorkloadSpec::paper_hash()),
-        &[
-            Scheme::None,
-            Scheme::Hazard,
-            Scheme::Epoch,
-            Scheme::StackTrack,
-            Scheme::Nbr,
-            Scheme::Hyaline,
-        ],
-    )
-}
-
-/// Figures 3 and 4: StackTrack's HTM behaviour on the list — abort
-/// taxonomy per segment, splits per operation, split lengths.
-pub fn fig3_fig4(opts: &BenchOpts) -> Vec<RunResult> {
-    let spec = opts.spec(WorkloadSpec::paper_list());
-    let threads_list = opts.sweep();
-    let configs: Vec<RunConfig> = threads_list
-        .iter()
-        .map(|&threads| opts.config(spec.clone(), Scheme::StackTrack, threads))
-        .collect();
-    let results = opts.batch("fig3_fig4", &configs);
-
-    let mut aborts = Table::new(
-        "Figure 3 — List: HTM aborts (StackTrack)",
-        &[
-            "threads",
-            "contention",
-            "capacity",
-            "contention/seg",
-            "capacity/seg",
-        ],
-    );
-    let mut splits = Table::new(
-        "Figure 4 — List: splits per op and split lengths (StackTrack)",
-        &["threads", "avg splits/op", "avg split length"],
-    );
-    for (&threads, r) in threads_list.iter().zip(&results) {
-        let segs = r.tx_committed.max(1) as f64;
-        aborts.row(vec![
-            threads.to_string(),
-            r.aborts_conflict.to_string(),
-            r.aborts_capacity.to_string(),
-            fmt_f(r.aborts_conflict as f64 / segs),
-            fmt_f(r.aborts_capacity as f64 / segs),
-        ]);
-        splits.row(vec![
-            threads.to_string(),
-            fmt_f(r.avg_splits_per_op),
-            fmt_f(r.avg_split_length),
-        ]);
-    }
-    aborts.print();
-    splits.print();
-    persist(&opts.out, "fig3_fig4", &results, &[aborts, splits]);
-    results
-}
-
-/// Figure 5: slow-path fallback cost on the skip list (0/10/50/100 %
-/// forced slow-path operations, relative to 0 %).
-pub fn fig5_slowpath(opts: &BenchOpts) -> Vec<RunResult> {
-    let spec = opts.spec(WorkloadSpec::paper_skiplist());
-    let fractions = [0.0, 0.1, 0.5, 1.0];
-    let threads_list: Vec<usize> = [1, 2, 3, 4, 6, 8, 10, 12, 14]
-        .into_iter()
-        .filter(|&t| t <= opts.max_threads)
-        .collect();
-
-    let mut configs = Vec::new();
-    for &threads in &threads_list {
-        for &frac in &fractions {
-            let mut config = opts.config(spec.clone(), Scheme::StackTrack, threads);
-            config.st_config = StConfig {
-                forced_slow_prob: frac,
-                ..StConfig::default()
-            };
-            configs.push(config);
+impl Grid {
+    fn configs(&self, opts: &BenchOpts) -> Vec<RunConfig> {
+        let spec = opts.spec((self.spec)());
+        let thread_counts: Vec<usize> = match self.threads {
+            Threads::UpTo => (1..=opts.max_threads).collect(),
+            Threads::Capped(list) => list
+                .iter()
+                .copied()
+                .filter(|&t| t <= opts.max_threads)
+                .collect(),
+        };
+        let mut configs = Vec::new();
+        for threads in thread_counts {
+            match self.columns {
+                Columns::Schemes(schemes) => configs.extend(
+                    schemes
+                        .iter()
+                        .map(|&scheme| opts.config(spec.clone(), scheme, threads)),
+                ),
+                Columns::Tunings(scheme, tunings) => {
+                    configs.extend(tunings.iter().map(|(_, tune)| {
+                        let mut config = opts.config(spec.clone(), scheme, threads);
+                        tune(&mut config);
+                        config
+                    }))
+                }
+            }
         }
+        configs
     }
-    let results = opts.batch("fig5_slowpath", &configs);
 
-    let mut table = Table::new(
-        "Figure 5 — SkipList: forced slow-path fraction (relative throughput, Slow-0 = 100%)",
-        &["threads", "Slow-0", "Slow-10", "Slow-50", "Slow-100"],
-    );
-    let mut groups = results.chunks(fractions.len());
-    for &threads in &threads_list {
-        let group = groups.next().expect("one group per thread count");
-        let baseline = group[0].ops_per_sec.max(1.0);
-        let mut row = vec![threads.to_string()];
-        row.push("100.0%".to_string());
-        for r in &group[1..] {
-            row.push(format!("{:.1}%", 100.0 * r.ops_per_sec / baseline));
+    fn table(&self, results: &[RunResult]) -> Table {
+        let mut header = vec!["threads"];
+        match self.columns {
+            Columns::Schemes(schemes) => header.extend(schemes.iter().map(|s| s.name())),
+            Columns::Tunings(_, tunings) => header.extend(tunings.iter().map(|(label, _)| *label)),
         }
-        table.row(row);
-    }
-    table.print();
-    persist(&opts.out, "fig5_slowpath", &results, &[table]);
-    results
-}
-
-/// The section 6 "Scan behavior" table: scan frequency (every free vs
-/// every 10 frees), inspected depth, retries, and scan penalty.
-pub fn scan_overhead(opts: &BenchOpts) -> Vec<RunResult> {
-    let spec = opts.spec(WorkloadSpec::paper_skiplist());
-    let threads_list = opts.sweep();
-    let groups = [1usize, 10];
-
-    let mut configs = Vec::new();
-    for &max_free in &groups {
-        for &threads in &threads_list {
-            let mut config = opts.config(spec.clone(), Scheme::StackTrack, threads);
-            config.st_config = StConfig {
-                max_free: max_free - 1, // scan when free set exceeds this
-                // One stack walk per scan batch (the paper's measured
-                // amortization implies this shape; see section 5.2's
-                // "free procedure optimization").
-                scan_mode: ScanMode::Hashed,
-                ..StConfig::default()
-            };
-            configs.push(config);
+        let mut table = Table::new(self.title, &header);
+        for group in results.chunks(header.len() - 1) {
+            let baseline = group[0].ops_per_sec.max(1.0);
+            let mut row = vec![group[0].threads.to_string()];
+            row.extend(group.iter().enumerate().map(|(i, r)| match self.cell {
+                Cell::Ops => fmt_ops(r.ops_per_sec),
+                Cell::OpsGarbage => format!("{} | {}", fmt_ops(r.ops_per_sec), r.garbage),
+                Cell::PercentOfFirst if i == 0 => "100.0%".to_string(),
+                Cell::PercentOfFirst => format!("{:.1}%", 100.0 * r.ops_per_sec / baseline),
+            }));
+            table.row(row);
         }
+        table
     }
-    let results = opts.batch("scan_overhead", &configs);
-
-    let mut tables = Vec::new();
-    let mut chunks = results.chunks(threads_list.len());
-    for &max_free in &groups {
-        let group = chunks.next().expect("one group per scan frequency");
-        let mut table = Table::new(
-            format!("Scan behaviour — SkipList, scan per {max_free} free call(s)"),
-            &[
-                "threads",
-                "ops/s",
-                "#scans",
-                "avg depth (words)",
-                "retries",
-                "penalty %",
-            ],
-        );
-        for (&threads, r) in threads_list.iter().zip(group) {
-            table.row(vec![
-                threads.to_string(),
-                fmt_ops(r.ops_per_sec),
-                r.scans.to_string(),
-                fmt_f(r.avg_scan_depth),
-                r.scan_retries.to_string(),
-                fmt_f(r.scan_penalty_pct),
-            ]);
-        }
-        tables.push(table);
-    }
-    for t in &tables {
-        t.print();
-    }
-    persist(&opts.out, "scan_overhead", &results, &tables);
-    results
-}
-
-/// Ablation 2 (DESIGN.md): adaptive split predictor vs fixed lengths.
-pub fn ablation_predictor(opts: &BenchOpts) -> Vec<RunResult> {
-    let spec = opts.spec(WorkloadSpec::paper_list());
-    let variants: [(&str, StConfig); 4] = [
-        ("adaptive", StConfig::default()),
-        ("fixed-1", fixed_split(1)),
-        ("fixed-10", fixed_split(10)),
-        ("fixed-50", fixed_split(50)),
-    ];
-    let threads_list: Vec<usize> = [1usize, 2, 4, 8, 12, 16]
-        .into_iter()
-        .filter(|&t| t <= opts.max_threads)
-        .collect();
-
-    let mut configs = Vec::new();
-    for &threads in &threads_list {
-        for (_, st) in &variants {
-            let mut config = opts.config(spec.clone(), Scheme::StackTrack, threads);
-            config.st_config = st.clone();
-            configs.push(config);
-        }
-    }
-    let results = opts.batch("ablation_predictor", &configs);
-
-    let mut table = Table::new(
-        "Ablation — split-length predictor (List, StackTrack, ops/s)",
-        &["threads", "adaptive", "fixed-1", "fixed-10", "fixed-50"],
-    );
-    fill_grid(&mut table, &threads_list, variants.len(), &results);
-    table.print();
-    persist(&opts.out, "ablation_predictor", &results, &[table]);
-    results
 }
 
 fn fixed_split(len: u32) -> StConfig {
@@ -385,262 +494,158 @@ fn fixed_split(len: u32) -> StConfig {
     }
 }
 
-/// Appends one `threads | ops/s...` row per thread count, consuming
-/// `results` in groups of `group` (the standard ablation grid shape).
-fn fill_grid(table: &mut Table, threads_list: &[usize], group: usize, results: &[RunResult]) {
-    let mut chunks = results.chunks(group);
-    for &threads in threads_list {
-        let group = chunks.next().expect("one result group per thread count");
-        let mut row = vec![threads.to_string()];
-        row.extend(group.iter().map(|r| fmt_ops(r.ops_per_sec)));
-        table.row(row);
-    }
+/// Scan on every free, so the scan strategies actually differ.
+fn scan_often(config: &mut RunConfig, mode: ScanMode) {
+    config.st_config.scan_mode = mode;
+    config.st_config.max_free = 1;
 }
 
-/// Ablation 3 (DESIGN.md): register-file exposure on/off.
-pub fn ablation_regfile(opts: &BenchOpts) -> Vec<RunResult> {
+fn fig3_fig4_configs(opts: &BenchOpts) -> Vec<RunConfig> {
     let spec = opts.spec(WorkloadSpec::paper_list());
-    let threads_list: Vec<usize> = [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t <= opts.max_threads)
-        .collect();
+    (1..=opts.max_threads)
+        .map(|threads| opts.config(spec.clone(), Scheme::StackTrack, threads))
+        .collect()
+}
 
+fn fig3_fig4_tables(_: &BenchOpts, results: &[RunResult]) -> Vec<Table> {
+    let mut aborts = Table::new(
+        "Figure 3 — List: HTM aborts (StackTrack)",
+        &[
+            "threads",
+            "contention",
+            "capacity",
+            "contention/seg",
+            "capacity/seg",
+        ],
+    );
+    let mut splits = Table::new(
+        "Figure 4 — List: splits per op and split lengths (StackTrack)",
+        &["threads", "avg splits/op", "avg split length"],
+    );
+    for r in results {
+        let segs = r.tx_committed.max(1) as f64;
+        aborts.row(vec![
+            r.threads.to_string(),
+            r.aborts_conflict.to_string(),
+            r.aborts_capacity.to_string(),
+            fmt_f(r.aborts_conflict as f64 / segs),
+            fmt_f(r.aborts_capacity as f64 / segs),
+        ]);
+        splits.row(vec![
+            r.threads.to_string(),
+            fmt_f(r.avg_splits_per_op),
+            fmt_f(r.avg_split_length),
+        ]);
+    }
+    vec![aborts, splits]
+}
+
+/// The scan table's frequencies: scan per 1 and per 10 free calls.
+const SCAN_EVERY: [usize; 2] = [1, 10];
+
+fn scan_overhead_configs(opts: &BenchOpts) -> Vec<RunConfig> {
+    let spec = opts.spec(WorkloadSpec::paper_skiplist());
     let mut configs = Vec::new();
-    for &threads in &threads_list {
-        for expose in [true, false] {
+    for max_free in SCAN_EVERY {
+        for threads in 1..=opts.max_threads {
             let mut config = opts.config(spec.clone(), Scheme::StackTrack, threads);
             config.st_config = StConfig {
-                expose_registers: expose,
+                max_free: max_free - 1, // scan when free set exceeds this
+                // One stack walk per scan batch (the paper's measured
+                // amortization implies this shape; see section 5.2's
+                // "free procedure optimization").
+                scan_mode: ScanMode::Hashed,
                 ..StConfig::default()
             };
             configs.push(config);
         }
     }
-    let results = opts.batch("ablation_regfile", &configs);
-
-    let mut table = Table::new(
-        "Ablation — register-file exposure (List, StackTrack, ops/s)",
-        &["threads", "exposed", "suppressed"],
-    );
-    fill_grid(&mut table, &threads_list, 2, &results);
-    table.print();
-    persist(&opts.out, "ablation_regfile", &results, &[table]);
-    results
+    configs
 }
 
-/// Ablation 1 (DESIGN.md): linear vs hashed vs batched `SCAN_AND_FREE`.
-pub fn ablation_scanmode(opts: &BenchOpts) -> Vec<RunResult> {
-    let spec = opts.spec(WorkloadSpec::paper_list());
-    let modes = [ScanMode::Linear, ScanMode::Hashed, ScanMode::Batched];
-    let threads_list: Vec<usize> = [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t <= opts.max_threads)
-        .collect();
-
-    let mut configs = Vec::new();
-    for &threads in &threads_list {
-        for &mode in &modes {
-            let mut config = opts.config(spec.clone(), Scheme::StackTrack, threads);
-            config.st_config = StConfig {
-                scan_mode: mode,
-                // Scan often so the strategies actually differ.
-                max_free: 1,
-                ..StConfig::default()
-            };
-            configs.push(config);
-        }
-    }
-    let results = opts.batch("ablation_scanmode", &configs);
-
-    let mut table = Table::new(
-        "Ablation — scan strategy (List, StackTrack, ops/s)",
-        &["threads", "linear", "hashed", "batched"],
-    );
-    fill_grid(&mut table, &threads_list, modes.len(), &results);
-    table.print();
-    persist(&opts.out, "ablation_scanmode", &results, &[table]);
-    results
+fn scan_overhead_tables(opts: &BenchOpts, results: &[RunResult]) -> Vec<Table> {
+    SCAN_EVERY
+        .iter()
+        .zip(results.chunks(opts.max_threads))
+        .map(|(max_free, group)| {
+            let mut table = Table::new(
+                format!("Scan behaviour — SkipList, scan per {max_free} free call(s)"),
+                &[
+                    "threads",
+                    "ops/s",
+                    "#scans",
+                    "avg depth (words)",
+                    "retries",
+                    "penalty %",
+                ],
+            );
+            for r in group {
+                table.row(vec![
+                    r.threads.to_string(),
+                    fmt_ops(r.ops_per_sec),
+                    r.scans.to_string(),
+                    fmt_f(r.avg_scan_depth),
+                    r.scan_retries.to_string(),
+                    fmt_f(r.scan_penalty_pct),
+                ]);
+            }
+            table
+        })
+        .collect()
 }
 
-/// Extra comparator: reference counting vs hazard pointers (the paper's
-/// "upper bound" claim).
-pub fn ablation_refcount(opts: &BenchOpts) -> Vec<RunResult> {
-    let spec = opts.spec(WorkloadSpec::paper_list());
-    let schemes = [Scheme::None, Scheme::Hazard, Scheme::RefCount];
-    let threads_list: Vec<usize> = [1usize, 2, 4, 8]
-        .into_iter()
-        .filter(|&t| t <= opts.max_threads)
-        .collect();
+/// Outstanding-garbage samples per robustness run.
+const GARBAGE_SAMPLES: usize = 10;
 
-    let mut configs = Vec::new();
-    for &threads in &threads_list {
-        for &scheme in &schemes {
-            configs.push(opts.config(spec.clone(), scheme, threads));
-        }
-    }
-    let results = opts.batch("ablation_refcount", &configs);
-
-    let mut table = Table::new(
-        "Ablation — RefCount vs Hazards vs Original (List, ops/s)",
-        &["threads", "Original", "Hazards", "RefCount"],
-    );
-    fill_grid(&mut table, &threads_list, schemes.len(), &results);
-    table.print();
-    persist(&opts.out, "ablation_refcount", &results, &[table]);
-    results
+/// The robustness run's thread count; its last thread stalls.
+fn robustness_threads(opts: &BenchOpts) -> usize {
+    opts.max_threads.clamp(2, 4)
 }
 
-/// Extra ablation: Drop-the-Anchor's anchor period `K` — the fence
-/// amortization that makes DTA fast, against the reclamation lag (and
-/// garbage) that longer windows cost.
-pub fn ablation_dta_k(opts: &BenchOpts) -> Vec<RunResult> {
+fn robustness_configs(opts: &BenchOpts) -> Vec<RunConfig> {
     let spec = opts.spec(WorkloadSpec::paper_list());
-    let ks = [4u32, 10, 20, 50];
-    let threads_list: Vec<usize> = [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t <= opts.max_threads)
-        .collect();
-
-    let mut configs = Vec::new();
-    for &threads in &threads_list {
-        for &k in &ks {
-            let mut config = opts.config(spec.clone(), Scheme::Dta, threads);
-            config.reclaim_config.dta_k = k;
-            configs.push(config);
-        }
-    }
-    let results = opts.batch("ablation_dta_k", &configs);
-
-    let mut table = Table::new(
-        "Ablation — DTA anchor period K (List, ops/s | garbage nodes)",
-        &["threads", "K=4", "K=10", "K=20", "K=50"],
-    );
-    let mut chunks = results.chunks(ks.len());
-    for &threads in &threads_list {
-        let group = chunks.next().expect("one group per thread count");
-        let mut row = vec![threads.to_string()];
-        row.extend(
-            group
-                .iter()
-                .map(|r| format!("{} | {}", fmt_ops(r.ops_per_sec), r.garbage)),
-        );
-        table.row(row);
-    }
-    table.print();
-    persist(&opts.out, "ablation_dta_k", &results, &[table]);
-    results
-}
-
-/// Robustness under faults: every scheme runs the list workload while one
-/// worker stalls mid-run (at 30 % of the duration, for 40 % of it — 100 ms
-/// under the subcommand's 250 ms default). The table is the
-/// outstanding-garbage time-series: hazard pointers, DTA and StackTrack
-/// must stay bounded while the stalled thread makes epoch-based
-/// reclamation hoard (section 2's robustness argument).
-pub fn robustness(opts: &BenchOpts) -> Vec<RunResult> {
-    const SAMPLES: usize = 10;
-    let spec = opts.spec(WorkloadSpec::paper_list());
-    let threads = opts.max_threads.clamp(2, 4);
-    let stalled = threads - 1;
+    let threads = robustness_threads(opts);
     let duration = ms_to_cycles(opts.duration_ms);
-    let stall_at = duration * 3 / 10;
-    let stall_for = duration * 4 / 10;
     let schemes = opts
         .schemes
         .clone()
         .unwrap_or_else(|| Scheme::all().to_vec());
-
-    let configs: Vec<RunConfig> = schemes
+    schemes
         .iter()
         .map(|&scheme| {
             let mut config = opts.config(spec.clone(), scheme, threads);
-            config.faults = FaultPlan::default().stall(stalled, stall_at, stall_for);
-            config.garbage_samples = SAMPLES;
+            config.faults =
+                FaultPlan::default().stall(threads - 1, duration * 3 / 10, duration * 4 / 10);
+            config.garbage_samples = GARBAGE_SAMPLES;
             config
         })
-        .collect();
-    let results = opts.batch("robustness", &configs);
+        .collect()
+}
 
-    let series: Vec<Vec<u64>> = results
-        .iter()
-        .map(|r| {
-            (1..=SAMPLES)
-                .map(|k| r.metrics.counter(&format!("reclaim.garbage_ts.{k:02}")))
-                .collect()
-        })
-        .collect();
-
-    let mut columns = vec!["t (ms)".to_string()];
-    columns.extend(schemes.iter().map(|s| s.name().to_string()));
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+fn robustness_tables(opts: &BenchOpts, results: &[RunResult]) -> Vec<Table> {
+    let threads = robustness_threads(opts);
+    let mut columns = vec!["t (ms)"];
+    columns.extend(results.iter().map(|r| r.scheme.as_str()));
     let mut table = Table::new(
         format!(
-            "Robustness — List, {threads} threads: outstanding garbage while thread {stalled} \
+            "Robustness — List, {threads} threads: outstanding garbage while thread {} \
              stalls {}–{} ms (run length {} ms)",
+            threads - 1,
             fmt_f(opts.duration_ms as f64 * 0.3),
             fmt_f(opts.duration_ms as f64 * 0.7),
             opts.duration_ms
         ),
-        &col_refs,
+        &columns,
     );
-    for k in 0..SAMPLES {
-        let t_ms = opts.duration_ms as f64 * (k + 1) as f64 / SAMPLES as f64;
+    for k in 1..=GARBAGE_SAMPLES {
+        let t_ms = opts.duration_ms as f64 * k as f64 / GARBAGE_SAMPLES as f64;
         let mut row = vec![fmt_f(t_ms)];
-        row.extend(series.iter().map(|ts| ts[k].to_string()));
+        row.extend(results.iter().map(|r| {
+            r.metrics
+                .counter(&format!("reclaim.garbage_ts.{k:02}"))
+                .to_string()
+        }));
         table.row(row);
     }
-    table.print();
-    persist(&opts.out, "robustness", &results, &[table]);
-    results
-}
-
-/// Extra workload beyond the paper's figures: the Algorithm 3 red-black
-/// tree under a read-dominated mix.
-pub fn extra_rbtree(opts: &BenchOpts) -> Vec<RunResult> {
-    throughput_figure(
-        opts,
-        "extra_rbtree",
-        "Extra — RbTree: 10K keys, 10% mutations (ops/s vs threads)",
-        opts.spec(WorkloadSpec::extra_rbtree()),
-        &[
-            Scheme::None,
-            Scheme::Hazard,
-            Scheme::Epoch,
-            Scheme::StackTrack,
-            Scheme::Nbr,
-            Scheme::Hyaline,
-        ],
-    )
-}
-
-/// Runs every figure and ablation.
-pub fn all(opts: &BenchOpts) {
-    eprintln!("fig1-list");
-    fig1_list(opts);
-    eprintln!("fig1-skiplist");
-    fig1_skiplist(opts);
-    eprintln!("fig2-queue");
-    fig2_queue(opts);
-    eprintln!("fig2-hash");
-    fig2_hash(opts);
-    eprintln!("fig3+fig4");
-    fig3_fig4(opts);
-    eprintln!("fig5-slowpath");
-    fig5_slowpath(opts);
-    eprintln!("scan-overhead");
-    scan_overhead(opts);
-    eprintln!("ablation-predictor");
-    ablation_predictor(opts);
-    eprintln!("ablation-regfile");
-    ablation_regfile(opts);
-    eprintln!("ablation-scanmode");
-    ablation_scanmode(opts);
-    eprintln!("ablation-refcount");
-    ablation_refcount(opts);
-    eprintln!("ablation-dta-k");
-    ablation_dta_k(opts);
-    eprintln!("extra-rbtree");
-    extra_rbtree(opts);
-    eprintln!("robustness");
-    robustness(opts);
+    vec![table]
 }

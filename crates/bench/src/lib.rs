@@ -1,4 +1,4 @@
-//! `st-bench` as a library: the experiment runner, figure drivers,
+//! `st-bench` as a library: the experiment runner, figure table,
 //! parallel sweep scheduler, and report/persistence layer behind the
 //! `st-bench` binary.
 //!

@@ -6,18 +6,21 @@
 //!
 //! Subcommands:
 //!   fig1-list fig1-skiplist fig2-queue fig2-hash
-//!   fig3-aborts fig4-splits fig5-slowpath scan-overhead
+//!   fig3-fig4 (aliases fig3-aborts, fig4-splits) fig5-slowpath scan-overhead
 //!   ablation-predictor ablation-regfile ablation-scanmode ablation-refcount
-//!   extra-rbtree robustness all
+//!   ablation-dta-k extra-rbtree robustness all
 //!   check-metrics FILE...
 //!   check-timing FILE...
 //!   check [--structures a,b] [--mode dfs|random] [--mutate M] [--replay TOKEN] ...
 //!   audit [--structures a,b] [--schemes A,B] [--budget-ms N] [--faults on|off] ...
 //! ```
 //!
-//! Every subcommand prints its table(s) and writes JSON + markdown under
-//! `--out` (default `results/`), plus a versioned full-metrics snapshot
-//! (`<name>.metrics.json`, schema in docs/METRICS.md). `check-metrics`
+//! The figure subcommands are the entries of `st_bench::figures::FIGURES`;
+//! `all` runs every one of them in that order. Every figure prints its
+//! table(s) and writes JSON + markdown under `--out` (default `results/`),
+//! plus a versioned full-metrics snapshot (`<name>.metrics.json`, schema in
+//! docs/METRICS.md). `--schemes` picks the columns of `robustness` (and of
+//! `all`'s robustness run); the other figures refuse it. `check-metrics`
 //! validates existing snapshot files against the current schema;
 //! `check-timing` does the same for `--timing-out` reports.
 //! `--jobs N` fans the sweep across N worker threads without changing any
@@ -25,7 +28,7 @@
 //! wall-clock report per configuration. See EXPERIMENTS.md for the
 //! mapping to the paper's figures.
 
-use st_bench::figures::{self, BenchOpts};
+use st_bench::figures::{self, BenchOpts, Figure, FIGURES};
 use st_bench::{auditcmd, checkcmd, report, sweep};
 use st_reclaim::Scheme;
 use std::path::PathBuf;
@@ -34,15 +37,26 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn usage() -> ExitCode {
+    let commands: Vec<&str> = FIGURES.iter().flat_map(|f| f.commands).copied().collect();
     eprintln!(
-        "usage: st-bench <fig1-list|fig1-skiplist|fig2-queue|fig2-hash|fig3-aborts|fig4-splits|\
-         fig5-slowpath|scan-overhead|ablation-predictor|ablation-regfile|ablation-scanmode|\
-         ablation-refcount|extra-rbtree|robustness|all|check|check-metrics|check-timing|audit> \
-         [--ms N] [--seed N] \
-         [--scale N] [--threads N] [--out DIR] [--schemes A,B,...] [--jobs N] \
-         [--timing-out FILE] (see `check --help` style flags in docs/TESTING.md)"
+        "usage: st-bench <{}|all|check|check-metrics|check-timing|audit> \
+         [--ms N] [--warmup N] [--seed N] [--scale N] [--threads N] [--out DIR] \
+         [--schemes A,B,... ({} only, also within all)] [--jobs N] \
+         [--timing-out FILE] (see `check --help` style flags in docs/TESTING.md)",
+        commands.join("|"),
+        fault_experiments()
     );
     ExitCode::from(2)
+}
+
+/// The figures that take `--schemes`, for messages.
+fn fault_experiments() -> String {
+    let names: Vec<&str> = FIGURES
+        .iter()
+        .filter(|f| f.fault)
+        .map(|f| f.commands[0])
+        .collect();
+    names.join(", ")
 }
 
 fn main() -> ExitCode {
@@ -140,36 +154,36 @@ fn main() -> ExitCode {
         i += 2;
     }
 
+    let to_run: Vec<&Figure> = match (cmd.as_str(), figures::find(&cmd)) {
+        ("all", _) => FIGURES.iter().collect(),
+        (_, Some(figure)) if figure.fault => {
+            if !ms_set {
+                opts.duration_ms = figures::FAULT_RUN_MS;
+            }
+            vec![figure]
+        }
+        (_, Some(_)) if opts.schemes.is_some() => {
+            eprintln!("--schemes applies only to {}", fault_experiments());
+            return usage();
+        }
+        (_, Some(figure)) => vec![figure],
+        (_, None) => return usage(),
+    };
+
     let sink = timing_out
         .as_ref()
         .map(|_| Arc::new(sweep::TimingSink::new()));
     opts.timing = sink.clone();
     let started = Instant::now();
 
-    match cmd.as_str() {
-        "fig1-list" => drop(figures::fig1_list(&opts)),
-        "fig1-skiplist" => drop(figures::fig1_skiplist(&opts)),
-        "fig2-queue" => drop(figures::fig2_queue(&opts)),
-        "fig2-hash" => drop(figures::fig2_hash(&opts)),
-        "fig3-aborts" | "fig4-splits" | "fig3-fig4" => drop(figures::fig3_fig4(&opts)),
-        "fig5-slowpath" => drop(figures::fig5_slowpath(&opts)),
-        "scan-overhead" => drop(figures::scan_overhead(&opts)),
-        "ablation-predictor" => drop(figures::ablation_predictor(&opts)),
-        "ablation-regfile" => drop(figures::ablation_regfile(&opts)),
-        "ablation-scanmode" => drop(figures::ablation_scanmode(&opts)),
-        "ablation-refcount" => drop(figures::ablation_refcount(&opts)),
-        "ablation-dta-k" => drop(figures::ablation_dta_k(&opts)),
-        "extra-rbtree" => drop(figures::extra_rbtree(&opts)),
-        "robustness" => {
-            // A stall is only visible against a run that dwarfs it; give
-            // the fault experiment a longer default than the figures'.
-            if !ms_set {
-                opts.duration_ms = 250;
-            }
-            drop(figures::robustness(&opts));
+    for figure in to_run {
+        if cmd == "all" {
+            eprintln!("{}", figure.commands[0]);
         }
-        "all" => figures::all(&opts),
-        _ => return usage(),
+        if let Err(e) = figure.run(&opts) {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     if let (Some(path), Some(sink)) = (timing_out, sink) {
@@ -190,8 +204,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Validates `*.metrics.json` snapshot files against the current schema and
-/// prints a one-line summary per run.
 /// Validates `--timing-out` reports (the `BENCH_sweep.json` schema,
 /// docs/PERF.md) so perf-trajectory records cannot silently drift.
 fn check_timing(paths: &[String]) -> ExitCode {
@@ -246,6 +258,8 @@ fn check_timing(paths: &[String]) -> ExitCode {
     }
 }
 
+/// Validates `*.metrics.json` snapshot files against the current schema and
+/// prints a one-line summary per run.
 fn check_metrics(paths: &[String]) -> ExitCode {
     if paths.is_empty() {
         eprintln!("usage: st-bench check-metrics FILE...");

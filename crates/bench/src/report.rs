@@ -1,6 +1,6 @@
 //! Table rendering and result persistence.
 //!
-//! Every figure driver persists two JSON artifacts per run set: a flat
+//! Every figure persists two JSON artifacts per run set: a flat
 //! JSON-lines summary (`<name>.json`, one object per run — the format
 //! `tools/update_experiments.py` consumes) and a versioned full snapshot
 //! (`<name>.metrics.json`) carrying the complete [`MetricsRegistry`] of each
@@ -9,6 +9,7 @@
 use crate::experiment::{PerThread, RunResult};
 use st_obs::{Json, MetricsRegistry, SCHEMA_VERSION};
 use std::fs;
+use std::io;
 use std::path::Path;
 
 /// A printable/markdown-able table.
@@ -447,19 +448,37 @@ pub fn validate_scheme_counters(runs: &[ParsedRun]) -> Result<u64, String> {
 
 /// Persists raw results as JSON lines under `out_dir/name.json`, the full
 /// metrics snapshot under `out_dir/name.metrics.json`, and the rendered
-/// table as markdown under `out_dir/name.md`.
-pub fn persist(out_dir: &Path, name: &str, results: &[RunResult], tables: &[Table]) {
-    fs::create_dir_all(out_dir).expect("create results directory");
+/// table as markdown under `out_dir/name.md`. `out_dir` must exist; an
+/// error names the file it could not write.
+pub fn persist(
+    out_dir: &Path,
+    name: &str,
+    results: &[RunResult],
+    tables: &[Table],
+) -> io::Result<()> {
     let json: Vec<String> = results.iter().map(|r| r.to_json().to_string()).collect();
-    fs::write(out_dir.join(format!("{name}.json")), json.join("\n") + "\n")
-        .expect("write results json");
-    fs::write(
-        out_dir.join(format!("{name}.metrics.json")),
-        metrics_snapshot(name, results).to_pretty_string() + "\n",
-    )
-    .expect("write metrics snapshot");
-    let md: String = tables.iter().map(Table::to_markdown).collect();
-    fs::write(out_dir.join(format!("{name}.md")), md).expect("write results markdown");
+    let files = [
+        (format!("{name}.json"), json.join("\n") + "\n"),
+        (
+            format!("{name}.metrics.json"),
+            metrics_snapshot(name, results).to_pretty_string() + "\n",
+        ),
+        (
+            format!("{name}.md"),
+            tables.iter().map(Table::to_markdown).collect(),
+        ),
+    ];
+    for (file, text) in files {
+        let path = out_dir.join(file);
+        fs::write(&path, text).map_err(naming(&path))?;
+    }
+    Ok(())
+}
+
+/// Prefixes an I/O error's message with `path`, so the caller can report
+/// which directory or file failed.
+pub(crate) fn naming(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -606,17 +625,19 @@ mod tests {
         assert!(err.contains("schema"), "{err}");
     }
 
-    /// A hand-built snapshot with one run per `(scheme, series)` pair.
-    fn garbage_snapshot(series: &[(&str, &[(String, u64)])]) -> String {
+    /// A hand-built snapshot with one two-thread list run per `(scheme,
+    /// metrics)` pair, whose metrics are exactly `metrics` plus the
+    /// envelope-required `run.total_ops`.
+    fn snapshot_text<K: AsRef<str>>(runs: &[(&str, &[(K, u64)])]) -> String {
         let mut doc = Json::obj();
         doc.set("schema_version", SCHEMA_VERSION);
-        let runs: Vec<Json> = series
+        let runs: Vec<Json> = runs
             .iter()
-            .map(|(scheme, points)| {
+            .map(|(scheme, pairs)| {
                 let mut metrics = Json::obj();
-                metrics.set("reclaim.outstanding_garbage", 0u64);
-                for (key, value) in points.iter() {
-                    metrics.set(key, *value);
+                metrics.set("run.total_ops", 0u64);
+                for (key, value) in pairs.iter() {
+                    metrics.set(key.as_ref(), *value);
                 }
                 let rows: Vec<Json> = (0..2usize)
                     .map(|thread| {
@@ -653,14 +674,14 @@ mod tests {
     fn garbage_series_accepts_contiguous_consistent_runs() {
         let a = ts(&[1, 2, 3]);
         let b = ts(&[1, 2, 3]);
-        let text = garbage_snapshot(&[("Epoch", &a), ("StackTrack", &b)]);
+        let text = snapshot_text(&[("Epoch", &a), ("StackTrack", &b)]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         assert_eq!(validate_garbage_series(&runs), Ok(3));
     }
 
     #[test]
     fn garbage_series_without_samples_is_fine() {
-        let text = garbage_snapshot(&[("Epoch", &[])]);
+        let text = snapshot_text::<&str>(&[("Epoch", &[])]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         assert_eq!(validate_garbage_series(&runs), Ok(0));
     }
@@ -668,7 +689,7 @@ mod tests {
     #[test]
     fn garbage_series_rejects_gaps() {
         let a = ts(&[1, 3]);
-        let text = garbage_snapshot(&[("Epoch", &a)]);
+        let text = snapshot_text(&[("Epoch", &a)]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_garbage_series(&runs).unwrap_err();
         assert!(err.contains("not contiguous"), "{err}");
@@ -677,7 +698,7 @@ mod tests {
     #[test]
     fn garbage_series_rejects_missing_first_sample() {
         let a = ts(&[2, 3]);
-        let text = garbage_snapshot(&[("Epoch", &a)]);
+        let text = snapshot_text(&[("Epoch", &a)]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_garbage_series(&runs).unwrap_err();
         assert!(err.contains("expected index 01"), "{err}");
@@ -687,7 +708,7 @@ mod tests {
     fn garbage_series_rejects_count_mismatch_across_runs() {
         let a = ts(&[1, 2, 3]);
         let b = ts(&[1, 2]);
-        let text = garbage_snapshot(&[("Epoch", &a), ("StackTrack", &b)]);
+        let text = snapshot_text(&[("Epoch", &a), ("StackTrack", &b)]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_garbage_series(&runs).unwrap_err();
         assert!(err.contains("disagree"), "{err}");
@@ -696,7 +717,7 @@ mod tests {
     #[test]
     fn garbage_series_rejects_malformed_index() {
         let a = vec![("reclaim.garbage_ts.x1".to_string(), 5u64)];
-        let text = garbage_snapshot(&[("Epoch", &a)]);
+        let text = snapshot_text(&[("Epoch", &a)]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_garbage_series(&runs).unwrap_err();
         assert!(err.contains("malformed"), "{err}");
@@ -707,7 +728,7 @@ mod tests {
         // Non-negativity is enforced by the registry parser itself: a
         // snapshot carrying a negative sample never yields a registry.
         let a = ts(&[1]);
-        let good = garbage_snapshot(&[("Epoch", &a)]);
+        let good = snapshot_text(&[("Epoch", &a)]);
         let bad = good.replace(
             "\"reclaim.garbage_ts.01\":10",
             "\"reclaim.garbage_ts.01\":-10",
@@ -715,37 +736,6 @@ mod tests {
         assert_ne!(good, bad, "replacement did not apply");
         let err = parse_metrics_snapshot(&bad).unwrap_err();
         assert!(err.contains("unsigned"), "{err}");
-    }
-
-    /// A hand-built audit snapshot: one run whose metrics are exactly
-    /// `pairs` (plus the envelope-required `run.total_ops`).
-    fn audit_snapshot_text(pairs: &[(&str, u64)]) -> String {
-        let mut doc = Json::obj();
-        doc.set("schema_version", SCHEMA_VERSION);
-        let mut metrics = Json::obj();
-        metrics.set("run.total_ops", 0u64);
-        for (key, value) in pairs {
-            metrics.set(key, *value);
-        }
-        let rows: Vec<Json> = (0..2usize)
-            .map(|thread| {
-                PerThread {
-                    thread,
-                    ops: 0,
-                    busy_cycles: 0,
-                    garbage: 0,
-                }
-                .to_json()
-            })
-            .collect();
-        let mut run = Json::obj();
-        run.set("scheme", "Hazards");
-        run.set("structure", "list");
-        run.set("threads", 2u64);
-        run.set("per_thread", Json::Arr(rows));
-        run.set("metrics", metrics);
-        doc.set("runs", Json::Arr(vec![run]));
-        doc.to_string()
     }
 
     fn clean_audit_pairs() -> Vec<(&'static str, u64)> {
@@ -762,14 +752,14 @@ mod tests {
 
     #[test]
     fn audit_section_accepts_a_clean_run() {
-        let text = audit_snapshot_text(&clean_audit_pairs());
+        let text = snapshot_text(&[("Hazards", &clean_audit_pairs())]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         assert_eq!(validate_audit(&runs), Ok(1));
     }
 
     #[test]
     fn audit_section_is_optional() {
-        let text = garbage_snapshot(&[("Epoch", &[])]);
+        let text = snapshot_text::<&str>(&[("Epoch", &[])]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         assert_eq!(validate_audit(&runs), Ok(0));
     }
@@ -786,7 +776,7 @@ mod tests {
                 *value = 2;
             }
         }
-        let text = audit_snapshot_text(&pairs);
+        let text = snapshot_text(&[("Hazards", &pairs)]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_audit(&runs).unwrap_err();
         assert!(err.contains("sum to 2"), "{err}");
@@ -799,7 +789,7 @@ mod tests {
             .into_iter()
             .filter(|(k, _)| *k != audit::RETIRES)
             .collect();
-        let text = audit_snapshot_text(&pairs);
+        let text = snapshot_text(&[("Hazards", &pairs)]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_audit(&runs).unwrap_err();
         assert!(err.contains("missing audit.retires"), "{err}");
@@ -809,7 +799,7 @@ mod tests {
     fn audit_section_rejects_unknown_counters() {
         let mut pairs = clean_audit_pairs();
         pairs.push(("audit.violations.typo", 1));
-        let text = audit_snapshot_text(&pairs);
+        let text = snapshot_text(&[("Hazards", &pairs)]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_audit(&runs).unwrap_err();
         assert!(err.contains("unknown audit counter"), "{err}");
@@ -824,48 +814,17 @@ mod tests {
                 *value = 0;
             }
         }
-        let text = audit_snapshot_text(&pairs);
+        let text = snapshot_text(&[("Hazards", &pairs)]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_audit(&runs).unwrap_err();
         assert!(err.contains("audit.episodes is zero"), "{err}");
-    }
-
-    /// A snapshot with one run labeled `scheme` whose metrics are exactly
-    /// `pairs` (plus the envelope-required `run.total_ops`).
-    fn scheme_snapshot_text(scheme: &str, pairs: &[(&str, u64)]) -> String {
-        let mut doc = Json::obj();
-        doc.set("schema_version", SCHEMA_VERSION);
-        let mut metrics = Json::obj();
-        metrics.set("run.total_ops", 0u64);
-        for (key, value) in pairs {
-            metrics.set(key, *value);
-        }
-        let rows: Vec<Json> = (0..2usize)
-            .map(|thread| {
-                PerThread {
-                    thread,
-                    ops: 0,
-                    busy_cycles: 0,
-                    garbage: 0,
-                }
-                .to_json()
-            })
-            .collect();
-        let mut run = Json::obj();
-        run.set("scheme", scheme);
-        run.set("structure", "list");
-        run.set("threads", 2u64);
-        run.set("per_thread", Json::Arr(rows));
-        run.set("metrics", metrics);
-        doc.set("runs", Json::Arr(vec![run]));
-        doc.to_string()
     }
 
     #[test]
     fn scheme_counters_accept_every_family() {
         for (scheme, keys) in SCHEME_FAMILIES {
             let pairs: Vec<(&str, u64)> = keys.iter().map(|&k| (k, 3)).collect();
-            let text = scheme_snapshot_text(scheme, &pairs);
+            let text = snapshot_text(&[(scheme, &pairs)]);
             let runs = parse_metrics_snapshot(&text).unwrap();
             assert_eq!(validate_scheme_counters(&runs), Ok(1), "{scheme}");
         }
@@ -873,14 +832,14 @@ mod tests {
 
     #[test]
     fn scheme_counters_are_optional() {
-        let text = scheme_snapshot_text("StackTrack", &[("st.splits", 2)]);
+        let text = snapshot_text(&[("StackTrack", &[("st.splits", 2)])]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         assert_eq!(validate_scheme_counters(&runs), Ok(0));
     }
 
     #[test]
     fn scheme_counters_reject_unknown_keys() {
-        let text = scheme_snapshot_text("NBR", &[("scheme.nbr.typo", 1)]);
+        let text = snapshot_text(&[("NBR", &[("scheme.nbr.typo", 1)])]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_scheme_counters(&runs).unwrap_err();
         assert!(err.contains("unknown scheme counter"), "{err}");
@@ -888,7 +847,7 @@ mod tests {
 
     #[test]
     fn scheme_counters_reject_cross_wired_families() {
-        let text = scheme_snapshot_text("Hyaline", &[("scheme.nbr.freed", 1)]);
+        let text = snapshot_text(&[("Hyaline", &[("scheme.nbr.freed", 1)])]);
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_scheme_counters(&runs).unwrap_err();
         assert!(err.contains("another scheme's family"), "{err}");

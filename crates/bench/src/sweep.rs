@@ -38,7 +38,7 @@ pub struct ConfigTiming {
 
 /// Accumulates [`ConfigTiming`] rows across a sweep, in config order.
 ///
-/// Shared behind an `Arc` by every figure driver of one invocation; the
+/// Shared behind an `Arc` by every figure of one invocation; the
 /// final report is assembled once by [`timing_report`].
 #[derive(Debug, Default)]
 pub struct TimingSink {

@@ -1,7 +1,8 @@
 //! Command-line rejection paths of the `st-bench` binary: a zero run
-//! length, thread count or job count, or a checker config past its
-//! limits, is a usage error (exit 2) and must leave the output directory
-//! untouched.
+//! length, thread count or job count, `--schemes` on a figure other than
+//! `robustness`, or a checker config past its limits, is a usage error
+//! (exit 2) and must leave the output directory untouched; an output path
+//! that cannot be written exits 1 and names it.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -29,24 +30,76 @@ fn run_into_empty_out(case: &str, args: &[&str]) -> (Option<i32>, String, Vec<Pa
 
 #[test]
 fn zero_counts_are_usage_errors_that_write_nothing() {
-    let cases: [(&str, &[&str], &str); 3] = [
+    let cases: [(&str, &[&str], &str); 4] = [
         (
             "threads",
             &["fig2-hash", "--ms", "1", "--threads", "0"],
-            "--threads",
+            "--threads must be at least 1",
         ),
-        ("ms", &["fig2-hash", "--ms", "0", "--threads", "2"], "--ms"),
-        ("jobs", &["fig2-hash", "--ms", "1", "--jobs", "0"], "--jobs"),
+        (
+            "ms",
+            &["fig2-hash", "--ms", "0", "--threads", "2"],
+            "--ms must be at least 1",
+        ),
+        (
+            "jobs",
+            &["fig2-hash", "--ms", "1", "--jobs", "0"],
+            "--jobs must be at least 1",
+        ),
+        (
+            "schemes",
+            &["fig1-list", "--ms", "1", "--schemes", "Hazards"],
+            "--schemes applies only to robustness",
+        ),
     ];
-    for (case, args, flag) in cases {
+    for (case, args, message) in cases {
         let (code, stderr, written) = run_into_empty_out(case, args);
         assert_eq!(code, Some(2), "{args:?} must exit 2; stderr: {stderr}");
         assert!(
-            stderr.contains(&format!("{flag} must be at least 1")),
-            "{args:?} must name the flag; stderr: {stderr}"
+            stderr.contains(message),
+            "{args:?} must say {message:?}; stderr: {stderr}"
         );
         assert!(written.is_empty(), "{args:?} wrote {written:?}");
     }
+}
+
+/// An `--out` that cannot be created fails before any config runs, and a
+/// result file that cannot be written fails after the sweep; both exit 1
+/// naming the path, without a panic.
+#[test]
+fn unwritable_output_exits_1_naming_the_path() {
+    let base = std::env::temp_dir().join(format!("st-bench-cli-{}-unwritable", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("create the temporary directory");
+    let file = base.join("file");
+    std::fs::write(&file, "").expect("create a regular file");
+    let under_file = file.join("sub");
+    let out = base.join("out");
+    let summary = out.join("fig2_hash.json");
+    std::fs::create_dir_all(&summary).expect("block the summary file with a directory");
+    for (dir, named) in [(&under_file, &under_file), (&out, &summary)] {
+        let dir = dir.to_str().expect("a UTF-8 temporary path");
+        let args = [
+            "fig2-hash",
+            "--ms",
+            "1",
+            "--threads",
+            "1",
+            "--scale",
+            "100",
+            "--out",
+            dir,
+        ];
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(1), "{args:?} must exit 1; stderr: {stderr}");
+        assert!(
+            stderr.contains(&named.display().to_string()),
+            "{args:?} must name {}; stderr: {stderr}",
+            named.display()
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&base).expect("remove the temporary directory");
 }
 
 /// Runs `st-bench` with `args`; returns the exit code and stderr.

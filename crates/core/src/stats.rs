@@ -8,8 +8,7 @@
 //! namespace via [`StThreadStats::report`].
 
 use st_machine::Cycles;
-use st_obs::{CauseCounts, LogHistogram, MetricId, MetricSchema, MetricsRegistry, ScratchRegistry};
-use std::sync::OnceLock;
+use st_obs::{CauseCounts, LogHistogram, MetricsRegistry};
 
 /// Counters a [`crate::StThread`] accumulates while executing operations.
 #[derive(Debug, Default, Clone)]
@@ -109,89 +108,27 @@ impl StThreadStats {
 
     /// Reports every counter and histogram into `reg` under the `st.`
     /// namespace (schema documented in `docs/METRICS.md`).
-    ///
-    /// Keys are interned once per process (`st_schema`); each call fills
-    /// a thread-local flat scratch and merges it in at the end, so the
-    /// report path does no string lookups. The key set and JSON output are
-    /// identical to direct string-keyed recording.
     pub fn report(&self, reg: &mut MetricsRegistry) {
-        let ids = st_schema();
-        let mut scratch = ScratchRegistry::for_schema(&ids.schema);
-        scratch.add(ids.ops, self.ops);
-        scratch.add(ids.slow_ops, self.slow_ops);
-        scratch.add(ids.forced_slow_ops, self.forced_slow_ops);
-        scratch.add(ids.committed_segments, self.committed_segments);
-        scratch.add(ids.segment_aborts, self.segment_aborts);
-        scratch.add(ids.free_calls, self.free_calls);
-        scratch.add(ids.scans, self.scans);
-        scratch.add(ids.scan_words, self.scan_words);
-        scratch.add(ids.scan_retries, self.scan_retries);
-        scratch.add(ids.frees_completed, self.frees_completed);
-        scratch.add(ids.survivors, self.survivors);
-        scratch.add(ids.scan_cycles, self.scan_cycles);
-        scratch.add(ids.scan_probe_cycles, self.scan_probe_cycles);
-        scratch.add(ids.threads_inspected, self.threads_inspected);
-        self.abort_causes.report_interned(&mut scratch, &ids.aborts);
-        scratch.record_hist(ids.segment_length, &self.seg_lengths);
-        scratch.record_hist(ids.scan_depth, &self.scan_depths);
-        scratch.record_hist(ids.free_latency_cycles, &self.free_latency);
-        scratch.record_hist(ids.candidate_probe_cycles, &self.candidate_probe_cycles);
-        scratch.merge_into(&ids.schema, reg);
+        reg.add("st.ops", self.ops);
+        reg.add("st.slow_ops", self.slow_ops);
+        reg.add("st.forced_slow_ops", self.forced_slow_ops);
+        reg.add("st.committed_segments", self.committed_segments);
+        reg.add("st.segment_aborts", self.segment_aborts);
+        reg.add("st.free_calls", self.free_calls);
+        reg.add("st.scans", self.scans);
+        reg.add("st.scan_words", self.scan_words);
+        reg.add("st.scan_retries", self.scan_retries);
+        reg.add("st.frees_completed", self.frees_completed);
+        reg.add("st.survivors", self.survivors);
+        reg.add("st.scan_cycles", self.scan_cycles);
+        reg.add("st.scan_probe_cycles", self.scan_probe_cycles);
+        reg.add("st.threads_inspected", self.threads_inspected);
+        self.abort_causes.report(reg, "st");
+        reg.record_hist("st.segment_length", &self.seg_lengths);
+        reg.record_hist("st.scan_depth", &self.scan_depths);
+        reg.record_hist("st.free_latency_cycles", &self.free_latency);
+        reg.record_hist("scan.candidate_probe_cycles", &self.candidate_probe_cycles);
     }
-}
-
-/// The interned `st.` metric schema: every key name is resolved to a
-/// [`MetricId`] exactly once per process, at first report.
-struct StSchemaIds {
-    schema: MetricSchema,
-    ops: MetricId,
-    slow_ops: MetricId,
-    forced_slow_ops: MetricId,
-    committed_segments: MetricId,
-    segment_aborts: MetricId,
-    free_calls: MetricId,
-    scans: MetricId,
-    scan_words: MetricId,
-    scan_retries: MetricId,
-    frees_completed: MetricId,
-    survivors: MetricId,
-    scan_cycles: MetricId,
-    scan_probe_cycles: MetricId,
-    threads_inspected: MetricId,
-    aborts: [MetricId; 5],
-    segment_length: MetricId,
-    scan_depth: MetricId,
-    free_latency_cycles: MetricId,
-    candidate_probe_cycles: MetricId,
-}
-
-fn st_schema() -> &'static StSchemaIds {
-    static SCHEMA: OnceLock<StSchemaIds> = OnceLock::new();
-    SCHEMA.get_or_init(|| {
-        let mut s = MetricSchema::new();
-        StSchemaIds {
-            ops: s.intern("st.ops"),
-            slow_ops: s.intern("st.slow_ops"),
-            forced_slow_ops: s.intern("st.forced_slow_ops"),
-            committed_segments: s.intern("st.committed_segments"),
-            segment_aborts: s.intern("st.segment_aborts"),
-            free_calls: s.intern("st.free_calls"),
-            scans: s.intern("st.scans"),
-            scan_words: s.intern("st.scan_words"),
-            scan_retries: s.intern("st.scan_retries"),
-            frees_completed: s.intern("st.frees_completed"),
-            survivors: s.intern("st.survivors"),
-            scan_cycles: s.intern("st.scan_cycles"),
-            scan_probe_cycles: s.intern("st.scan_probe_cycles"),
-            threads_inspected: s.intern("st.threads_inspected"),
-            aborts: CauseCounts::intern_keys(&mut s, "st"),
-            segment_length: s.intern("st.segment_length"),
-            scan_depth: s.intern("st.scan_depth"),
-            free_latency_cycles: s.intern("st.free_latency_cycles"),
-            candidate_probe_cycles: s.intern("scan.candidate_probe_cycles"),
-            schema: s,
-        }
-    })
 }
 
 fn merged_hist(a: &LogHistogram, b: &LogHistogram) -> LogHistogram {

@@ -16,7 +16,6 @@
 //! it merges element-wise and reports into a [`MetricsRegistry`]
 //! (`crate::MetricsRegistry`) under `<prefix>.aborts.<cause>` keys.
 
-use crate::intern::{MetricId, MetricSchema, ScratchRegistry};
 use crate::registry::MetricsRegistry;
 
 /// Why a transactional segment (or HTM transaction) aborted.
@@ -114,34 +113,14 @@ impl CauseCounts {
         out
     }
 
-    /// Interns the full `<prefix>.aborts.<cause>` key set, in serialization
-    /// order. This is the only place these keys are ever formatted; do it
-    /// once at registration and report through
-    /// [`CauseCounts::report_interned`].
-    pub fn intern_keys(schema: &mut MetricSchema, prefix: &str) -> [MetricId; 5] {
-        AbortCause::ALL.map(|cause| schema.intern(&format!("{prefix}.aborts.{cause}")))
-    }
-
-    /// Reports each cause through pre-interned ids (no key formatting on
-    /// the report path). `ids` must come from [`CauseCounts::intern_keys`].
+    /// Reports each cause as `<prefix>.aborts.<cause>` into `reg`.
     ///
     /// Zero counters are reported too, so every snapshot carries the full
     /// taxonomy and downstream tables never have missing columns.
-    pub fn report_interned(&self, scratch: &mut ScratchRegistry, ids: &[MetricId; 5]) {
-        for (id, cause) in ids.iter().zip(AbortCause::ALL) {
-            scratch.add(*id, self.get(cause));
-        }
-    }
-
-    /// Reports each cause as `<prefix>.aborts.<cause>` into `reg` — the
-    /// string-keyed convenience form of [`CauseCounts::report_interned`]
-    /// (same keys, same values; the equivalence is unit-tested).
     pub fn report(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let mut schema = MetricSchema::new();
-        let ids = CauseCounts::intern_keys(&mut schema, prefix);
-        let mut scratch = ScratchRegistry::for_schema(&schema);
-        self.report_interned(&mut scratch, &ids);
-        scratch.merge_into(&schema, reg);
+        for cause in AbortCause::ALL {
+            reg.add(&format!("{prefix}.aborts.{cause}"), self.get(cause));
+        }
     }
 }
 
@@ -181,28 +160,6 @@ mod tests {
         assert_eq!(m.get(AbortCause::Capacity), 2);
         assert_eq!(m.get(AbortCause::Explicit), 1);
         assert_eq!(m.total(), 3);
-    }
-
-    #[test]
-    fn interned_report_matches_string_report() {
-        let mut c = CauseCounts::new();
-        c.add_n(AbortCause::Conflict, 3);
-        c.add(AbortCause::Preempted);
-
-        let mut via_strings = MetricsRegistry::new();
-        c.report(&mut via_strings, "htm");
-
-        let mut schema = MetricSchema::new();
-        let ids = CauseCounts::intern_keys(&mut schema, "htm");
-        let mut scratch = ScratchRegistry::for_schema(&schema);
-        c.report_interned(&mut scratch, &ids);
-        let mut via_ids = MetricsRegistry::new();
-        scratch.merge_into(&schema, &mut via_ids);
-
-        assert_eq!(
-            via_ids.to_json().to_string(),
-            via_strings.to_json().to_string()
-        );
     }
 
     #[test]

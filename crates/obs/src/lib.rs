@@ -48,13 +48,11 @@
 pub mod audit;
 pub mod cause;
 pub mod hist;
-pub mod intern;
 pub mod json;
 pub mod registry;
 
 pub use cause::{AbortCause, CauseCounts};
 pub use hist::LogHistogram;
-pub use intern::{MetricId, MetricSchema, ScratchRegistry};
 pub use json::{Json, JsonError};
 pub use registry::{Metric, MetricsRegistry};
 

@@ -105,7 +105,7 @@ impl MetricsRegistry {
 
     /// The cold half of every record path: a key's *first* touch copies
     /// the name into the map. Everything hotter goes through `get_mut`
-    /// above, or skips strings entirely via [`crate::ScratchRegistry`].
+    /// above.
     #[cold]
     fn insert_owned(&mut self, key: &str, metric: Metric) {
         self.metrics.insert(String::from(key), metric); // alloc-gate: allow — one-time key registration.

@@ -5,9 +5,8 @@
 //! [`MetricsRegistry`] via [`HtmStats::report`].
 
 use crate::abort::AbortCode;
-use st_obs::{AbortCause, CauseCounts, MetricId, MetricSchema, MetricsRegistry, ScratchRegistry};
+use st_obs::{AbortCause, CauseCounts, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Atomic per-thread transaction counters.
 #[derive(Debug, Default)]
@@ -118,38 +117,13 @@ impl HtmStats {
         c
     }
 
-    /// Reports every counter into `reg` under the `htm.` namespace. Keys
-    /// are interned once per process; the report path fills a flat scratch
-    /// and merges it in (same key set and JSON as string-keyed recording).
+    /// Reports every counter into `reg` under the `htm.` namespace.
     pub fn report(&self, reg: &mut MetricsRegistry) {
-        struct HtmSchemaIds {
-            schema: MetricSchema,
-            tx_begun: MetricId,
-            tx_committed: MetricId,
-            committed_reads: MetricId,
-            committed_writes: MetricId,
-            aborts: [MetricId; 5],
-        }
-        static SCHEMA: OnceLock<HtmSchemaIds> = OnceLock::new();
-        let ids = SCHEMA.get_or_init(|| {
-            let mut s = MetricSchema::new();
-            HtmSchemaIds {
-                tx_begun: s.intern("htm.tx_begun"),
-                tx_committed: s.intern("htm.tx_committed"),
-                committed_reads: s.intern("htm.committed_reads"),
-                committed_writes: s.intern("htm.committed_writes"),
-                aborts: CauseCounts::intern_keys(&mut s, "htm"),
-                schema: s,
-            }
-        });
-        let mut scratch = ScratchRegistry::for_schema(&ids.schema);
-        scratch.add(ids.tx_begun, self.begun);
-        scratch.add(ids.tx_committed, self.committed);
-        scratch.add(ids.committed_reads, self.committed_reads);
-        scratch.add(ids.committed_writes, self.committed_writes);
-        self.cause_counts()
-            .report_interned(&mut scratch, &ids.aborts);
-        scratch.merge_into(&ids.schema, reg);
+        reg.add("htm.tx_begun", self.begun);
+        reg.add("htm.tx_committed", self.committed);
+        reg.add("htm.committed_reads", self.committed_reads);
+        reg.add("htm.committed_writes", self.committed_writes);
+        self.cause_counts().report(reg, "htm");
     }
 
     /// Element-wise sum (for whole-run aggregation).

@@ -89,7 +89,7 @@ fn every_scheme_times_every_fault_kind_is_byte_identical() {
 /// metrics snapshot, and the rendered markdown (docs/PERF.md).
 #[test]
 fn parallel_sweep_artifacts_are_byte_identical_to_serial() {
-    use st_bench::figures::{ablation_scanmode, BenchOpts};
+    use st_bench::figures::{self, BenchOpts};
 
     let base = std::env::temp_dir().join(format!("st-sweep-determinism-{}", std::process::id()));
     let run = |jobs: usize, tag: &str| {
@@ -101,7 +101,10 @@ fn parallel_sweep_artifacts_are_byte_identical_to_serial() {
             jobs,
             ..BenchOpts::default()
         };
-        ablation_scanmode(&opts);
+        figures::find("ablation-scanmode")
+            .expect("a registered figure")
+            .run(&opts)
+            .expect("the figure runs");
         let read = |name: &str| {
             std::fs::read(opts.out.join(name)).unwrap_or_else(|e| panic!("{tag}/{name}: {e}"))
         };
@@ -125,15 +128,14 @@ fn parallel_sweep_artifacts_are_byte_identical_to_serial() {
 /// byte may move under any worker fan-out.
 #[test]
 fn typed_structure_figures_are_byte_identical_across_jobs() {
-    use st_bench::experiment::RunResult;
-    use st_bench::figures::{fig1_skiplist, fig2_queue, BenchOpts};
+    use st_bench::figures::{self, BenchOpts};
 
-    let figures: [(&str, fn(&BenchOpts) -> Vec<RunResult>, &str); 2] = [
-        ("fig1_skiplist", fig1_skiplist, "fig1_skiplist"),
-        ("fig2_queue", fig2_queue, "fig2_queue"),
+    let figures: [(&str, &str, &str); 2] = [
+        ("fig1_skiplist", "fig1-skiplist", "fig1_skiplist"),
+        ("fig2_queue", "fig2-queue", "fig2_queue"),
     ];
     let base = std::env::temp_dir().join(format!("st-fig-determinism-{}", std::process::id()));
-    for (tag, driver, stem) in figures {
+    for (tag, command, stem) in figures {
         let run = |jobs: usize| {
             let opts = BenchOpts {
                 duration_ms: 1,
@@ -143,7 +145,10 @@ fn typed_structure_figures_are_byte_identical_across_jobs() {
                 jobs,
                 ..BenchOpts::default()
             };
-            driver(&opts);
+            figures::find(command)
+                .expect("a registered figure")
+                .run(&opts)
+                .expect("the figure runs");
             let read = |name: String| {
                 std::fs::read(opts.out.join(&name)).unwrap_or_else(|e| panic!("{name}: {e}"))
             };

@@ -16,7 +16,6 @@ GATED="
 crates/simhtm/src/engine.rs
 crates/machine/src/sched.rs
 crates/obs/src/registry.rs
-crates/obs/src/intern.rs
 "
 
 status=0
