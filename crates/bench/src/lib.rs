@@ -8,6 +8,7 @@
 //! directory) can drive whole figure sweeps in-process and byte-compare
 //! the artifacts they persist.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod auditcmd;

@@ -28,6 +28,8 @@
 //! wall-clock report per configuration. See EXPERIMENTS.md for the
 //! mapping to the paper's figures.
 
+#![forbid(unsafe_code)]
+
 use st_bench::figures::{self, BenchOpts, Figure, FIGURES};
 use st_bench::{auditcmd, checkcmd, report, sweep};
 use st_reclaim::Scheme;

@@ -112,14 +112,26 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
     (result.status.code(), stderr)
 }
 
-/// A checker config past one of its limits: a history longer than the
+/// A checker config past one of its limits: a thread with no operations
+/// (which would leave `--threads` unbounded), a history longer than the
 /// linearizability check searches, or more StackTrack thread contexts
 /// than the checker's heap holds. `check`, `check --replay` and `audit`
 /// reject each before running anything (`check` writes no files).
 #[test]
 fn checker_configs_past_their_limits_are_usage_errors() {
+    let no_ops = "a checked thread runs at least one operation";
     let history = "a checked history holds at most 64 operations";
     let contexts = "StackTrack fits at most 7 thread contexts";
+    let idle = [
+        "--structures",
+        "list",
+        "--schemes",
+        "Hazards",
+        "--threads",
+        "1000",
+        "--ops",
+        "0",
+    ];
     let long = [
         "--structures",
         "list",
@@ -138,7 +150,11 @@ fn checker_configs_past_their_limits_are_usage_errors() {
         "--threads",
         "8",
     ];
-    for (flags, message) in [(&long[..], history), (&wide[..], contexts)] {
+    for (flags, message) in [
+        (&idle[..], no_ops),
+        (&long[..], history),
+        (&wide[..], contexts),
+    ] {
         let (code, stderr) = run(&[&["check"], flags].concat());
         assert_eq!(
             code,
@@ -157,6 +173,7 @@ fn checker_configs_past_their_limits_are_usage_errors() {
         assert!(written.is_empty(), "audit {flags:?} wrote {written:?}");
     }
     for (token, message) in [
+        ("stck1:list:Hazards:t1000:o0:k6:s1:mnone:-", no_ops),
         ("stck1:list:Hazards:t3:o21:k6:s1:mnone:-", history),
         ("stck1:list:StackTrack:t8:o1:k6:s1:mnone:-", contexts),
     ] {
@@ -166,6 +183,7 @@ fn checker_configs_past_their_limits_are_usage_errors() {
     }
     // One step inside each limit still runs.
     for token in [
+        "stck1:list:Hazards:t62:o1:k6:s1:mnone:-",
         "stck1:list:Hazards:t3:o20:k6:s1:mnone:-",
         "stck1:list:StackTrack:t7:o1:k6:s1:mnone:-",
     ] {

@@ -146,10 +146,19 @@ const HEAP_WORDS: u64 = 1 << 18;
 const SETUP_OPS: usize = 2;
 
 impl CheckConfig {
-    /// Rejects a config whose schedules cannot run: a history longer than
-    /// the linearizability check searches, or more StackTrack thread
-    /// contexts than the heap holds.
+    /// Rejects a config whose schedules cannot run: a thread with no
+    /// operations, a history longer than the linearizability check
+    /// searches, or more StackTrack thread contexts than the heap holds.
+    /// At least one op per thread makes the history bound cap `threads` at
+    /// `MAX_HISTORY - SETUP_OPS`, which every scheme's per-thread tables
+    /// fit.
     pub fn validate(&self) -> Result<(), String> {
+        if self.ops_per_thread == 0 {
+            return Err(
+                "a checked thread runs at least one operation, but 0 ops were asked for"
+                    .to_string(),
+            );
+        }
         let ops = self
             .threads
             .checked_mul(self.ops_per_thread)
@@ -468,5 +477,48 @@ pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) 
         all_ops_completed,
         per_thread_ops,
         ledger: heap.ledger_stats(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_thread_without_operations_is_rejected() {
+        let config = CheckConfig {
+            threads: 1000,
+            ops_per_thread: 0,
+            ..CheckConfig::default()
+        };
+        let err = config.validate().unwrap_err();
+        assert!(err.contains("at least one operation"), "{err}");
+    }
+
+    /// The history bound (and StackTrack's context bound) must keep every
+    /// scheme's per-thread tables inside the checker's heap.
+    #[test]
+    fn every_scheme_runs_clean_at_the_largest_accepted_thread_count() {
+        for scheme in Scheme::all() {
+            let config = |threads| CheckConfig {
+                scheme,
+                threads,
+                ops_per_thread: 1,
+                ..CheckConfig::default()
+            };
+            let threads = (1..)
+                .take_while(|&t| config(t).validate().is_ok())
+                .last()
+                .expect("one thread is accepted");
+            let outcome = run_schedule(
+                &config(threads),
+                Arc::new(RecordingController::replay(BTreeMap::new())),
+            );
+            assert!(
+                outcome.violations.is_empty() && outcome.all_ops_completed,
+                "{scheme:?} at {threads} threads: {:?}",
+                outcome.violations
+            );
+        }
     }
 }

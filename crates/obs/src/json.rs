@@ -4,9 +4,15 @@
 //! option; this module is the small subset the metrics pipeline needs.
 //! Unsigned integers round-trip exactly (they are kept as `u64`, not
 //! squeezed through `f64`), object key order is preserved, and floats are
-//! written with Rust's shortest round-trip representation.
+//! written with Rust's shortest round-trip representation. Arrays and
+//! objects nested deeper than `MAX_DEPTH` (128) are a parse error, so a
+//! hostile file cannot overflow the stack.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts; the
+/// committed snapshots nest at most seven deep.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,7 +214,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -339,7 +345,8 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8, msg: &'static str) -> Result<(),
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(JsonError {
@@ -348,8 +355,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         });
     };
     match b {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
+        b'{' | b'[' if depth == MAX_DEPTH => Err(JsonError {
+            at: *pos,
+            msg: "arrays and objects nested too deep",
+        }),
+        b'{' => parse_object(bytes, pos, depth + 1),
+        b'[' => parse_array(bytes, pos, depth + 1),
         b'"' => Ok(Json::Str(parse_string(bytes, pos)?)),
         b't' => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         b'f' => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -379,7 +390,7 @@ fn parse_keyword(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{', "expected '{'")?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -392,7 +403,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':', "expected ':'")?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -411,7 +422,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[', "expected '['")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -420,7 +431,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(&b',') => *pos += 1,
@@ -630,6 +641,18 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("01x").is_err());
         assert!(Json::parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH / 2) + &"]}".repeat(MAX_DEPTH / 2);
+        assert!(Json::parse(&mixed).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -214,9 +214,11 @@ pub struct HeapStats {
 
 /// The simulated heap.
 ///
-/// Word storage is a fixed slab of `AtomicU64`; atomics make the heap
-/// `Sync` so it can also be exercised by real OS threads in stress tests,
-/// even though the discrete-event simulator only ever runs one at a time.
+/// Word storage is a fixed slab of `AtomicU64` taken from zeroed pages
+/// ([`crate::zeroed_words`]), so a run pays only for the words it touches.
+/// Atomics make the heap `Sync` so it can also be exercised by real OS
+/// threads in stress tests, even though the discrete-event simulator only
+/// ever runs one at a time.
 /// All orderings are `Relaxed` on purpose: *simulated* memory-model effects
 /// (fences, coherence misses) are charged as virtual cycles by the cost
 /// model, not delegated to the host's memory model.
@@ -239,12 +241,9 @@ pub struct Heap {
 impl Heap {
     /// Creates a heap per `config`.
     pub fn new(config: HeapConfig) -> Self {
-        let words = (0..config.capacity_words)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let len = usize::try_from(config.capacity_words).expect("heap capacity fits in memory");
         Self {
-            words,
+            words: crate::zeroed_words(len),
             allocator: Mutex::new(Allocator::new(config.capacity_words)),
             traffic: Traffic::new(config.traffic_slots),
             config,
@@ -754,11 +753,20 @@ mod tests {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
         let a = heap.alloc(&mut c, 4).unwrap();
-        heap.store(&mut c, a, 0, 99);
+        for off in 0..4 {
+            assert_eq!(heap.load(&mut c, a, off), 0, "fresh memory must be zeroed");
+            heap.store(&mut c, a, off, 99 + off);
+        }
         heap.free(&mut c, a);
         let b = heap.alloc(&mut c, 4).unwrap();
         assert_eq!(b, a, "type-stable recycle");
-        assert_eq!(heap.load(&mut c, b, 0), 0, "recycled memory must be zeroed");
+        for off in 0..4 {
+            assert_eq!(
+                heap.load(&mut c, b, off),
+                0,
+                "recycled memory must be zeroed"
+            );
+        }
     }
 
     #[test]

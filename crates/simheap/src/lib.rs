@@ -19,7 +19,7 @@
 //! stored pointer are free for the mark bits lock-free structures need
 //! ([`tagged`]).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
@@ -34,3 +34,18 @@ pub use heap::{
     POISON,
 };
 pub use tagged::TaggedPtr;
+
+use std::sync::atomic::AtomicU64;
+
+/// A slice of `len` zero words from the allocator's zeroed memory rather
+/// than written one by one. A large slice arrives as fresh pages that the
+/// kernel zeroes on first touch, so a table sized for the worst case costs
+/// only the pages a run reads or writes. The heap's word slab, its traffic
+/// table and simhtm's stripe table are built from it.
+#[allow(unsafe_code)]
+pub fn zeroed_words(len: usize) -> Box<[AtomicU64]> {
+    let slab = Box::<[AtomicU64]>::new_zeroed_slice(len);
+    // SAFETY: `AtomicU64` has the size and bit validity of `u64`, so every
+    // element's all-zero bytes are initialized as `AtomicU64::new(0)`.
+    unsafe { slab.assume_init() }
+}

@@ -21,20 +21,20 @@ const HOT_WINDOW: Cycles = 4_000;
 /// Maximum tracked contenders per line (heat saturates here).
 const MAX_HEAT: u64 = 32;
 
-#[derive(Debug)]
-struct Slot {
-    /// Virtual time of the last write to the line.
-    last_write: AtomicU64,
-    /// Hardware context that performed the last write (plus one; 0 = none).
-    last_writer: AtomicU64,
-    /// Saturating count of distinct recent writers.
-    heat: AtomicU64,
-}
+/// Words per slot in [`Traffic`]'s table: the virtual time of the last
+/// write to the line, the hardware context that performed it (plus one;
+/// 0 = none), and a saturating count of distinct recent writers.
+const SLOT_WORDS: usize = 3;
+const LAST_WRITE: usize = 0;
+const LAST_WRITER: usize = 1;
+const HEAT: usize = 2;
 
 /// Per-line recent-writer table.
 #[derive(Debug)]
 pub struct Traffic {
-    slots: Vec<Slot>,
+    /// `SLOT_WORDS` words per slot, from zeroed pages: an all-zero slot is
+    /// a line nobody has written.
+    words: Box<[AtomicU64]>,
     mask: u64,
 }
 
@@ -43,30 +43,25 @@ impl Traffic {
     pub fn new(size: usize) -> Self {
         let size = size.next_power_of_two().max(64);
         Self {
-            slots: (0..size)
-                .map(|_| Slot {
-                    last_write: AtomicU64::new(0),
-                    last_writer: AtomicU64::new(0),
-                    heat: AtomicU64::new(0),
-                })
-                .collect(),
+            words: crate::zeroed_words(size * SLOT_WORDS),
             mask: size as u64 - 1,
         }
     }
 
-    fn slot(&self, line: u64) -> &Slot {
+    /// Index of the first of `line`'s slot words.
+    fn slot(&self, line: u64) -> usize {
         // Fibonacci hashing spreads consecutive lines across the table.
         let h = line.wrapping_mul(0x9e3779b97f4a7c15);
-        &self.slots[((h >> 32) & self.mask) as usize]
+        ((h >> 32) & self.mask) as usize * SLOT_WORDS
     }
 
     /// Extra charge for a read of `line` by hardware context `ctx` at `now`.
     ///
     /// Reading a line someone else wrote recently costs a coherence miss.
     pub fn on_read(&self, costs: &CostModel, line: u64, ctx: usize, now: Cycles) -> Cycles {
-        let s = self.slot(line);
-        let writer = s.last_writer.load(Ordering::Relaxed);
-        let when = s.last_write.load(Ordering::Relaxed);
+        let (s, w) = (self.slot(line), &self.words);
+        let writer = w[s + LAST_WRITER].load(Ordering::Relaxed);
+        let when = w[s + LAST_WRITE].load(Ordering::Relaxed);
         if writer != 0 && writer != ctx as u64 + 1 && now.saturating_sub(when) < HOT_WINDOW {
             costs.coherence_miss
         } else {
@@ -80,29 +75,29 @@ impl Traffic {
     /// The returned charge grows with the number of distinct recent writers,
     /// which is what throttles hot CAS words like queue head/tail.
     pub fn on_write(&self, costs: &CostModel, line: u64, ctx: usize, now: Cycles) -> Cycles {
-        let s = self.slot(line);
+        let (s, w) = (self.slot(line), &self.words);
         let me = ctx as u64 + 1;
-        let writer = s.last_writer.load(Ordering::Relaxed);
-        let when = s.last_write.load(Ordering::Relaxed);
+        let writer = w[s + LAST_WRITER].load(Ordering::Relaxed);
+        let when = w[s + LAST_WRITE].load(Ordering::Relaxed);
         let recent = now.saturating_sub(when) < HOT_WINDOW;
 
         let heat = if !recent {
-            s.heat.store(0, Ordering::Relaxed);
+            w[s + HEAT].store(0, Ordering::Relaxed);
             0
         } else if writer != 0 && writer != me {
-            let h = s.heat.load(Ordering::Relaxed).min(MAX_HEAT - 1) + 1;
-            s.heat.store(h, Ordering::Relaxed);
+            let h = w[s + HEAT].load(Ordering::Relaxed).min(MAX_HEAT - 1) + 1;
+            w[s + HEAT].store(h, Ordering::Relaxed);
             h
         } else {
             // Self-write (or first write ever): ownership migrates to this
             // context, cooling the line one step per write.
-            let h = s.heat.load(Ordering::Relaxed).saturating_sub(1);
-            s.heat.store(h, Ordering::Relaxed);
+            let h = w[s + HEAT].load(Ordering::Relaxed).saturating_sub(1);
+            w[s + HEAT].store(h, Ordering::Relaxed);
             h
         };
 
-        s.last_writer.store(me, Ordering::Relaxed);
-        s.last_write.store(now, Ordering::Relaxed);
+        w[s + LAST_WRITER].store(me, Ordering::Relaxed);
+        w[s + LAST_WRITE].store(now, Ordering::Relaxed);
 
         let mut extra = 0;
         if writer != 0 && writer != me && recent {

@@ -37,7 +37,8 @@ impl StripeValue {
 /// The global stripe table.
 #[derive(Debug)]
 pub struct StripeTable {
-    stripes: Vec<AtomicU64>,
+    /// From zeroed pages: a run faults in only the stripes it touches.
+    stripes: Box<[AtomicU64]>,
     mask: u64,
 }
 
@@ -55,7 +56,7 @@ impl StripeTable {
     pub fn new(size: usize) -> Self {
         let size = size.next_power_of_two().max(MIN_STRIPES);
         Self {
-            stripes: (0..size).map(|_| AtomicU64::new(0)).collect(),
+            stripes: st_simheap::zeroed_words(size),
             mask: size as u64 - 1,
         }
     }

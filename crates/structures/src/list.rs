@@ -22,6 +22,7 @@ use st_reclaim::SchemeThread;
 use st_simheap::{Addr, Heap, TaggedPtr, Word};
 use st_simhtm::Abort;
 use stacktrack::{OpMem, Step};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Operation ids (index the split predictor).
@@ -129,6 +130,18 @@ impl ListShape {
         }
     }
 
+    /// Indexes the list's nodes by key with one walk from the head, for
+    /// populating it without a walk per key (untimed; set-up only).
+    pub(crate) fn index_untimed(&self, heap: &Heap) -> ListIndex {
+        let mut nodes = BTreeMap::from([(0, self.head)]);
+        let mut cur = Addr::from_raw(heap.peek(self.head, NODE_NEXT));
+        while cur != self.tail {
+            nodes.insert(heap.peek(cur, NODE_KEY), cur);
+            cur = Addr::from_raw(heap.peek(cur, NODE_NEXT));
+        }
+        ListIndex { nodes }
+    }
+
     /// Reads the current key set without charging time (tests/validation).
     /// Marked (logically deleted) nodes are excluded.
     pub fn collect_keys_untimed(&self, heap: &Heap) -> Vec<u64> {
@@ -174,6 +187,40 @@ impl ListShape {
             last = key;
             cur = next;
         }
+    }
+}
+
+/// A sorted key → node index of one list ([`ListShape::index_untimed`]),
+/// head sentinel included under key 0. An insert links the new node after
+/// its indexed predecessor: the node the walk of
+/// [`ListShape::insert_untimed`] would stop behind, so the heap ends up
+/// word for word the same.
+#[derive(Debug)]
+pub(crate) struct ListIndex {
+    nodes: BTreeMap<u64, Addr>,
+}
+
+impl ListIndex {
+    /// Inserts `key` directly, bypassing the concurrency protocol
+    /// (untimed; initial population before the measured run).
+    pub(crate) fn insert_untimed(&mut self, heap: &Heap, key: u64) -> bool {
+        assert!(key > 0 && key < u64::MAX, "key range");
+        let (&at, &prev) = self
+            .nodes
+            .range(..=key)
+            .next_back()
+            .expect("the head sentinel precedes every key");
+        if at == key {
+            return false;
+        }
+        let node = heap
+            .alloc_untimed(NODE_WORDS)
+            .expect("heap too small for initial population");
+        heap.poke(node, NODE_KEY, key);
+        heap.poke(node, NODE_NEXT, heap.peek(prev, NODE_NEXT));
+        heap.poke(prev, NODE_NEXT, node.raw());
+        self.nodes.insert(key, node);
+        true
     }
 }
 

@@ -353,14 +353,19 @@ impl StructureInstance {
             .collect()
     }
 
-    /// One untimed insert per call, `true` when the key was new. The tree
-    /// has no untimed insert (balance bookkeeping), so its inserts run
-    /// through one scratch writer per inserter; NoReclaim never frees, so
-    /// set-up cannot disturb an armed heap oracle.
+    /// One untimed insert per call, `true` when the key was new. The list
+    /// links each key after its predecessor in one sorted index per
+    /// inserter, not a walk per key. The tree has no untimed insert
+    /// (balance bookkeeping), so its inserts run through one scratch
+    /// writer per inserter; NoReclaim never frees, so set-up cannot disturb
+    /// an armed heap oracle.
     fn inserter<'a>(&'a self, heap: &'a Arc<Heap>) -> impl FnMut(u64, &mut Pcg32) -> bool + 'a {
+        let mut list_index: Option<list::ListIndex> = None;
         let mut writer: Option<(Cpu, NoReclaimThread)> = None;
         move |key, rng| match self {
-            StructureInstance::List(s) => s.insert_untimed(heap, key),
+            StructureInstance::List(s) => list_index
+                .get_or_insert_with(|| s.index_untimed(heap))
+                .insert_untimed(heap, key),
             StructureInstance::SkipList(s) => s.insert_untimed(heap, key, rng),
             StructureInstance::Queue(s) => {
                 s.enqueue_untimed(heap, key);
@@ -585,6 +590,52 @@ mod tests {
         let tiny = WorkloadSpec::paper_list().shrunk(1_000_000);
         assert!(tiny.initial_size >= 8);
         assert!(tiny.key_range >= 16);
+    }
+
+    #[test]
+    fn indexed_list_population_matches_the_per_key_walk_word_for_word() {
+        let spec = WorkloadSpec::paper_list();
+        let config = st_simheap::HeapConfig {
+            capacity_words: 1 << 15,
+            ..st_simheap::HeapConfig::default()
+        };
+        for seed in [1, 7, 42] {
+            let indexed = Arc::new(Heap::new(config.clone()));
+            StructureInstance::build(&spec, &indexed, seed);
+            // The same draws through a walk from the head per key.
+            let walked = Heap::new(config.clone());
+            let shape = list::ListShape::new_untimed(&walked);
+            let mut rng = Pcg32::new_stream(seed, 0x5742);
+            let mut inserted = 0;
+            while inserted < spec.initial_size {
+                if shape.insert_untimed(&walked, rng.below(spec.key_range) + 1) {
+                    inserted += 1;
+                }
+            }
+            let word = |heap: &Heap, i| heap.peek(st_simheap::Addr::from_index(i), 0);
+            for i in 1..config.capacity_words {
+                assert_eq!(word(&indexed, i), word(&walked, i), "seed {seed} word {i}");
+            }
+        }
+        // A second batch indexes the list it finds, not an empty one.
+        let heap = Arc::new(Heap::new(config));
+        let instance = StructureInstance::new_untimed(StructureKind::List, &heap, 1);
+        let mut rng = Pcg32::new(3);
+        assert_eq!(
+            instance.insert_untimed(&heap, &[5, 1, 9], &mut rng),
+            [5, 1, 9]
+        );
+        assert_eq!(
+            instance.insert_untimed(&heap, &[9, 3, 1, 7], &mut rng),
+            [3, 7]
+        );
+        match instance {
+            StructureInstance::List(shape) => {
+                assert_eq!(shape.collect_keys_untimed(&heap), [1, 3, 5, 7, 9]);
+                shape.check_invariants_untimed(&heap);
+            }
+            _ => unreachable!(),
+        }
     }
 
     #[test]

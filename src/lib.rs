@@ -17,6 +17,8 @@
 //! - [`structures`]: lock-free list / skip list / queue / hash table
 //!   written once against the scheme-neutral memory interface.
 
+#![forbid(unsafe_code)]
+
 pub use st_machine as machine;
 pub use st_reclaim as reclaim;
 pub use st_simheap as simheap;
