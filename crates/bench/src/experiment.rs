@@ -348,7 +348,7 @@ pub fn run(config: &RunConfig) -> RunResult {
     }
 }
 
-/// Virtual milliseconds to cycles (used by tests and the micro benches).
+/// Virtual milliseconds to cycles.
 pub fn ms_to_cycles(ms: u64) -> u64 {
     ms * (CYCLES_PER_SECOND / 1000)
 }

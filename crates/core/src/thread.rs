@@ -186,7 +186,7 @@ impl StThread {
             self.mode
         );
         assert!(slots <= STACK_SLOTS, "operation needs too many slots");
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         self.op_id = op_id;
         self.slots_used = slots;
         self.split_idx = 0;
@@ -284,13 +284,12 @@ impl StThread {
         match self.mode {
             Mode::Idle | Mode::Reclaim(Resume::Idle) => return,
             Mode::Fast => {
-                let engine = self.rt.engine.clone();
                 let tx = self.tx.as_mut().expect("fast path without a transaction");
-                engine.tx_abort(cpu, tx);
+                self.rt.engine.tx_abort(cpu, tx);
                 // Nodes allocated in the aborted segment were never
                 // published; return them to the heap.
-                let heap = self.rt.heap().clone();
-                for a in std::mem::take(&mut self.seg_allocs) {
+                let heap = self.rt.heap();
+                for a in self.seg_allocs.drain(..) {
                     heap.free_unpublished(cpu, a);
                 }
                 self.staged.clear();
@@ -304,7 +303,7 @@ impl StThread {
         }
         self.force_commit = false;
         self.user_region = false;
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         heap.store(cpu, self.ctx, OFF_ACTIVE, 0);
         heap.fence(cpu);
         self.mode = if self.job.is_some() {
@@ -358,9 +357,8 @@ impl StThread {
         // here (the first step after being rescheduled) and attributed as
         // `AbortCause::Preempted` rather than a data conflict.
         if cpu.counters.context_switches != self.seg_switches {
-            let engine = self.rt.engine.clone();
             let tx = self.tx.as_mut().expect("fast path without a transaction");
-            engine.tx_abort_preempted(cpu, tx);
+            self.rt.engine.tx_abort_preempted(cpu, tx);
             self.on_segment_abort(cpu, AbortCause::Preempted);
             return None;
         }
@@ -416,7 +414,7 @@ impl StThread {
     /// the splits counter, and commits the segment. On success, staged
     /// retires enter the free path.
     fn split_commit(&mut self, cpu: &mut Cpu, is_final: bool) -> Result<(), Abort> {
-        let engine = self.rt.engine.clone();
+        let engine = &self.rt.engine;
         let tx = self.tx.as_mut().expect("fast path without a transaction");
 
         // EXPOSE_REGISTERS (omitted on the final commit, as in the paper:
@@ -454,10 +452,9 @@ impl StThread {
         // Staged retires become FREE calls (non-transactional, post-commit).
         if !self.staged.is_empty() {
             let staged = std::mem::take(&mut self.staged);
-            let heap = self.rt.heap().clone();
-            heap.store(cpu, self.ctx, OFF_STAGED_COUNT, 0);
-            for (i, p) in staged.iter().enumerate() {
-                heap.store(cpu, self.ctx, OFF_STAGED + i as u64, 0);
+            self.rt.heap().store(cpu, self.ctx, OFF_STAGED_COUNT, 0);
+            for (i, p) in (0..).zip(&staged) {
+                self.rt.heap().store(cpu, self.ctx, OFF_STAGED + i, 0);
                 self.free(cpu, *p);
             }
         }
@@ -482,8 +479,8 @@ impl StThread {
 
         // Nodes allocated in the aborted segment were never published;
         // return them to the heap.
-        let heap = self.rt.heap().clone();
-        for a in std::mem::take(&mut self.seg_allocs) {
+        let heap = self.rt.heap();
+        for a in self.seg_allocs.drain(..) {
             heap.free_unpublished(cpu, a);
         }
 
@@ -513,7 +510,7 @@ impl StThread {
     /// fence: the final segment commit already published everything the
     /// scanners rely on.
     fn finish_op(&mut self, cpu: &mut Cpu) {
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         self.oper_counter += 1;
         heap.store(cpu, self.ctx, OFF_OPER_COUNTER, self.oper_counter);
         heap.store(cpu, self.ctx, OFF_ACTIVE, 0);
@@ -530,7 +527,7 @@ impl StThread {
 
     /// Switches the remainder of the operation to the software slow path.
     fn enter_slow(&mut self, cpu: &mut Cpu) {
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         self.op_used_slow = true;
         self.refset_count = 0;
         self.refset_mirror.clear();
@@ -570,7 +567,7 @@ impl StThread {
 
     /// `SLOW_COMMIT`: resets the reference set and leaves the slow path.
     fn slow_commit(&mut self, cpu: &mut Cpu) {
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         self.refset_count = 0;
         self.refset_mirror.clear();
         heap.store(cpu, self.ctx, OFF_REFSET_COUNT, 0);
@@ -585,12 +582,11 @@ impl StThread {
 
     /// `SLOW_READ`: load, publish to the reference set, fence, revalidate.
     fn slow_read(&mut self, cpu: &mut Cpu, addr: Addr, off: u64) -> Word {
-        let heap = self.rt.heap().clone();
         loop {
-            let v = heap.load(cpu, addr, off);
+            let v = self.rt.heap().load(cpu, addr, off);
             self.refset_add(cpu, v);
-            heap.fence(cpu);
-            if heap.load(cpu, addr, off) == v {
+            self.rt.heap().fence(cpu);
+            if self.rt.heap().load(cpu, addr, off) == v {
                 return v;
             }
             // A restart implies another thread made progress.
@@ -615,7 +611,7 @@ impl StThread {
             (self.refset_count as usize) < REFSET_CAP,
             "slow-path reference set overflow; raise layout::REFSET_CAP"
         );
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         heap.store(cpu, self.ctx, OFF_REFSET + self.refset_count, v);
         self.refset_count += 1;
         heap.store(cpu, self.ctx, OFF_REFSET_COUNT, self.refset_count);
@@ -632,7 +628,7 @@ impl StThread {
             }
             None => return,
         }
-        let heap = self.rt.heap().clone();
+        let heap = self.rt.heap();
         for i in (0..self.refset_count).rev() {
             if heap.load(cpu, self.ctx, OFF_REFSET + i) == v {
                 let last = heap.load(cpu, self.ctx, OFF_REFSET + self.refset_count - 1);
@@ -673,9 +669,8 @@ impl StThread {
     }
 
     fn step_reclaim(&mut self, cpu: &mut Cpu) {
-        let rt = self.rt.clone();
         let job = self.job.as_mut().expect("reclaim mode without a job");
-        if job.advance(&rt, cpu, &mut self.stats) {
+        if job.advance(&self.rt, cpu, &mut self.stats) {
             let job = self.job.take().expect("job present");
             self.scan_bufs = job.finish_into(&mut self.free_set);
             self.stats.scans += 1;
@@ -787,7 +782,7 @@ impl OpMem for StThread {
                 // block with the stage rolled back (exactly-once FREE).
                 let k = self.staged.len();
                 assert!(k < STAGED_CAP, "too many retires in one segment");
-                let engine = self.rt.engine.clone();
+                let engine = &self.rt.engine;
                 let tx = self.tx.as_mut().expect("fast retire without tx");
                 engine.tx_write(cpu, tx, self.ctx, OFF_STAGED + k as u64, addr.raw())?;
                 engine.tx_write(cpu, tx, self.ctx, OFF_STAGED_COUNT, k as u64 + 1)?;
@@ -824,7 +819,7 @@ impl OpMem for StThread {
             // Expose the register file at the region boundary, as the
             // paper requires; the values commit with the segment.
             if self.rt.config.expose_registers {
-                let engine = self.rt.engine.clone();
+                let engine = &self.rt.engine;
                 let tx = self.tx.as_mut().expect("fast path without tx");
                 for i in 0..REG_SLOTS as u64 {
                     engine.tx_write(cpu, tx, self.ctx, OFF_REGISTERS + i, self.regs[i as usize])?;
@@ -855,7 +850,7 @@ impl OpMem for StThread {
                 self.dirty |= 1 << slot;
             }
             Mode::Slow => {
-                let heap = self.rt.heap().clone();
+                let heap = self.rt.heap();
                 heap.store(cpu, self.ctx, OFF_STACK + slot as u64, value);
             }
             _ => panic!("local access outside an operation"),

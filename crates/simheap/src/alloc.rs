@@ -8,12 +8,17 @@
 //!   same size class, so a stale pointer always points at "an object-shaped
 //!   hole", mirroring the arena allocators lock-free C code uses. (The
 //!   correctness of every scheme here is nevertheless independent of this.)
-//! - **An allocation table** recording `start -> object info` for every
-//!   object ever carved out, answering the interior-pointer range queries of
-//!   paper section 5.5 and the liveness assertions the test suite relies on.
+//! - **A flat block table** with one byte per word the bump pointer has
+//!   carved, answering the interior-pointer range queries of paper section
+//!   5.5 and the liveness assertions the test suite relies on. Because
+//!   recycling is type-stable, a block's start and class never change once
+//!   carved: the byte at a block's first word holds its class and liveness,
+//!   so `alloc`, `free`, `block_len` and `is_live` are array reads, and
+//!   [`Allocator::object_at`] binary-searches the carve-ordered starts for
+//!   an interior word. The table grows with the bump pointer: a byte per
+//!   carved word and eight per block, never sized by the heap's capacity.
 
 use crate::addr::Addr;
-use std::collections::BTreeMap;
 
 /// Number of size classes (class `c` holds blocks of `1 << c` words).
 pub const NUM_CLASSES: usize = 16;
@@ -21,15 +26,34 @@ pub const NUM_CLASSES: usize = 16;
 /// Largest supported allocation, in words.
 pub const MAX_ALLOC_WORDS: usize = 1 << (NUM_CLASSES - 1);
 
+/// Block-table byte of a block's first word (the other words hold 0).
+const START: u8 = 0x40;
+/// Block-table bit set while the block is allocated.
+const LIVE: u8 = 0x80;
+/// Block-table bits holding the size class.
+const CLASS: u8 = 0x0F;
+const _: () = assert!(NUM_CLASSES - 1 <= CLASS as usize);
+
 /// Information about one carved-out block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjInfo {
-    /// Requested length in words.
-    pub len: u32,
     /// Size class (block length is `1 << class`).
     pub class: u8,
     /// Whether the block is currently allocated.
     pub live: bool,
+}
+
+/// A block handed out by [`Allocator::alloc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Block {
+    /// Base address.
+    pub addr: Addr,
+    /// Length in words (the request rounded up to its class).
+    pub words: u64,
+    /// Whether the block came off a free list, still holding its previous
+    /// lifetime's words. A block fresh from the bump pointer lies where
+    /// nothing has written, so its words are still zero.
+    pub recycled: bool,
 }
 
 /// Allocation failure.
@@ -42,7 +66,7 @@ pub enum AllocError {
 }
 
 /// Running allocator statistics.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AllocStats {
     /// Total successful allocations.
     pub allocs: u64,
@@ -64,7 +88,11 @@ pub struct Allocator {
     capacity: u64,
     bump: u64,
     free_lists: Vec<Vec<u64>>,
-    objects: BTreeMap<u64, ObjInfo>,
+    /// One byte per word below `bump`: `START | class` (plus `LIVE` while
+    /// allocated) at a block's first word, 0 elsewhere.
+    table: Vec<u8>,
+    /// Block starts in carve order, which is address order.
+    starts: Vec<u64>,
     stats: AllocStats,
 }
 
@@ -83,41 +111,45 @@ impl Allocator {
             capacity: capacity_words,
             bump: 1,
             free_lists: vec![Vec::new(); NUM_CLASSES],
-            objects: BTreeMap::new(),
+            table: vec![0],
+            starts: Vec::new(),
             stats: AllocStats::default(),
         }
     }
 
     /// Allocates a block of at least `words` words.
-    pub fn alloc(&mut self, words: usize) -> Result<Addr, AllocError> {
+    pub fn alloc(&mut self, words: usize) -> Result<Block, AllocError> {
         let class = class_of(words).ok_or(AllocError::BadSize)?;
         let block = 1u64 << class;
 
-        let start = if let Some(idx) = self.free_lists[class as usize].pop() {
-            self.stats.recycled += 1;
-            idx
-        } else {
-            if self.bump + block > self.capacity {
-                return Err(AllocError::OutOfMemory);
+        let recycled = self.free_lists[class as usize].pop();
+        let start = match recycled {
+            Some(idx) => {
+                self.stats.recycled += 1;
+                idx
             }
-            let idx = self.bump;
-            self.bump += block;
-            idx
+            None => {
+                if self.bump + block > self.capacity {
+                    return Err(AllocError::OutOfMemory);
+                }
+                let idx = self.bump;
+                self.bump += block;
+                self.table.resize(self.bump as usize, 0);
+                self.starts.push(idx);
+                idx
+            }
         };
 
-        self.objects.insert(
-            start,
-            ObjInfo {
-                len: words as u32,
-                class,
-                live: true,
-            },
-        );
+        self.table[start as usize] = START | LIVE | class;
         self.stats.allocs += 1;
         self.stats.live_objects += 1;
         self.stats.live_words += block;
         self.stats.peak_live_words = self.stats.peak_live_words.max(self.stats.live_words);
-        Ok(Addr::from_index(start))
+        Ok(Block {
+            addr: Addr::from_index(start),
+            words: block,
+            recycled: recycled.is_some(),
+        })
     }
 
     /// Returns a block to its class free list.
@@ -129,16 +161,23 @@ impl Allocator {
     pub fn free(&mut self, addr: Addr) {
         let start = addr.index();
         let info = self
-            .objects
-            .get_mut(&start)
+            .info(start)
             .unwrap_or_else(|| panic!("free of never-allocated address {addr:?}"));
         assert!(info.live, "double free of {addr:?}");
-        info.live = false;
-        let class = info.class;
-        self.free_lists[class as usize].push(start);
+        self.table[start as usize] &= !LIVE;
+        self.free_lists[info.class as usize].push(start);
         self.stats.frees += 1;
         self.stats.live_objects -= 1;
-        self.stats.live_words -= 1u64 << class;
+        self.stats.live_words -= 1u64 << info.class;
+    }
+
+    /// The block starting at word `idx`, if one was ever carved there.
+    fn info(&self, idx: u64) -> Option<ObjInfo> {
+        let byte = *self.table.get(usize::try_from(idx).ok()?)?;
+        (byte & START != 0).then_some(ObjInfo {
+            class: byte & CLASS,
+            live: byte & LIVE != 0,
+        })
     }
 
     /// Looks up the object containing the word address `raw` (which may
@@ -148,26 +187,26 @@ impl Allocator {
             return None;
         }
         let idx = raw >> 3;
-        if idx == 0 {
+        if idx == 0 || idx >= self.bump {
             return None;
         }
-        let (&start, info) = self.objects.range(..=idx).next_back()?;
-        let block = 1u64 << info.class;
-        (idx < start + block).then(|| (Addr::from_index(start), *info))
+        // Carved blocks tile `[1, bump)`, so the last start at or below
+        // `idx` is the block holding it.
+        let start = self.starts[self.starts.partition_point(|&s| s <= idx) - 1];
+        let info = self
+            .info(start)
+            .expect("every carved start is in the table");
+        Some((Addr::from_index(start), info))
     }
 
     /// Whether `addr` is the base of a currently live object.
     pub fn is_live(&self, addr: Addr) -> bool {
-        self.objects
-            .get(&addr.index())
-            .is_some_and(|info| info.live)
+        self.info(addr.index()).is_some_and(|info| info.live)
     }
 
     /// The block length (in words) of the object based at `addr`, if known.
     pub fn block_len(&self, addr: Addr) -> Option<u64> {
-        self.objects
-            .get(&addr.index())
-            .map(|info| 1u64 << info.class)
+        self.info(addr.index()).map(|info| 1u64 << info.class)
     }
 
     /// Snapshot of the statistics.
@@ -197,7 +236,7 @@ mod tests {
         let mut a = Allocator::new(1 << 16);
         let mut seen = std::collections::HashSet::new();
         for i in 1..100usize {
-            let addr = a.alloc(i % 9 + 1).unwrap();
+            let addr = a.alloc(i % 9 + 1).unwrap().addr;
             assert!(!addr.is_null());
             assert!(seen.insert(addr), "overlapping allocation {addr:?}");
         }
@@ -207,11 +246,17 @@ mod tests {
     fn recycling_is_type_stable() {
         let mut a = Allocator::new(1 << 12);
         let x = a.alloc(4).unwrap();
-        a.free(x);
+        assert!(!x.recycled);
+        a.free(x.addr);
         let y = a.alloc(3).unwrap(); // same class (4 words)
-        assert_eq!(x, y, "same-class alloc should recycle the freed slot");
+        assert_eq!(
+            x.addr, y.addr,
+            "same-class alloc should recycle the freed slot"
+        );
+        assert!(y.recycled);
         let z = a.alloc(8).unwrap(); // different class: fresh memory
-        assert_ne!(x, z);
+        assert_ne!(x.addr, z.addr);
+        assert!(!z.recycled);
         assert_eq!(a.stats().recycled, 1);
     }
 
@@ -227,7 +272,7 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let mut a = Allocator::new(1 << 10);
-        let x = a.alloc(2).unwrap();
+        let x = a.alloc(2).unwrap().addr;
         a.free(x);
         a.free(x);
     }
@@ -242,7 +287,7 @@ mod tests {
     #[test]
     fn object_at_resolves_interior_pointers() {
         let mut a = Allocator::new(1 << 12);
-        let x = a.alloc(6).unwrap(); // class 3, 8 words
+        let x = a.alloc(6).unwrap().addr; // class 3, 8 words
         let interior = x.offset(5).raw();
         let (base, info) = a.object_at(interior).unwrap();
         assert_eq!(base, x);
@@ -260,8 +305,8 @@ mod tests {
     #[test]
     fn stats_track_live_and_peak() {
         let mut a = Allocator::new(1 << 12);
-        let x = a.alloc(4).unwrap();
-        let y = a.alloc(4).unwrap();
+        let x = a.alloc(4).unwrap().addr;
+        let y = a.alloc(4).unwrap().addr;
         assert_eq!(a.stats().live_objects, 2);
         assert_eq!(a.stats().live_words, 8);
         a.free(x);

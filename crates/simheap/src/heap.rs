@@ -1,7 +1,7 @@
 //! The heap façade: words + allocator + traffic + poison.
 
 use crate::addr::{Addr, Word};
-use crate::alloc::{AllocError, AllocStats, Allocator};
+use crate::alloc::{AllocError, AllocStats, Allocator, Block};
 use crate::traffic::Traffic;
 use st_machine::Cpu;
 use std::collections::BTreeMap;
@@ -363,17 +363,10 @@ impl Heap {
     pub fn alloc(&self, cpu: &mut Cpu, words: usize) -> Result<Addr, AllocError> {
         cpu.charge(cpu.costs.alloc);
         cpu.counters.allocs += 1;
-        let addr = self.allocator.lock().unwrap().alloc(words)?;
-        let block = {
-            let a = self.allocator.lock().unwrap();
-            a.block_len(addr).expect("just allocated")
-        };
-        for off in 0..block {
-            self.cell(addr, off).store(0, Ordering::Relaxed);
-        }
-        self.uaf_check_reexposure(cpu.thread_id, addr, block);
-        self.ledger_on_alloc(addr);
-        Ok(addr)
+        let block = self.carve(words)?;
+        self.uaf_check_reexposure(cpu.thread_id, block.addr, block.words);
+        self.ledger_on_alloc(block.addr);
+        Ok(block.addr)
     }
 
     /// Allocates `words` zeroed words without charging virtual time.
@@ -381,16 +374,27 @@ impl Heap {
     /// For bootstrap only (building thread contexts and initial data
     /// structure population before the measured run starts).
     pub fn alloc_untimed(&self, words: usize) -> Result<Addr, AllocError> {
-        let addr = self.allocator.lock().unwrap().alloc(words)?;
-        let block = {
-            let a = self.allocator.lock().unwrap();
-            a.block_len(addr).expect("just allocated")
-        };
-        for off in 0..block {
-            self.cell(addr, off).store(0, Ordering::Relaxed);
+        let block = self.carve(words)?;
+        self.ledger_on_alloc(block.addr);
+        Ok(block.addr)
+    }
+
+    /// Takes a block from the allocator and zeroes it if it was recycled.
+    /// A block fresh from the bump pointer is already zero: the slab
+    /// arrives zeroed and nothing writes above the bump, so its pages stay
+    /// untouched until the program uses them.
+    fn carve(&self, words: usize) -> Result<Block, AllocError> {
+        let block = self
+            .allocator
+            .lock()
+            .expect("allocator lock poisoned by a panicking free")
+            .alloc(words)?;
+        if block.recycled {
+            for off in 0..block.words {
+                self.cell(block.addr, off).store(0, Ordering::Relaxed);
+            }
         }
-        self.ledger_on_alloc(addr);
-        Ok(addr)
+        Ok(block)
     }
 
     /// Frees the block based at `addr`, poisoning it first if configured.
@@ -432,17 +436,21 @@ impl Heap {
     fn free_inner(&self, cpu: &mut Cpu, addr: Addr) {
         cpu.charge(cpu.costs.free);
         cpu.counters.frees += 1;
-        let block = {
-            let a = self.allocator.lock().unwrap();
-            a.block_len(addr)
-                .unwrap_or_else(|| panic!("free of unknown address {addr:?}"))
-        };
+        // Poison under the lock: once the block is on its free list another
+        // OS thread may take it, and must find it zeroed, not poisoned.
+        let mut a = self
+            .allocator
+            .lock()
+            .expect("allocator lock poisoned by a panicking free");
+        let block = a
+            .block_len(addr)
+            .unwrap_or_else(|| panic!("free of unknown address {addr:?}"));
         if self.config.poison_on_free {
             for off in 0..block {
                 self.cell(addr, off).store(POISON, Ordering::Relaxed);
             }
         }
-        self.allocator.lock().unwrap().free(addr);
+        a.free(addr);
     }
 
     // ------------------------------------------------------------------
@@ -486,15 +494,22 @@ impl Heap {
     /// in-flight readers at free time are doomed by the version bump and
     /// never return data — so it is a genuine use-after-free, not HTM
     /// speculation that will be discarded.
+    #[inline]
     pub fn note_speculative_read(&self, thread: usize, addr: Addr, off: u64) {
         self.uaf_check(thread, UafKind::Read, addr, off);
     }
 
     /// Records a violation if `addr + off` lies inside a freed block.
+    #[inline]
     fn uaf_check(&self, thread: usize, kind: UafKind, addr: Addr, off: u64) {
-        if !self.uaf_enabled.load(Ordering::Relaxed) {
-            return;
+        if self.uaf_enabled.load(Ordering::Relaxed) {
+            self.uaf_check_armed(thread, kind, addr, off);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn uaf_check_armed(&self, thread: usize, kind: UafKind, addr: Addr, off: u64) {
         let raw = addr.offset(off).raw();
         let freed_base = {
             let a = self.allocator.lock().unwrap();
@@ -506,7 +521,7 @@ impl Heap {
         if let Some(base) = freed_base {
             self.uaf.lock().unwrap().violations.push(UafViolation {
                 kind,
-                thread: thread,
+                thread,
                 base,
                 raw,
             });
@@ -515,10 +530,16 @@ impl Heap {
 
     /// Records a violation if any registered root still references the
     /// just-(re)allocated block `[addr, addr + block)`.
+    #[inline]
     fn uaf_check_reexposure(&self, thread: usize, addr: Addr, block: u64) {
-        if !self.uaf_enabled.load(Ordering::Relaxed) {
-            return;
+        if self.uaf_enabled.load(Ordering::Relaxed) {
+            self.uaf_check_reexposure_armed(thread, addr, block);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn uaf_check_reexposure_armed(&self, thread: usize, addr: Addr, block: u64) {
         let lo = addr.raw();
         let hi = addr.offset(block).raw();
         let mut state = self.uaf.lock().unwrap();
@@ -529,7 +550,7 @@ impl Heap {
                 if stripped >= lo && stripped < hi {
                     state.violations.push(UafViolation {
                         kind: UafKind::Reexposure,
-                        thread: thread,
+                        thread,
                         base: addr,
                         raw: root.base.offset(off).raw(),
                     });
@@ -561,10 +582,16 @@ impl Heap {
     /// block into their deferral pipeline (limbo list, hazard retire list,
     /// free set, ...). A retire of an already-retired or already-freed
     /// block records [`LedgerKind::DoubleRetire`].
+    #[inline]
     pub fn note_retire(&self, thread: usize, cycle: u64, addr: Addr) {
-        if !self.ledger_enabled.load(Ordering::Relaxed) {
-            return;
+        if self.ledger_enabled.load(Ordering::Relaxed) {
+            self.note_retire_armed(thread, cycle, addr);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn note_retire_armed(&self, thread: usize, cycle: u64, addr: Addr) {
         let mut book = self.ledger.lock().unwrap();
         book.retire_events += 1;
         match book.blocks.get(&addr.raw()) {
@@ -634,10 +661,16 @@ impl Heap {
 
     /// Registers an allocation with the ledger (block becomes live,
     /// superseding any record of the address's previous lifetime).
+    #[inline]
     fn ledger_on_alloc(&self, addr: Addr) {
-        if !self.ledger_enabled.load(Ordering::Relaxed) {
-            return;
+        if self.ledger_enabled.load(Ordering::Relaxed) {
+            self.ledger_on_alloc_armed(addr);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn ledger_on_alloc_armed(&self, addr: Addr) {
         self.ledger
             .lock()
             .unwrap()
@@ -652,10 +685,21 @@ impl Heap {
     /// caller must *not* touch the allocator: the block is already on a
     /// free list (or reallocated to someone else), and the oracle's
     /// contract is to report the defect, not to let it corrupt the heap.
+    #[inline]
     fn ledger_on_free(&self, thread: usize, cycle: u64, addr: Addr, expect_retired: bool) -> bool {
-        if !self.ledger_enabled.load(Ordering::Relaxed) {
-            return false;
-        }
+        self.ledger_enabled.load(Ordering::Relaxed)
+            && self.ledger_on_free_armed(thread, cycle, addr, expect_retired)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn ledger_on_free_armed(
+        &self,
+        thread: usize,
+        cycle: u64,
+        addr: Addr,
+        expect_retired: bool,
+    ) -> bool {
         let mut book = self.ledger.lock().unwrap();
         book.free_events += 1;
         let kind = match book.blocks.get(&addr.raw()) {

@@ -10,7 +10,10 @@
 //!   exactly like the paper's word-by-word stack scan.
 //! - **Allocation metadata with range queries** ([`Heap::object_base`]),
 //!   the equivalent of the paper's `malloc` hook used to resolve interior
-//!   pointers (section 5.5).
+//!   pointers (section 5.5): a flat block table with one byte per carved
+//!   word, so alloc, free and liveness queries are array reads and an
+//!   interior pointer costs a binary search over the carved block starts
+//!   ([`alloc`]).
 //! - **Poison-on-free plus liveness tracking**, which turns any
 //!   use-after-free in a scheme or data structure into a deterministic test
 //!   failure instead of silent corruption.
