@@ -450,13 +450,17 @@ impl StThread {
             .record(u64::from(self.steps_in_segment));
 
         // Staged retires become FREE calls (non-transactional, post-commit).
+        // `free` never touches `staged`, so the buffer goes back cleared
+        // and keeps its capacity for the next retiring segment.
         if !self.staged.is_empty() {
-            let staged = std::mem::take(&mut self.staged);
+            let mut staged = std::mem::take(&mut self.staged);
             self.rt.heap().store(cpu, self.ctx, OFF_STAGED_COUNT, 0);
             for (i, p) in (0..).zip(&staged) {
                 self.rt.heap().store(cpu, self.ctx, OFF_STAGED + i, 0);
                 self.free(cpu, *p);
             }
+            staged.clear();
+            self.staged = staged;
         }
         Ok(())
     }
@@ -855,5 +859,39 @@ impl OpMem for StThread {
             }
             _ => panic!("local access outside an operation"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{StConfig, StRuntime, Step};
+    use st_simheap::{Heap, HeapConfig};
+    use st_simhtm::{HtmConfig, HtmEngine};
+    use std::sync::Arc;
+
+    #[test]
+    fn a_retiring_commit_keeps_the_staged_buffer() {
+        let heap = Arc::new(Heap::new(HeapConfig {
+            capacity_words: 1 << 18,
+            ..HeapConfig::small()
+        }));
+        let engine = Arc::new(HtmEngine::new(heap, HtmConfig::default(), 1));
+        let rt = StRuntime::new(engine, StConfig::default(), 1);
+        let mut th = rt.register_thread(0);
+        let mut cpu = rt.test_cpu(0);
+        let retire_one = |th: &mut super::StThread, cpu: &mut _| {
+            th.run_op(cpu, 0, 1, &mut |m, cpu| {
+                let n = m.alloc(cpu, 2);
+                m.retire_unlinked(cpu, n)?;
+                Ok(Step::Done(0))
+            });
+        };
+        retire_one(&mut th, &mut cpu);
+        assert!(th.staged.is_empty(), "the commit drained the stage");
+        let capacity = th.staged.capacity();
+        assert!(capacity > 0, "the drained buffer was put back");
+        retire_one(&mut th, &mut cpu);
+        assert_eq!(th.staged.capacity(), capacity);
+        assert_eq!(th.stats().free_calls, 2);
     }
 }

@@ -3,7 +3,7 @@
 use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::Word;
-use stacktrack::{OpBody, Step};
+use stacktrack::OpBody;
 
 /// A per-thread executor for one reclamation scheme.
 ///
@@ -76,13 +76,4 @@ pub trait SchemeThread {
 
     /// Scheme display name.
     fn scheme_name(&self) -> &'static str;
-}
-
-/// Convenience used by baseline executors: run the body once and panic on
-/// an abort (baselines have no transactions to abort).
-pub(crate) fn expect_step(result: Result<Step, st_simhtm::Abort>) -> Step {
-    match result {
-        Ok(step) => step,
-        Err(abort) => unreachable!("abort without transactions: {abort}"),
-    }
 }

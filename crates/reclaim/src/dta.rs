@@ -20,10 +20,10 @@
 //! freezing protocol that rebuilds part of the list. This reproduction
 //! keeps the freeze idea but simplifies recovery to an **operation
 //! restart**: a sweeping thread that finds a peer whose newest anchor lags
-//! the era clock by more than [`DtaThread::new`]'s `freeze_lag` sets the
+//! the era clock by more than [`FREEZE_LAG`] retires sets the
 //! peer's *frozen* flag and drops it from the reclamation horizon, so a
 //! stalled (or killed) thread stops blocking frees. The victim checks its
-//! own flag at the top of **every** [`SchemeThread::step_op`] — before any
+//! own flag at the top of **every** [`crate::SchemeThread::step_op`] — before any
 //! body code can touch a pointer — and, if frozen, discards its local
 //! state, re-anchors, and restarts the operation from scratch. Because the
 //! simulator interleaves at step granularity, the flag is always observed
@@ -32,13 +32,18 @@
 //! is one extra anchor-line load per step and, on restart, the loss of any
 //! not-yet-linked allocation (bounded by `scheme.dta.recoveries`).
 
-use crate::api::{expect_step, SchemeThread};
+use crate::frame::Protocol;
 use st_machine::Cpu;
+use st_obs::MetricsRegistry;
 use st_simheap::{Addr, Heap, Word};
-use st_simhtm::Abort;
-use stacktrack::layout::STACK_SLOTS;
-use stacktrack::{OpBody, OpMem, Step};
 use std::sync::Arc;
+
+/// Era-clock lag (in retires) past which a sweeping thread freezes a peer
+/// out of the reclamation horizon; the peer restarts its operation on its
+/// next step. Freezing is always safe — a spurious freeze only costs the
+/// victim one operation restart — so the lag sits close above the one a
+/// healthy thread shows.
+pub const FREEZE_LAG: u64 = 128;
 
 /// Words per thread in the shared DTA region.
 const SLOT_WORDS: u64 = 8;
@@ -81,18 +86,14 @@ impl DtaGlobals {
     }
 }
 
-/// Per-thread DTA executor.
-pub struct DtaThread {
+/// Per-thread DTA state.
+pub struct Dta {
     globals: Arc<DtaGlobals>,
-    heap: Arc<Heap>,
     thread_id: usize,
     k: u32,
     batch: usize,
     freeze_lag: u64,
     hops: u32,
-    locals: [Word; STACK_SLOTS],
-    slots: usize,
-    active: bool,
     limbo: Vec<(Addr, Word)>,
     /// Anchors published (statistics).
     pub anchors: u64,
@@ -102,11 +103,12 @@ pub struct DtaThread {
     pub recoveries: u64,
 }
 
-impl DtaThread {
-    /// Creates the executor for thread slot `thread_id`, anchoring every
-    /// `k` pointer hops. A peer whose newest anchor lags the era clock by
-    /// more than `freeze_lag` retires is frozen out of the horizon (see the
-    /// module docs); pass [`u64::MAX`] to disable freezing.
+impl Dta {
+    /// The state of thread slot `thread_id`, anchoring every `k` pointer
+    /// hops. A peer whose newest anchor lags the era clock by more than
+    /// `freeze_lag` retires is frozen out of the horizon (see the module
+    /// docs; the factory passes [`FREEZE_LAG`]); [`u64::MAX`] disables
+    /// freezing.
     ///
     /// # Panics
     ///
@@ -114,7 +116,6 @@ impl DtaThread {
     /// exceed the traversal's local-variable lag.
     pub fn new(
         globals: Arc<DtaGlobals>,
-        heap: Arc<Heap>,
         thread_id: usize,
         k: u32,
         batch: usize,
@@ -123,15 +124,11 @@ impl DtaThread {
         assert!(k >= 4, "anchor period must exceed the traversal lag");
         Self {
             globals,
-            heap,
             thread_id,
             k,
             batch,
             freeze_lag,
             hops: 0,
-            locals: [0; STACK_SLOTS],
-            slots: 0,
-            active: false,
             limbo: Vec::new(),
             anchors: 0,
             freezes: 0,
@@ -144,56 +141,51 @@ impl DtaThread {
     /// Anchors only *read* the era clock (a shared read of a rarely
     /// written line); retires advance it. A global fetch-add per anchor
     /// would manufacture contention the real scheme does not have.
-    fn post_anchor(&mut self, cpu: &mut Cpu, value: Word) {
+    fn post_anchor(&mut self, heap: &Heap, cpu: &mut Cpu, value: Word) {
         self.anchors += 1;
-        let g = &self.globals;
-        let last = self
-            .heap
-            .load(cpu, g.region, g.slot(self.thread_id, OFF_LAST_TS));
-        let now = self.heap.load(cpu, g.era, 0);
-        self.heap
-            .store(cpu, g.region, g.slot(self.thread_id, OFF_PREV_TS), last);
-        self.heap
-            .store(cpu, g.region, g.slot(self.thread_id, OFF_LAST_TS), now);
-        self.heap
-            .store(cpu, g.region, g.slot(self.thread_id, OFF_ANCHOR_VAL), value);
-        self.heap.fence(cpu);
+        let (g, me) = (&self.globals, self.thread_id);
+        let last = heap.load(cpu, g.region, g.slot(me, OFF_LAST_TS));
+        let now = heap.load(cpu, g.era, 0);
+        heap.store(cpu, g.region, g.slot(me, OFF_PREV_TS), last);
+        heap.store(cpu, g.region, g.slot(me, OFF_LAST_TS), now);
+        heap.store(cpu, g.region, g.slot(me, OFF_ANCHOR_VAL), value);
+        heap.fence(cpu);
     }
 
     /// Frees every limbo node that all in-operation threads have anchored
     /// twice past; keeps the rest.
-    fn sweep(&mut self, cpu: &mut Cpu) {
-        let g = self.globals.clone();
-        let era_now = self.heap.load(cpu, g.era, 0);
+    fn sweep(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        let g = &self.globals;
+        let era_now = heap.load(cpu, g.era, 0);
         // The horizon: the oldest prev-anchor among active threads. Peers
         // whose newest anchor lags the era clock by more than `freeze_lag`
         // are frozen (flagged to restart) and dropped from the horizon, so
         // a stalled or dead thread cannot block reclamation forever.
         let mut horizon = Word::MAX;
         for t in 0..g.max_threads {
-            if self.heap.load(cpu, g.region, g.slot(t, OFF_ACTIVE)) == 0 {
+            if heap.load(cpu, g.region, g.slot(t, OFF_ACTIVE)) == 0 {
                 continue;
             }
-            if self.heap.load(cpu, g.region, g.slot(t, OFF_FROZEN)) != 0 {
+            if heap.load(cpu, g.region, g.slot(t, OFF_FROZEN)) != 0 {
                 continue;
             }
             if t != self.thread_id {
-                let last = self.heap.load(cpu, g.region, g.slot(t, OFF_LAST_TS));
+                let last = heap.load(cpu, g.region, g.slot(t, OFF_LAST_TS));
                 if era_now.saturating_sub(last) > self.freeze_lag {
-                    self.heap.store(cpu, g.region, g.slot(t, OFF_FROZEN), 1);
-                    self.heap.fence(cpu);
+                    heap.store(cpu, g.region, g.slot(t, OFF_FROZEN), 1);
+                    heap.fence(cpu);
                     self.freezes += 1;
                     continue;
                 }
             }
-            let prev = self.heap.load(cpu, g.region, g.slot(t, OFF_PREV_TS));
+            let prev = heap.load(cpu, g.region, g.slot(t, OFF_PREV_TS));
             horizon = horizon.min(prev);
         }
         let limbo = std::mem::take(&mut self.limbo);
         for (node, retired_at) in limbo {
             // An anchor ordered after retire(T) observed era >= T.
             if retired_at <= horizon {
-                self.heap.free(cpu, node);
+                heap.free(cpu, node);
             } else {
                 self.limbo.push((node, retired_at));
             }
@@ -201,136 +193,79 @@ impl DtaThread {
     }
 }
 
-impl OpMem for DtaThread {
-    fn load(&mut self, cpu: &mut Cpu, addr: Addr, off: u64) -> Result<Word, Abort> {
-        Ok(self.heap.load(cpu, addr, off))
-    }
+impl Protocol for Dta {
+    const NAME: &'static str = "DTA";
 
     fn load_ptr(
         &mut self,
+        heap: &Heap,
         cpu: &mut Cpu,
         addr: Addr,
         off: u64,
         _guard: usize,
-    ) -> Result<Word, Abort> {
-        let v = self.heap.load(cpu, addr, off);
+    ) -> Word {
+        let v = heap.load(cpu, addr, off);
         self.hops += 1;
-        if self.hops % self.k == 0 {
-            self.post_anchor(cpu, v);
+        if self.hops.is_multiple_of(self.k) {
+            self.post_anchor(heap, cpu, v);
         }
-        Ok(v)
+        v
     }
 
-    fn store(&mut self, cpu: &mut Cpu, addr: Addr, off: u64, value: Word) -> Result<(), Abort> {
-        self.heap.store(cpu, addr, off, value);
-        Ok(())
-    }
-
-    fn cas(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        expected: Word,
-        new: Word,
-    ) -> Result<Result<Word, Word>, Abort> {
-        Ok(self.heap.cas(cpu, addr, off, expected, new))
-    }
-
-    fn alloc(&mut self, cpu: &mut Cpu, words: usize) -> Addr {
-        self.heap
-            .alloc(cpu, words)
-            .expect("simulated heap exhausted; enlarge HeapConfig::capacity_words")
-    }
-
-    fn retire_unlinked(&mut self, cpu: &mut Cpu, addr: Addr) -> Result<(), Abort> {
+    fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
         // Stamp with the *new* era: an anchor ordered after this retire
         // reads at least this value.
-        let stamp = self.heap.fetch_add(cpu, self.globals.era, 0, 1) + 1;
-        self.heap.note_retire(cpu.thread_id, cpu.now(), addr);
+        let stamp = heap.fetch_add(cpu, self.globals.era, 0, 1) + 1;
+        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.limbo.push((addr, stamp));
         if self.limbo.len() > self.batch {
-            self.sweep(cpu);
+            self.sweep(heap, cpu);
         }
-        Ok(())
     }
 
-    fn get_local(&mut self, _cpu: &mut Cpu, slot: usize) -> Word {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot]
-    }
-
-    fn set_local(&mut self, _cpu: &mut Cpu, slot: usize, value: Word) {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot] = value;
-    }
-}
-
-impl SchemeThread for DtaThread {
-    fn begin_op(&mut self, cpu: &mut Cpu, _op_id: u32, slots: usize) {
-        assert!(!self.active, "operation already active");
-        assert!(slots <= STACK_SLOTS);
-        self.slots = slots;
-        self.locals[..slots].fill(0);
-        self.active = true;
+    fn begin(&mut self, heap: &Heap, cpu: &mut Cpu) {
         self.hops = 0;
-        let g = self.globals.clone();
-        self.heap
-            .store(cpu, g.region, g.slot(self.thread_id, OFF_ACTIVE), 1);
+        let g = &self.globals;
+        heap.store(cpu, g.region, g.slot(self.thread_id, OFF_ACTIVE), 1);
         // The operation-start anchor keeps short operations from pinning
         // the horizon.
-        self.post_anchor(cpu, 0);
+        self.post_anchor(heap, cpu, 0);
     }
 
-    fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
-        assert!(self.active, "step_op without an active operation");
-        // Frozen by a peer? Restart before the body can touch a pointer:
-        // discard locals (which may reference freed nodes), re-anchor, and
-        // let the next step rerun the operation from scratch.
-        let g = self.globals.clone();
-        if self
-            .heap
-            .load(cpu, g.region, g.slot(self.thread_id, OFF_FROZEN))
-            != 0
-        {
-            self.heap
-                .store(cpu, g.region, g.slot(self.thread_id, OFF_FROZEN), 0);
-            self.locals[..self.slots].fill(0);
-            self.hops = 0;
-            self.recoveries += 1;
-            self.post_anchor(cpu, 0);
-            return None;
+    /// Frozen by a peer? Restart before the body can touch a pointer: the
+    /// frame discards the locals (which may reference freed nodes), and
+    /// the re-anchored next step reruns the operation from scratch.
+    fn before_block(&mut self, heap: &Heap, cpu: &mut Cpu) -> bool {
+        let g = &self.globals;
+        let frozen = g.slot(self.thread_id, OFF_FROZEN);
+        if heap.load(cpu, g.region, frozen) == 0 {
+            return false;
         }
-        match expect_step(body(self, cpu)) {
-            Step::Continue => None,
-            Step::Done(v) => {
-                let g = self.globals.clone();
-                self.heap
-                    .store(cpu, g.region, g.slot(self.thread_id, OFF_ACTIVE), 0);
-                self.heap.fence(cpu);
-                self.active = false;
-                Some(v)
-            }
-        }
+        heap.store(cpu, g.region, frozen, 0);
+        self.hops = 0;
+        self.recoveries += 1;
+        self.post_anchor(heap, cpu, 0);
+        true
     }
 
-    fn report_metrics(&self, reg: &mut st_obs::MetricsRegistry) {
-        reg.add("reclaim.outstanding_garbage", self.outstanding_garbage());
+    fn end(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        let g = &self.globals;
+        heap.store(cpu, g.region, g.slot(self.thread_id, OFF_ACTIVE), 0);
+        heap.fence(cpu);
+    }
+
+    fn garbage(&self) -> u64 {
+        self.limbo.len() as u64
+    }
+
+    fn report(&self, reg: &mut MetricsRegistry) {
         reg.add("scheme.dta.anchors", self.anchors);
         reg.add("scheme.dta.freezes", self.freezes);
         reg.add("scheme.dta.recoveries", self.recoveries);
     }
 
-    fn outstanding_garbage(&self) -> u64 {
-        self.limbo.len() as u64
-    }
-
-    fn teardown(&mut self, cpu: &mut Cpu) {
-        self.sweep(cpu);
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "DTA"
+    fn teardown(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        self.sweep(heap, cpu);
     }
 }
 
@@ -339,7 +274,10 @@ impl SchemeThread for DtaThread {
 // the layer beneath the typed `mem` API structures use.
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::test_support::{test_cpu, test_env};
+    use crate::SchemeThread;
+    use stacktrack::{OpMem, Step};
 
     fn setup(threads: usize) -> (Arc<DtaGlobals>, Arc<Heap>) {
         let (heap, _) = test_env();
@@ -350,7 +288,7 @@ mod tests {
     #[test]
     fn anchors_post_every_k_hops() {
         let (globals, heap) = setup(1);
-        let mut th = DtaThread::new(globals, heap.clone(), 0, 4, 100, u64::MAX);
+        let mut th = Frame::new(heap.clone(), Dta::new(globals, 0, 4, 100, u64::MAX));
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
 
@@ -364,14 +302,14 @@ mod tests {
             Ok(Step::Done(0))
         });
         // One at op start + one per 4 of the 12 hops.
-        assert_eq!(th.anchors, 1 + 3);
+        assert_eq!(th.scheme.anchors, 1 + 3);
     }
 
     #[test]
     fn idle_threads_do_not_pin_the_horizon() {
         let (globals, heap) = setup(2);
-        let mut a = DtaThread::new(globals.clone(), heap.clone(), 0, 4, 0, u64::MAX);
-        let _b = DtaThread::new(globals, heap.clone(), 1, 4, 0, u64::MAX);
+        let mut a = Frame::new(heap.clone(), Dta::new(globals.clone(), 0, 4, 0, u64::MAX));
+        let _b = Frame::new(heap.clone(), Dta::new(globals, 1, 4, 0, u64::MAX));
         let mut cpu = test_cpu(0);
         let node = heap.alloc_untimed(2).unwrap();
 
@@ -392,8 +330,8 @@ mod tests {
     #[test]
     fn active_thread_with_stale_anchors_blocks_frees() {
         let (globals, heap) = setup(2);
-        let mut a = DtaThread::new(globals.clone(), heap.clone(), 0, 4, 0, u64::MAX);
-        let mut b = DtaThread::new(globals, heap.clone(), 1, 4, 0, u64::MAX);
+        let mut a = Frame::new(heap.clone(), Dta::new(globals.clone(), 0, 4, 0, u64::MAX));
+        let mut b = Frame::new(heap.clone(), Dta::new(globals, 1, 4, 0, u64::MAX));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
         let node = heap.alloc_untimed(2).unwrap();
@@ -427,8 +365,8 @@ mod tests {
     #[test]
     fn lagging_thread_is_frozen_and_restarts() {
         let (globals, heap) = setup(2);
-        let mut a = DtaThread::new(globals.clone(), heap.clone(), 0, 4, 0, 4);
-        let mut b = DtaThread::new(globals, heap.clone(), 1, 4, 0, 4);
+        let mut a = Frame::new(heap.clone(), Dta::new(globals.clone(), 0, 4, 0, 4));
+        let mut b = Frame::new(heap.clone(), Dta::new(globals, 1, 4, 0, 4));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -455,7 +393,7 @@ mod tests {
             a.run_op(&mut cpu_a, 0, 0, &mut |_, _| Ok(Step::Done(0)));
         }
         a.teardown(&mut cpu_a);
-        assert_eq!(a.freezes, 1, "B must be frozen exactly once");
+        assert_eq!(a.scheme.freezes, 1, "B must be frozen exactly once");
         assert!(
             !heap.is_live(nodes[0]),
             "frozen B must not block the horizon"
@@ -468,7 +406,7 @@ mod tests {
             panic!("body must not run on a frozen thread")
         });
         assert_eq!(stepped, None);
-        assert_eq!(b.recoveries, 1);
+        assert_eq!(b.scheme.recoveries, 1);
         let result = b.step_op(&mut cpu_b, &mut |m, cpu| {
             Ok(Step::Done(m.get_local(cpu, 0)))
         });
@@ -481,6 +419,6 @@ mod tests {
             Ok(Step::Done(0))
         });
         a.teardown(&mut cpu_a);
-        assert_eq!(a.freezes, 1, "recovered B must not be re-frozen");
+        assert_eq!(a.scheme.freezes, 1, "recovered B must not be re-frozen");
     }
 }

@@ -20,12 +20,10 @@
 //! hoards garbage without bound until the straggler moves — the robustness
 //! failure the `st-bench robustness` experiment measures.
 
-use crate::api::{expect_step, SchemeThread};
+use crate::frame::Protocol;
 use st_machine::Cpu;
+use st_obs::MetricsRegistry;
 use st_simheap::{Addr, Heap, Word};
-use st_simhtm::Abort;
-use stacktrack::layout::STACK_SLOTS;
-use stacktrack::{OpBody, OpMem, Step};
 use std::sync::Arc;
 
 /// Words between per-thread timestamps (one cache line each, as real
@@ -67,17 +65,13 @@ struct Wait {
     give_up_at: u64,
 }
 
-/// Per-thread epoch executor.
-pub struct EpochThread {
+/// Per-thread epoch state.
+pub struct Epoch {
     globals: Arc<EpochGlobals>,
-    heap: Arc<Heap>,
     thread_id: usize,
     batch: usize,
     wait_budget: u64,
     timestamp: Word,
-    locals: [Word; STACK_SLOTS],
-    slots: usize,
-    active: bool,
     limbo: Vec<Addr>,
     wait: Option<Wait>,
     /// Threads (and their stamps) that pinned an abandoned wait. While
@@ -88,25 +82,20 @@ pub struct EpochThread {
     pub freed: u64,
 }
 
-impl EpochThread {
-    /// Creates the executor for thread slot `thread_id`.
+impl Epoch {
+    /// The state of thread slot `thread_id`.
     pub fn new(
         globals: Arc<EpochGlobals>,
-        heap: Arc<Heap>,
         thread_id: usize,
         batch: usize,
         wait_budget: u64,
     ) -> Self {
         Self {
             globals,
-            heap,
             thread_id,
             batch,
             wait_budget,
             timestamp: 0,
-            locals: [0; STACK_SLOTS],
-            slots: 0,
-            active: false,
             limbo: Vec::new(),
             wait: None,
             pinned_by: Vec::new(),
@@ -114,30 +103,30 @@ impl EpochThread {
         }
     }
 
-    fn bump_timestamp(&mut self, cpu: &mut Cpu) {
+    fn bump_timestamp(&mut self, heap: &Heap, cpu: &mut Cpu) {
         self.timestamp += 1;
         let (stamps, off) = (self.globals.timestamps, self.thread_id as u64 * TS_STRIDE);
-        self.heap.store(cpu, stamps, off, self.timestamp);
-        self.heap.fence(cpu);
+        heap.store(cpu, stamps, off, self.timestamp);
+        heap.fence(cpu);
     }
 
     /// One round of the quiescence wait; returns `true` when finished
     /// (freed, or the spin budget expired and the wait was abandoned).
     /// A round reloads only the threads still pending, in thread order.
-    fn wait_round(&mut self, cpu: &mut Cpu) -> bool {
+    fn wait_round(&mut self, heap: &Heap, cpu: &mut Cpu) -> bool {
         let Some(wait) = &mut self.wait else {
             return true;
         };
         // Progress, or quiescence, clears a thread: its stamp was odd at
         // the snapshot, so anything but that same stamp clears it.
-        let (globals, heap) = (&self.globals, &self.heap);
+        let globals = &self.globals;
         wait.pending
             .retain(|&(t, stamp)| globals.stamp(heap, cpu, t) == stamp);
         if wait.pending.is_empty() {
             self.wait = None;
             self.pinned_by.clear();
             for node in std::mem::take(&mut self.limbo) {
-                self.heap.free(cpu, node);
+                heap.free(cpu, node);
                 self.freed += 1;
             }
             return true;
@@ -155,8 +144,8 @@ impl EpochThread {
     /// `true` while every straggler of the last abandoned wait still shows
     /// the stamp it was abandoned at (one load per straggler, stopping at
     /// the first that moved).
-    fn stragglers_unmoved(&mut self, cpu: &mut Cpu) -> bool {
-        let (globals, heap) = (&self.globals, &self.heap);
+    fn stragglers_unmoved(&mut self, heap: &Heap, cpu: &mut Cpu) -> bool {
+        let globals = &self.globals;
         let moved = |&(t, stamp): &(usize, Word)| globals.stamp(heap, cpu, t) != stamp;
         if self.pinned_by.is_empty() || self.pinned_by.iter().any(moved) {
             self.pinned_by.clear();
@@ -165,19 +154,12 @@ impl EpochThread {
         true
     }
 
-    fn maybe_start_wait(&mut self, cpu: &mut Cpu) {
-        if self.wait.is_some() || self.limbo.len() <= self.batch || self.stragglers_unmoved(cpu) {
-            return;
-        }
-        self.arm_wait(cpu);
-    }
-
     /// Snapshots every timestamp (one load each, in thread order) and
     /// waits on the threads caught inside an operation, except itself.
-    fn arm_wait(&mut self, cpu: &mut Cpu) {
+    fn arm_wait(&mut self, heap: &Heap, cpu: &mut Cpu) {
         let mut pending = Vec::new();
         for t in 0..self.globals.max_threads {
-            let stamp = self.globals.stamp(&self.heap, cpu, t);
+            let stamp = self.globals.stamp(heap, cpu, t);
             if t != self.thread_id && stamp % 2 == 1 {
                 pending.push((t, stamp));
             }
@@ -189,81 +171,26 @@ impl EpochThread {
     }
 }
 
-impl OpMem for EpochThread {
-    fn load(&mut self, cpu: &mut Cpu, addr: Addr, off: u64) -> Result<Word, Abort> {
-        Ok(self.heap.load(cpu, addr, off))
-    }
+impl Protocol for Epoch {
+    const NAME: &'static str = "Epoch";
 
-    fn load_ptr(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        _guard: usize,
-    ) -> Result<Word, Abort> {
-        Ok(self.heap.load(cpu, addr, off))
-    }
-
-    fn store(&mut self, cpu: &mut Cpu, addr: Addr, off: u64, value: Word) -> Result<(), Abort> {
-        self.heap.store(cpu, addr, off, value);
-        Ok(())
-    }
-
-    fn cas(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        expected: Word,
-        new: Word,
-    ) -> Result<Result<Word, Word>, Abort> {
-        Ok(self.heap.cas(cpu, addr, off, expected, new))
-    }
-
-    fn alloc(&mut self, cpu: &mut Cpu, words: usize) -> Addr {
-        self.heap
-            .alloc(cpu, words)
-            .expect("simulated heap exhausted; enlarge HeapConfig::capacity_words")
-    }
-
-    fn retire_unlinked(&mut self, cpu: &mut Cpu, addr: Addr) -> Result<(), Abort> {
-        self.heap.note_retire(cpu.thread_id, cpu.now(), addr);
+    fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
+        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.limbo.push(addr);
-        Ok(())
     }
 
-    fn get_local(&mut self, _cpu: &mut Cpu, slot: usize) -> Word {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot]
-    }
-
-    fn set_local(&mut self, _cpu: &mut Cpu, slot: usize, value: Word) {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot] = value;
-    }
-}
-
-impl SchemeThread for EpochThread {
-    fn begin_op(&mut self, cpu: &mut Cpu, _op_id: u32, slots: usize) {
-        assert!(!self.active, "operation already active");
-        assert!(slots <= STACK_SLOTS);
-        self.slots = slots;
-        self.locals[..slots].fill(0);
-        self.active = true;
-        self.bump_timestamp(cpu); // odd: in operation
+    fn begin(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        self.bump_timestamp(heap, cpu); // odd: in operation
         debug_assert_eq!(self.timestamp % 2, 1);
     }
 
-    fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
-        assert!(self.active, "step_op without an active operation");
-        match expect_step(body(self, cpu)) {
-            Step::Continue => None,
-            Step::Done(v) => {
-                self.active = false;
-                self.bump_timestamp(cpu); // even: quiescent
-                self.maybe_start_wait(cpu);
-                Some(v)
-            }
+    fn end(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        self.bump_timestamp(heap, cpu); // even: quiescent
+        if self.wait.is_none()
+            && self.limbo.len() > self.batch
+            && !self.stragglers_unmoved(heap, cpu)
+        {
+            self.arm_wait(heap, cpu);
         }
     }
 
@@ -271,39 +198,34 @@ impl SchemeThread for EpochThread {
         self.wait.is_some()
     }
 
-    fn step_idle(&mut self, cpu: &mut Cpu) {
-        self.wait_round(cpu);
+    fn step_idle(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        self.wait_round(heap, cpu);
     }
 
-    fn outstanding_garbage(&self) -> u64 {
+    fn garbage(&self) -> u64 {
         self.limbo.len() as u64
     }
 
-    fn report_metrics(&self, reg: &mut st_obs::MetricsRegistry) {
-        reg.add("reclaim.outstanding_garbage", self.outstanding_garbage());
+    fn report(&self, reg: &mut MetricsRegistry) {
         reg.add("scheme.epoch.freed", self.freed);
     }
 
-    fn teardown(&mut self, cpu: &mut Cpu) {
+    fn teardown(&mut self, heap: &Heap, cpu: &mut Cpu) {
         if !self.limbo.is_empty() {
             if self.wait.is_none() {
                 // Force a snapshot even below the batch threshold or with
                 // a straggler on record.
-                self.arm_wait(cpu);
+                self.arm_wait(heap, cpu);
             }
             // Bounded drain: if some thread never quiesces, the budget
             // expires and garbage stays — the scheme's documented failure
             // mode.
             for _ in 0..1_000 {
-                if self.wait_round(cpu) {
+                if self.wait_round(heap, cpu) {
                     break;
                 }
             }
         }
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "Epoch"
     }
 }
 
@@ -312,7 +234,10 @@ impl SchemeThread for EpochThread {
 // the layer beneath the typed `mem` API structures use.
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::test_support::{test_cpu, test_env};
+    use crate::SchemeThread;
+    use stacktrack::{OpMem, Step};
 
     fn setup(threads: usize) -> (Arc<EpochGlobals>, Arc<Heap>) {
         let (heap, _) = test_env();
@@ -324,13 +249,13 @@ mod tests {
     const BUDGET: u64 = 5_000;
 
     /// One operation that completes without retiring anything.
-    fn noop(m: &mut EpochThread, cpu: &mut Cpu) {
+    fn noop(m: &mut Frame<Epoch>, cpu: &mut Cpu) {
         m.run_op(cpu, 0, 0, &mut |_, _| Ok(Step::Done(0)));
     }
 
     /// One operation that retires `node`; at batch 0 it arms a wait at its
     /// end, which `run_op` leaves unpolled.
-    fn retire_op(m: &mut EpochThread, cpu: &mut Cpu, node: Addr) {
+    fn retire_op(m: &mut Frame<Epoch>, cpu: &mut Cpu, node: Addr) {
         m.run_op(cpu, 0, 0, &mut |m, cpu| {
             m.retire_unlinked(cpu, node).map(|()| Step::Done(0))
         });
@@ -339,8 +264,8 @@ mod tests {
     #[test]
     fn frees_after_quiescence() {
         let (globals, heap) = setup(2);
-        let mut a = EpochThread::new(globals.clone(), heap.clone(), 0, 0, BUDGET);
-        let mut b = EpochThread::new(globals, heap.clone(), 1, 0, BUDGET);
+        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 0, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 0, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -361,8 +286,8 @@ mod tests {
     #[test]
     fn in_operation_thread_makes_limbo_hoard() {
         let (globals, heap) = setup(2);
-        let mut a = EpochThread::new(globals.clone(), heap.clone(), 0, 0, BUDGET);
-        let mut b = EpochThread::new(globals, heap.clone(), 1, 0, BUDGET);
+        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 0, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 0, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -394,8 +319,8 @@ mod tests {
     #[test]
     fn a_poll_reloads_only_the_straggler() {
         let (globals, heap) = setup(16);
-        let mut a = EpochThread::new(globals.clone(), heap.clone(), 0, 0, BUDGET);
-        let mut b = EpochThread::new(globals, heap.clone(), 9, 0, BUDGET);
+        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 0, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 9, 0, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(9);
 
@@ -415,15 +340,15 @@ mod tests {
             rounds += 1;
         }
         assert!(rounds > 1, "the budget outlasts one round");
-        assert_eq!(a.pinned_by, [(9, b.timestamp)]);
+        assert_eq!(a.scheme.pinned_by, [(9, b.scheme.timestamp)]);
         assert!(heap.is_live(node));
     }
 
     #[test]
     fn reclaimers_do_not_deadlock_each_other() {
         let (globals, heap) = setup(2);
-        let mut a = EpochThread::new(globals.clone(), heap.clone(), 0, 0, BUDGET);
-        let mut b = EpochThread::new(globals, heap.clone(), 1, 0, BUDGET);
+        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 0, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 0, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -442,7 +367,7 @@ mod tests {
     #[test]
     fn teardown_drains_when_everyone_is_idle() {
         let (globals, heap) = setup(1);
-        let mut a = EpochThread::new(globals, heap.clone(), 0, 100, BUDGET);
+        let mut a = Frame::new(heap.clone(), Epoch::new(globals, 0, 100, BUDGET));
         let mut cpu = test_cpu(0);
         let node = heap.alloc_untimed(2).unwrap();
         retire_op(&mut a, &mut cpu, node);

@@ -8,13 +8,11 @@
 //! list; when it exceeds the scan threshold, the thread snapshots all
 //! hazard slots and frees the unprotected nodes.
 
-use crate::api::{expect_step, SchemeThread};
+use crate::frame::Protocol;
 use st_machine::Cpu;
+use st_obs::MetricsRegistry;
 use st_simheap::tagged::TAG_MASK;
 use st_simheap::{Addr, Heap, Word};
-use st_simhtm::Abort;
-use stacktrack::layout::STACK_SLOTS;
-use stacktrack::{OpBody, OpMem, Step};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -58,14 +56,10 @@ impl HazardGlobals {
     }
 }
 
-/// Per-thread hazard-pointer executor.
-pub struct HazardThread {
+/// Per-thread hazard-pointer state.
+pub struct Hazard {
     globals: Arc<HazardGlobals>,
-    heap: Arc<Heap>,
     thread_id: usize,
-    locals: [Word; STACK_SLOTS],
-    slots: usize,
-    active: bool,
     used_guards: u64,
     rlist: Vec<Addr>,
     /// Retired-list size that triggers a scan; 0 means
@@ -87,14 +81,13 @@ pub struct HazardThread {
     pub scans: u64,
 }
 
-impl HazardThread {
-    /// Creates the executor for thread slot `thread_id`. `retire_batch`
-    /// overrides the scan threshold when non-zero; `defer_publish` enables
-    /// the validation-disabling mutation, `double_retire` the one-shot
+impl Hazard {
+    /// The state of thread slot `thread_id`. `retire_batch` overrides the
+    /// scan threshold when non-zero; `defer_publish` enables the
+    /// validation-disabling mutation, `double_retire` the one-shot
     /// retire-twice mutation (checker/audit use only).
     pub fn new(
         globals: Arc<HazardGlobals>,
-        heap: Arc<Heap>,
         thread_id: usize,
         retire_batch: usize,
         defer_publish: bool,
@@ -102,11 +95,7 @@ impl HazardThread {
     ) -> Self {
         Self {
             globals,
-            heap,
             thread_id,
-            locals: [0; STACK_SLOTS],
-            slots: 0,
-            active: false,
             used_guards: 0,
             rlist: Vec::new(),
             retire_batch,
@@ -134,14 +123,14 @@ impl HazardThread {
     }
 
     /// Scans all hazard slots and frees unprotected retired nodes.
-    fn scan(&mut self, cpu: &mut Cpu) {
+    fn scan(&mut self, heap: &Heap, cpu: &mut Cpu) {
         self.scans += 1;
         let mut protected: HashSet<Word> =
             HashSet::with_capacity(self.globals.max_threads * self.globals.slots_per_thread);
         for t in 0..self.globals.max_threads {
             for g in 0..self.globals.slots_per_thread {
                 let i = (t * self.globals.stride + g) as u64;
-                let h = self.heap.load(cpu, self.globals.slots, i);
+                let h = heap.load(cpu, self.globals.slots, i);
                 if h != 0 {
                     protected.insert(h);
                 }
@@ -152,159 +141,100 @@ impl HazardThread {
             if protected.contains(&node.raw()) {
                 self.rlist.push(node);
             } else {
-                self.heap.free(cpu, node);
+                heap.free(cpu, node);
             }
         }
     }
 }
 
-impl OpMem for HazardThread {
-    fn load(&mut self, cpu: &mut Cpu, addr: Addr, off: u64) -> Result<Word, Abort> {
-        Ok(self.heap.load(cpu, addr, off))
-    }
+impl Protocol for Hazard {
+    const NAME: &'static str = "Hazards";
 
     /// The hazard protocol: publish, fence, revalidate (and retry until
     /// the source is stable).
-    fn load_ptr(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        guard: usize,
-    ) -> Result<Word, Abort> {
+    fn load_ptr(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr, off: u64, guard: usize) -> Word {
         let slot = self.guard_index(guard);
         loop {
-            let v = self.heap.load(cpu, addr, off);
+            let v = heap.load(cpu, addr, off);
             if v & !TAG_MASK == 0 {
-                return Ok(v);
+                return v;
             }
             if self.defer_publish {
                 // Mutation: no publish, no fence, no revalidation — the
                 // hazard write is queued for the next step boundary.
                 self.pending_publish.push((slot, v & !TAG_MASK));
                 self.used_guards |= 1 << guard;
-                return Ok(v);
+                return v;
             }
-            self.heap
-                .store(cpu, self.globals.slots, slot, v & !TAG_MASK);
+            heap.store(cpu, self.globals.slots, slot, v & !TAG_MASK);
             self.used_guards |= 1 << guard;
-            self.heap.fence(cpu);
-            if self.heap.load(cpu, addr, off) == v {
-                return Ok(v);
+            heap.fence(cpu);
+            if heap.load(cpu, addr, off) == v {
+                return v;
             }
             // The source moved: the hazard may protect a stale node; retry.
         }
     }
 
-    fn store(&mut self, cpu: &mut Cpu, addr: Addr, off: u64, value: Word) -> Result<(), Abort> {
-        self.heap.store(cpu, addr, off, value);
-        Ok(())
-    }
-
-    fn cas(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        expected: Word,
-        new: Word,
-    ) -> Result<Result<Word, Word>, Abort> {
-        Ok(self.heap.cas(cpu, addr, off, expected, new))
-    }
-
-    fn alloc(&mut self, cpu: &mut Cpu, words: usize) -> Addr {
-        self.heap
-            .alloc(cpu, words)
-            .expect("simulated heap exhausted; enlarge HeapConfig::capacity_words")
-    }
-
-    fn retire_unlinked(&mut self, cpu: &mut Cpu, addr: Addr) -> Result<(), Abort> {
-        self.heap.note_retire(cpu.thread_id, cpu.now(), addr);
-        self.rlist.push(addr);
-        if std::mem::take(&mut self.double_retire) {
-            // Seeded defect: the same node enters the retired list twice.
-            self.heap.note_retire(cpu.thread_id, cpu.now(), addr);
-            self.rlist.push(addr);
-        }
-        if self.rlist.len() >= self.scan_trigger() {
-            self.scan(cpu);
-        }
-        Ok(())
-    }
-
     /// Copies an already-protected pointer into another hazard slot; no
-    /// fence needed (see the trait docs).
-    fn protect_slot(&mut self, cpu: &mut Cpu, guard: usize, value: Word) {
+    /// fence needed (see [`stacktrack::OpMem::protect_slot`]).
+    fn protect(&mut self, heap: &Heap, cpu: &mut Cpu, guard: usize, value: Word) {
         let slot = self.guard_index(guard);
-        self.heap
-            .store(cpu, self.globals.slots, slot, value & !TAG_MASK);
+        heap.store(cpu, self.globals.slots, slot, value & !TAG_MASK);
         self.used_guards |= 1 << guard;
     }
 
-    fn get_local(&mut self, _cpu: &mut Cpu, slot: usize) -> Word {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot]
+    fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
+        heap.note_retire(cpu.thread_id, cpu.now(), addr);
+        self.rlist.push(addr);
+        if std::mem::take(&mut self.double_retire) {
+            // Seeded defect: the same node enters the retired list twice.
+            heap.note_retire(cpu.thread_id, cpu.now(), addr);
+            self.rlist.push(addr);
+        }
+        if self.rlist.len() >= self.scan_trigger() {
+            self.scan(heap, cpu);
+        }
     }
 
-    fn set_local(&mut self, _cpu: &mut Cpu, slot: usize, value: Word) {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot] = value;
-    }
-}
-
-impl SchemeThread for HazardThread {
-    fn begin_op(&mut self, _cpu: &mut Cpu, _op_id: u32, slots: usize) {
-        assert!(!self.active, "operation already active");
-        assert!(slots <= STACK_SLOTS);
-        self.slots = slots;
-        self.locals[..slots].fill(0);
-        self.active = true;
+    fn begin(&mut self, _heap: &Heap, _cpu: &mut Cpu) {
         self.used_guards = 0;
     }
 
-    fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
-        assert!(self.active, "step_op without an active operation");
-        // Mutation mode: publications deferred by `load_ptr` land here, one
-        // scheduling point too late.
+    /// Mutation mode: publications deferred by `load_ptr` land here, one
+    /// scheduling point too late.
+    fn before_block(&mut self, heap: &Heap, cpu: &mut Cpu) -> bool {
         for (slot, value) in std::mem::take(&mut self.pending_publish) {
-            self.heap.store(cpu, self.globals.slots, slot, value);
+            heap.store(cpu, self.globals.slots, slot, value);
         }
-        match expect_step(body(self, cpu)) {
-            Step::Continue => None,
-            Step::Done(v) => {
-                // Publications still pending at op end are dead.
-                self.pending_publish.clear();
-                // Release the guards this operation touched.
-                let mut used = self.used_guards;
-                while used != 0 {
-                    let g = used.trailing_zeros() as usize;
-                    used &= used - 1;
-                    let slot = self.guard_index(g);
-                    self.heap.store(cpu, self.globals.slots, slot, 0);
-                }
-                self.active = false;
-                Some(v)
-            }
+        false
+    }
+
+    fn end(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        // Publications still pending at op end are dead.
+        self.pending_publish.clear();
+        // Release the guards this operation touched.
+        let mut used = self.used_guards;
+        while used != 0 {
+            let g = used.trailing_zeros() as usize;
+            used &= used - 1;
+            let slot = self.guard_index(g);
+            heap.store(cpu, self.globals.slots, slot, 0);
         }
     }
 
-    fn report_metrics(&self, reg: &mut st_obs::MetricsRegistry) {
-        reg.add("reclaim.outstanding_garbage", self.outstanding_garbage());
-        reg.add("scheme.hazard.scans", self.scans);
-    }
-
-    fn outstanding_garbage(&self) -> u64 {
+    fn garbage(&self) -> u64 {
         self.rlist.len() as u64
     }
 
-    fn teardown(&mut self, cpu: &mut Cpu) {
-        if !self.rlist.is_empty() {
-            self.scan(cpu);
-        }
+    fn report(&self, reg: &mut MetricsRegistry) {
+        reg.add("scheme.hazard.scans", self.scans);
     }
 
-    fn scheme_name(&self) -> &'static str {
-        "Hazards"
+    fn teardown(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        if !self.rlist.is_empty() {
+            self.scan(heap, cpu);
+        }
     }
 }
 
@@ -313,7 +243,10 @@ impl SchemeThread for HazardThread {
 // the layer beneath the typed `mem` API structures use.
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::test_support::{test_cpu, test_env};
+    use crate::SchemeThread;
+    use stacktrack::{OpMem, Step};
 
     fn setup(threads: usize) -> (Arc<HazardGlobals>, Arc<Heap>) {
         let (heap, _) = test_env();
@@ -324,7 +257,10 @@ mod tests {
     #[test]
     fn protected_load_publishes_hazard_and_fences() {
         let (globals, heap) = setup(1);
-        let mut th = HazardThread::new(globals.clone(), heap.clone(), 0, 0, false, false);
+        let mut th = Frame::new(
+            heap.clone(),
+            Hazard::new(globals.clone(), 0, 0, false, false),
+        );
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
         let x = heap.alloc_untimed(2).unwrap();
@@ -346,8 +282,14 @@ mod tests {
     #[test]
     fn hazarded_node_survives_scan() {
         let (globals, heap) = setup(2);
-        let mut holder = HazardThread::new(globals.clone(), heap.clone(), 0, 0, false, false);
-        let mut reclaimer = HazardThread::new(globals.clone(), heap.clone(), 1, 0, false, false);
+        let mut holder = Frame::new(
+            heap.clone(),
+            Hazard::new(globals.clone(), 0, 0, false, false),
+        );
+        let mut reclaimer = Frame::new(
+            heap.clone(),
+            Hazard::new(globals.clone(), 1, 0, false, false),
+        );
         let mut cpu_h = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -365,15 +307,15 @@ mod tests {
         holder.step_op(&mut cpu_h, &mut hold);
 
         // Reclaimer retires X and scans explicitly.
-        reclaimer.rlist.push(x);
-        reclaimer.scan(&mut cpu_r);
+        reclaimer.scheme.rlist.push(x);
+        reclaimer.scheme.scan(&heap, &mut cpu_r);
         assert!(heap.is_live(x), "hazard must protect X");
         assert_eq!(reclaimer.outstanding_garbage(), 1);
 
         // Holder finishes; the next scan frees X.
         let mut finish = |_: &mut dyn OpMem, _: &mut Cpu| Ok(Step::Done(0));
         holder.step_op(&mut cpu_h, &mut finish);
-        reclaimer.scan(&mut cpu_r);
+        reclaimer.scheme.scan(&heap, &mut cpu_r);
         assert!(!heap.is_live(x));
         assert_eq!(reclaimer.outstanding_garbage(), 0);
     }
@@ -382,7 +324,7 @@ mod tests {
     fn scan_triggers_at_threshold() {
         let (globals, heap) = setup(1);
         let threshold = globals.scan_threshold();
-        let mut th = HazardThread::new(globals, heap.clone(), 0, 0, false, false);
+        let mut th = Frame::new(heap.clone(), Hazard::new(globals, 0, 0, false, false));
         let mut cpu = test_cpu(0);
 
         for i in 0..threshold {
@@ -392,17 +334,17 @@ mod tests {
                 Ok(Step::Done(0))
             });
             if i < threshold - 1 {
-                assert_eq!(th.scans, 0);
+                assert_eq!(th.scheme.scans, 0);
             }
         }
-        assert_eq!(th.scans, 1, "scan exactly at the threshold");
+        assert_eq!(th.scheme.scans, 1, "scan exactly at the threshold");
         assert_eq!(th.outstanding_garbage(), 0);
     }
 
     #[test]
     fn teardown_frees_everything() {
         let (globals, heap) = setup(1);
-        let mut th = HazardThread::new(globals, heap.clone(), 0, 0, false, false);
+        let mut th = Frame::new(heap.clone(), Hazard::new(globals, 0, 0, false, false));
         let mut cpu = test_cpu(0);
         let n = heap.alloc_untimed(2).unwrap();
         th.run_op(&mut cpu, 0, 0, &mut |m, cpu| {
@@ -416,7 +358,7 @@ mod tests {
     #[test]
     fn null_loads_skip_the_protocol() {
         let (globals, heap) = setup(1);
-        let mut th = HazardThread::new(globals, heap.clone(), 0, 0, false, false);
+        let mut th = Frame::new(heap.clone(), Hazard::new(globals, 0, 0, false, false));
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
         th.begin_op(&mut cpu, 0, 0);

@@ -29,15 +29,18 @@
 //! Rust-side shared state, charged through the heap operations that
 //! accompany every transfer.
 
-use crate::api::{expect_step, SchemeThread};
+use crate::frame::Protocol;
 use st_machine::Cpu;
+use st_obs::MetricsRegistry;
 use st_simheap::{Addr, Heap, Word};
-use st_simhtm::Abort;
-use stacktrack::layout::STACK_SLOTS;
-use stacktrack::{OpBody, OpMem, Step};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Retires aggregated into one dispatched batch when the factory's
+/// `retire_batch` is 0. Smaller batches reclaim sooner but dispatch (and
+/// hand off) more often.
+pub const BATCH: usize = 8;
 
 /// Words between per-thread slot records (cache-line padding).
 const SLOT_STRIDE: u64 = 8;
@@ -119,14 +122,10 @@ impl HyalineGlobals {
     }
 }
 
-/// Per-thread Hyaline executor.
-pub struct HyalineThread {
+/// Per-thread Hyaline state.
+pub struct Hyaline {
     globals: Arc<HyalineGlobals>,
-    heap: Arc<Heap>,
     thread_id: usize,
-    locals: [Word; STACK_SLOTS],
-    slots: usize,
-    active: bool,
     /// Retires collected toward the next dispatch.
     pending: Vec<Addr>,
     /// Batch size that triggers a dispatch.
@@ -146,24 +145,19 @@ pub struct HyalineThread {
     pub freed: u64,
 }
 
-impl HyalineThread {
-    /// Creates the executor for thread slot `thread_id`. `batch_size` is
-    /// the dispatch granularity (at least 1); `drop_decrement` enables the
-    /// leak-seeding mutation (audit/checker use only).
+impl Hyaline {
+    /// The state of thread slot `thread_id`. `batch_size` is the dispatch
+    /// granularity (at least 1); `drop_decrement` enables the leak-seeding
+    /// mutation (audit/checker use only).
     pub fn new(
         globals: Arc<HyalineGlobals>,
-        heap: Arc<Heap>,
         thread_id: usize,
         batch_size: usize,
         drop_decrement: bool,
     ) -> Self {
         Self {
             globals,
-            heap,
             thread_id,
-            locals: [0; STACK_SLOTS],
-            slots: 0,
-            active: false,
             pending: Vec::new(),
             batch_size: batch_size.max(1),
             published_era: 0,
@@ -178,20 +172,25 @@ impl HyalineThread {
     /// before any pointer load it covers: a pointer read afterwards targets
     /// a node born no later than the published era, which is what makes
     /// skipping this reader safe for younger batches.
-    fn refresh_era(&mut self, cpu: &mut Cpu) {
-        let e = self.heap.load(cpu, self.globals.era, 0);
+    fn refresh_era(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        let e = heap.load(cpu, self.globals.era, 0);
         if e != self.published_era {
             let slot = self.globals.slot(self.thread_id);
-            self.heap
-                .store(cpu, self.globals.heap_slots, slot + SLOT_ERA, e);
+            heap.store(cpu, self.globals.heap_slots, slot + SLOT_ERA, e);
             self.published_era = e;
         }
     }
 
+    /// Marks this thread outside any operation in its shared slot.
+    fn deactivate(&self, heap: &Heap, cpu: &mut Cpu) {
+        let slot = self.globals.slot(self.thread_id);
+        heap.store(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE, 0);
+    }
+
     /// Drops one reference from `batch`, freeing its nodes if this was the
     /// last one.
-    fn dec_ref(&mut self, cpu: &mut Cpu, batch: &Batch) {
-        let prev = self.heap.fetch_add(cpu, batch.header, 0, (-1i64) as u64);
+    fn dec_ref(&mut self, heap: &Heap, cpu: &mut Cpu, batch: &Batch) {
+        let prev = heap.fetch_add(cpu, batch.header, 0, (-1i64) as u64);
         debug_assert!(prev >= 1, "hyaline refcount underflow");
         if prev != 1 {
             return;
@@ -202,19 +201,19 @@ impl HyalineThread {
         }
         drop(births);
         for &node in batch.nodes.iter() {
-            self.heap.free(cpu, node);
+            heap.free(cpu, node);
             self.freed += 1;
         }
         self.globals.outstanding[batch.owner]
             .fetch_sub(batch.nodes.len() as u64, Ordering::Relaxed);
         // The header was never published as a node: direct free.
-        self.heap.free_unpublished(cpu, batch.header);
+        heap.free_unpublished(cpu, batch.header);
     }
 
     /// Dispatches the pending retires: bump the era, hand a reference to
     /// every active reader whose published era reaches back to the batch's
     /// oldest member, then drop the dispatcher's own reference.
-    fn dispatch(&mut self, cpu: &mut Cpu) {
+    fn dispatch(&mut self, heap: &Heap, cpu: &mut Cpu) {
         if self.pending.is_empty() {
             return;
         }
@@ -224,7 +223,7 @@ impl HyalineThread {
             .map(|&n| self.globals.birth_of(n))
             .min()
             .unwrap_or(0);
-        self.heap.fetch_add(cpu, self.globals.era, 0, 1);
+        heap.fetch_add(cpu, self.globals.era, 0, 1);
 
         let mut recipients = Vec::new();
         for t in 0..self.globals.max_threads {
@@ -232,15 +231,11 @@ impl HyalineThread {
                 continue;
             }
             let slot = self.globals.slot(t);
-            let active = self
-                .heap
-                .load(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE);
+            let active = heap.load(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE);
             if active == 0 {
                 continue;
             }
-            let reader_era = self
-                .heap
-                .load(cpu, self.globals.heap_slots, slot + SLOT_ERA);
+            let reader_era = heap.load(cpu, self.globals.heap_slots, slot + SLOT_ERA);
             // Robustness bound: a reader whose published era predates every
             // node in the batch cannot be holding any of them — skip it.
             if reader_era < min_birth {
@@ -249,11 +244,10 @@ impl HyalineThread {
             recipients.push(t);
         }
 
-        let header = self
-            .heap
+        let header = heap
             .alloc(cpu, 1)
             .expect("simulated heap exhausted; enlarge HeapConfig::capacity_words");
-        self.heap.store(cpu, header, 0, recipients.len() as u64 + 1);
+        heap.store(cpu, header, 0, recipients.len() as u64 + 1);
         let batch = Batch {
             header,
             nodes: Arc::new(nodes),
@@ -273,146 +267,84 @@ impl HyalineThread {
             // the counter bottoms out at one and the batch never frees.
             return;
         }
-        self.dec_ref(cpu, &batch);
+        self.dec_ref(heap, cpu, &batch);
     }
 
     /// Decrements every batch handed to this thread since its last drain.
-    fn drain_mailbox(&mut self, cpu: &mut Cpu) {
+    fn drain_mailbox(&mut self, heap: &Heap, cpu: &mut Cpu) {
         let handed = std::mem::take(&mut *self.globals.mailboxes[self.thread_id].lock().unwrap());
         for batch in handed {
-            self.dec_ref(cpu, &batch);
+            self.dec_ref(heap, cpu, &batch);
         }
     }
 }
 
-impl OpMem for HyalineThread {
-    fn load(&mut self, cpu: &mut Cpu, addr: Addr, off: u64) -> Result<Word, Abort> {
-        Ok(self.heap.load(cpu, addr, off))
-    }
+impl Protocol for Hyaline {
+    const NAME: &'static str = "Hyaline";
+    const TEARDOWN_ENDS_OP: bool = true;
 
     /// A pointer hop: refresh the published era, then a plain load — no
     /// fence, no revalidation (the era store is what keeps younger batches
     /// delivered to this reader).
     fn load_ptr(
         &mut self,
+        heap: &Heap,
         cpu: &mut Cpu,
         addr: Addr,
         off: u64,
         _guard: usize,
-    ) -> Result<Word, Abort> {
-        self.refresh_era(cpu);
-        Ok(self.heap.load(cpu, addr, off))
+    ) -> Word {
+        self.refresh_era(heap, cpu);
+        heap.load(cpu, addr, off)
     }
 
-    fn store(&mut self, cpu: &mut Cpu, addr: Addr, off: u64, value: Word) -> Result<(), Abort> {
-        self.heap.store(cpu, addr, off, value);
-        Ok(())
-    }
-
-    fn cas(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        expected: Word,
-        new: Word,
-    ) -> Result<Result<Word, Word>, Abort> {
-        Ok(self.heap.cas(cpu, addr, off, expected, new))
-    }
-
-    fn alloc(&mut self, cpu: &mut Cpu, words: usize) -> Addr {
-        let addr = self
-            .heap
-            .alloc(cpu, words)
-            .expect("simulated heap exhausted; enlarge HeapConfig::capacity_words");
-        let era = self.heap.load(cpu, self.globals.era, 0);
+    /// Records the node's birth era.
+    fn allocated(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
+        let era = heap.load(cpu, self.globals.era, 0);
         self.globals.births.lock().unwrap().insert(addr.raw(), era);
-        addr
     }
 
-    fn retire_unlinked(&mut self, cpu: &mut Cpu, addr: Addr) -> Result<(), Abort> {
-        self.heap.note_retire(cpu.thread_id, cpu.now(), addr);
+    fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
+        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.globals.outstanding[self.thread_id].fetch_add(1, Ordering::Relaxed);
         self.pending.push(addr);
         if self.pending.len() >= self.batch_size {
-            self.dispatch(cpu);
+            self.dispatch(heap, cpu);
         }
-        Ok(())
     }
 
-    fn protect_slot(&mut self, _cpu: &mut Cpu, _guard: usize, _value: Word) {
-        // Reference batching needs no per-pointer publication.
-    }
-
-    fn get_local(&mut self, _cpu: &mut Cpu, slot: usize) -> Word {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot]
-    }
-
-    fn set_local(&mut self, _cpu: &mut Cpu, slot: usize, value: Word) {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot] = value;
-    }
-}
-
-impl SchemeThread for HyalineThread {
-    fn begin_op(&mut self, cpu: &mut Cpu, _op_id: u32, slots: usize) {
-        assert!(!self.active, "operation already active");
-        assert!(slots <= STACK_SLOTS);
-        self.slots = slots;
-        self.locals[..slots].fill(0);
-        self.active = true;
+    fn begin(&mut self, heap: &Heap, cpu: &mut Cpu) {
         let slot = self.globals.slot(self.thread_id);
-        let e = self.heap.load(cpu, self.globals.era, 0);
-        self.heap
-            .store(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE, 1);
-        self.heap
-            .store(cpu, self.globals.heap_slots, slot + SLOT_ERA, e);
+        let e = heap.load(cpu, self.globals.era, 0);
+        heap.store(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE, 1);
+        heap.store(cpu, self.globals.heap_slots, slot + SLOT_ERA, e);
         self.published_era = e;
-        self.heap.fence(cpu);
+        heap.fence(cpu);
     }
 
-    fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
-        assert!(self.active, "step_op without an active operation");
-        match expect_step(body(self, cpu)) {
-            Step::Continue => None,
-            Step::Done(v) => {
-                let slot = self.globals.slot(self.thread_id);
-                self.heap
-                    .store(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE, 0);
-                self.active = false;
-                self.drain_mailbox(cpu);
-                Some(v)
-            }
-        }
+    fn end(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        self.deactivate(heap, cpu);
+        self.drain_mailbox(heap, cpu);
     }
 
-    fn outstanding_garbage(&self) -> u64 {
+    fn garbage(&self) -> u64 {
         self.globals.outstanding[self.thread_id].load(Ordering::Relaxed)
     }
 
-    fn report_metrics(&self, reg: &mut st_obs::MetricsRegistry) {
-        reg.add("reclaim.outstanding_garbage", self.outstanding_garbage());
+    fn report(&self, reg: &mut MetricsRegistry) {
         reg.add("scheme.hyaline.dispatches", self.dispatches);
         reg.add("scheme.hyaline.batch_handoffs", self.batch_handoffs);
         reg.add("scheme.hyaline.freed", self.freed);
     }
 
-    fn teardown(&mut self, cpu: &mut Cpu) {
-        // Deactivate first so peers tearing down after us skip our slot,
-        // then release everything handed to us and dispatch the tail batch
-        // (with everyone else inactive or draining later, it frees
-        // immediately or on their drain).
-        let slot = self.globals.slot(self.thread_id);
-        self.heap
-            .store(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE, 0);
-        self.active = false;
-        self.drain_mailbox(cpu);
-        self.dispatch(cpu);
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "Hyaline"
+    /// Deactivates first so peers tearing down later skip this slot, then
+    /// releases everything handed here and dispatches the tail batch
+    /// (with everyone else inactive or draining later, it frees
+    /// immediately or on their drain).
+    fn teardown(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        self.deactivate(heap, cpu);
+        self.drain_mailbox(heap, cpu);
+        self.dispatch(heap, cpu);
     }
 }
 
@@ -421,7 +353,10 @@ impl SchemeThread for HyalineThread {
 // the layer beneath the typed `mem` API structures use.
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::test_support::{test_cpu, test_env};
+    use crate::SchemeThread;
+    use stacktrack::{OpMem, Step};
 
     fn setup(threads: usize) -> (Arc<HyalineGlobals>, Arc<Heap>) {
         let (heap, _) = test_env();
@@ -429,14 +364,14 @@ mod tests {
         (globals, heap)
     }
 
-    fn noop(th: &mut HyalineThread, cpu: &mut Cpu) {
+    fn noop(th: &mut Frame<Hyaline>, cpu: &mut Cpu) {
         th.run_op(cpu, 0, 0, &mut |_, _| Ok(Step::Done(0)));
     }
 
     #[test]
     fn solo_dispatch_frees_immediately() {
         let (globals, heap) = setup(1);
-        let mut th = HyalineThread::new(globals, heap.clone(), 0, 1, false);
+        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 1, false));
         let mut cpu = test_cpu(0);
         let n = heap.alloc_untimed(2).unwrap();
         th.run_op(&mut cpu, 0, 0, &mut |m, cpu| {
@@ -445,15 +380,15 @@ mod tests {
         });
         assert!(!heap.is_live(n), "no active readers: freed at dispatch");
         assert_eq!(th.outstanding_garbage(), 0);
-        assert_eq!(th.dispatches, 1);
-        assert_eq!(th.batch_handoffs, 0);
+        assert_eq!(th.scheme.dispatches, 1);
+        assert_eq!(th.scheme.batch_handoffs, 0);
     }
 
     #[test]
     fn active_reader_holds_the_batch_until_its_op_ends() {
         let (globals, heap) = setup(2);
-        let mut writer = HyalineThread::new(globals.clone(), heap.clone(), 0, 1, false);
-        let mut reader = HyalineThread::new(globals.clone(), heap.clone(), 1, 1, false);
+        let mut writer = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 0, 1, false));
+        let mut reader = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 1, 1, false));
         let mut cpu_w = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -476,7 +411,7 @@ mod tests {
             Ok(Step::Done(0))
         });
         assert!(heap.is_live(x), "handed-off batch must stay live");
-        assert_eq!(writer.batch_handoffs, 1);
+        assert_eq!(writer.scheme.batch_handoffs, 1);
         assert_eq!(writer.outstanding_garbage(), 1);
 
         // Reader finishes: its drain drops the last reference and frees,
@@ -485,14 +420,14 @@ mod tests {
         reader.step_op(&mut cpu_r, &mut fin);
         assert!(!heap.is_live(x));
         assert_eq!(writer.outstanding_garbage(), 0);
-        assert_eq!(reader.freed, 1);
+        assert_eq!(reader.scheme.freed, 1);
     }
 
     #[test]
     fn stale_era_reader_is_skipped() {
         let (globals, heap) = setup(2);
-        let mut writer = HyalineThread::new(globals.clone(), heap.clone(), 0, 1, false);
-        let mut reader = HyalineThread::new(globals.clone(), heap.clone(), 1, 1, false);
+        let mut writer = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 0, 1, false));
+        let mut reader = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 1, 1, false));
         let mut cpu_w = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -516,7 +451,7 @@ mod tests {
             Ok(Step::Done(0))
         });
         assert_eq!(
-            writer.batch_handoffs, 1,
+            writer.scheme.batch_handoffs, 1,
             "the first batch's node was born at the reader's era and is \
              handed off; the second batch's node was born after the era \
              bump of the first dispatch and must skip the reader"
@@ -527,8 +462,8 @@ mod tests {
     #[test]
     fn prepopulated_nodes_default_to_the_oldest_era() {
         let (globals, heap) = setup(2);
-        let mut writer = HyalineThread::new(globals.clone(), heap.clone(), 0, 1, false);
-        let mut reader = HyalineThread::new(globals.clone(), heap.clone(), 1, 1, false);
+        let mut writer = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 0, 1, false));
+        let mut reader = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 1, 1, false));
         let mut cpu_w = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -540,7 +475,7 @@ mod tests {
             m.retire_unlinked(cpu, n)?;
             Ok(Step::Done(0))
         });
-        assert_eq!(writer.batch_handoffs, 1);
+        assert_eq!(writer.scheme.batch_handoffs, 1);
         assert!(heap.is_live(n));
         let mut fin = |_: &mut dyn OpMem, _: &mut Cpu| Ok(Step::Done(0));
         reader.step_op(&mut cpu_r, &mut fin);
@@ -550,7 +485,7 @@ mod tests {
     #[test]
     fn batches_aggregate_to_the_configured_size() {
         let (globals, heap) = setup(1);
-        let mut th = HyalineThread::new(globals, heap.clone(), 0, 4, false);
+        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 4, false));
         let mut cpu = test_cpu(0);
         for i in 0..8u64 {
             let n = heap.alloc_untimed(2).unwrap();
@@ -559,7 +494,7 @@ mod tests {
                 Ok(Step::Done(0))
             });
             let expect = (i + 1) / 4;
-            assert_eq!(th.dispatches, expect, "dispatch every 4 retires");
+            assert_eq!(th.scheme.dispatches, expect, "dispatch every 4 retires");
         }
         assert_eq!(th.outstanding_garbage(), 0);
     }
@@ -567,8 +502,8 @@ mod tests {
     #[test]
     fn teardown_drains_the_tail() {
         let (globals, heap) = setup(2);
-        let mut a = HyalineThread::new(globals.clone(), heap.clone(), 0, 100, false);
-        let mut b = HyalineThread::new(globals.clone(), heap.clone(), 1, 100, false);
+        let mut a = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 0, 100, false));
+        let mut b = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 1, 100, false));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -586,9 +521,19 @@ mod tests {
     }
 
     #[test]
+    fn teardown_ends_an_open_operation() {
+        let (globals, heap) = setup(1);
+        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 1, false));
+        let mut cpu = test_cpu(0);
+        th.begin_op(&mut cpu, 0, 0);
+        th.teardown(&mut cpu);
+        assert_eq!(th.run_op(&mut cpu, 0, 0, &mut |_, _| Ok(Step::Done(7))), 7);
+    }
+
+    #[test]
     fn drop_decrement_mutation_leaks_the_first_batch() {
         let (globals, heap) = setup(1);
-        let mut th = HyalineThread::new(globals, heap.clone(), 0, 1, true);
+        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 1, true));
         let mut cpu = test_cpu(0);
         let n1 = heap.alloc_untimed(2).unwrap();
         let n2 = heap.alloc_untimed(2).unwrap();

@@ -1,9 +1,11 @@
 //! Concurrent memory reclamation schemes behind one interface.
 //!
 //! The paper's evaluation (section 6) compares StackTrack against four
-//! comparators; all are implemented here, each as a per-thread executor
-//! that drives the same scheme-neutral operation bodies
-//! ([`stacktrack::OpMem`]):
+//! comparators; all are implemented here, and all drive the same
+//! scheme-neutral operation bodies ([`stacktrack::OpMem`]). Every baseline
+//! runs in one executor, [`frame::Frame`], and each scheme module keeps
+//! only its shared state, its counters and the [`frame::Protocol`] hooks
+//! where it departs from the plain path:
 //!
 //! - [`none`]: the *Original* baseline — no reclamation at all (retired
 //!   nodes leak). The performance ceiling.
@@ -48,6 +50,7 @@
 pub mod api;
 pub mod dta;
 pub mod epoch;
+pub mod frame;
 pub mod hazard;
 pub mod hyaline;
 pub mod mem;
@@ -57,6 +60,7 @@ pub mod refcount;
 pub mod stacktrack_impl;
 
 pub use api::SchemeThread;
+pub use frame::{Frame, Protocol};
 
 #[cfg(test)]
 pub(crate) mod test_support {
@@ -173,17 +177,8 @@ pub struct ReclaimConfig {
     /// Limbo-list size that triggers an epoch wait / DTA sweep / hazard
     /// scan (comparable to StackTrack's `max_free`).
     pub retire_batch: usize,
-    /// Hazard slots per thread.
-    pub hazard_slots: usize,
     /// DTA: hops between anchor publications.
     pub dta_k: u32,
-    /// DTA: era-clock lag (in retires) past which a sweeping thread
-    /// freezes a peer out of the reclamation horizon; the peer restarts
-    /// its operation on its next step. Freezing is always safe — a
-    /// spurious freeze only costs the victim one operation restart — so
-    /// the default sits close above the lag a healthy thread shows.
-    /// `u64::MAX` disables freezing.
-    pub dta_freeze_lag: u64,
     /// Epoch: cycles a reclaimer spins on a quiescence snapshot before
     /// giving up and hoarding instead. Sized just above the scheduler
     /// quantum so an ordinarily preempted thread is waited out (the
@@ -202,9 +197,6 @@ pub struct ReclaimConfig {
     /// retired list twice (one-shot), seeding the double-retire /
     /// double-free defect the heap-ledger oracle must catch.
     pub mutation_double_retire: bool,
-    /// Hyaline: retires aggregated into one dispatched batch. Smaller
-    /// batches reclaim sooner but dispatch (and hand off) more often.
-    pub hyaline_batch: usize,
     /// **Mutation knob for the model checker — never enable in real
     /// runs.** NBR's neutralization handler ignores the signal instead of
     /// restarting the read phase, so a traversal keeps dereferencing
@@ -222,18 +214,19 @@ impl Default for ReclaimConfig {
     fn default() -> Self {
         Self {
             retire_batch: 0,
-            hazard_slots: 8,
             dta_k: 20,
-            dta_freeze_lag: 128,
             epoch_wait_budget: 2_500_000,
             mutation_defer_hazard_publish: false,
             mutation_double_retire: false,
-            hyaline_batch: 8,
             mutation_nbr_skip_restart: false,
             mutation_hyaline_drop_decrement: false,
         }
     }
 }
+
+/// Guard slots per thread when the builder is given no
+/// [`mem::GuardRequirement`].
+const DEFAULT_GUARDS: usize = 8;
 
 /// Shared state of the one scheme a [`SchemeFactory`] builds.
 ///
@@ -299,14 +292,13 @@ impl SchemeFactoryBuilder {
         self
     }
 
-    /// Derives [`ReclaimConfig::hazard_slots`] from a structure's declared
-    /// [`mem::GuardRequirement`] instead of a hand-computed count.
+    /// Sizes the per-thread guard slots (hazard pointers, NBR
+    /// reservations, reference-count guards) from a structure's declared
+    /// [`mem::GuardRequirement`] (default 8 slots).
     ///
     /// Harnesses that drive several structures through one factory pass
-    /// the [`mem::GuardRequirement::max`] of their requirements. Applied
-    /// in [`SchemeFactoryBuilder::build`], overriding whatever
-    /// [`SchemeFactoryBuilder::reclaim_config`] carried — declare the
-    /// requirement once, next to the structure's node layout, and the
+    /// the [`mem::GuardRequirement::max`] of their requirements. Declare
+    /// the requirement once, next to the structure's node layout, and the
     /// guard-slot sizing can never drift out of sync with it.
     pub fn guard_requirement(mut self, requirement: mem::GuardRequirement) -> Self {
         self.guard_requirement = Some(requirement);
@@ -319,13 +311,13 @@ impl SchemeFactoryBuilder {
     /// # Panics
     ///
     /// Panics if [`SchemeFactoryBuilder::engine`] was not provided.
-    pub fn build(mut self) -> SchemeFactory {
+    pub fn build(self) -> SchemeFactory {
         let engine = self
             .engine
             .expect("SchemeFactoryBuilder requires .engine()");
-        if let Some(requirement) = self.guard_requirement {
-            self.config.hazard_slots = requirement.guards();
-        }
+        let guards = self
+            .guard_requirement
+            .map_or(DEFAULT_GUARDS, mem::GuardRequirement::guards);
         let globals = match self.scheme {
             Scheme::None => SchemeGlobals::None,
             Scheme::Epoch => SchemeGlobals::Epoch(Arc::new(epoch::EpochGlobals::new(
@@ -335,7 +327,7 @@ impl SchemeFactoryBuilder {
             Scheme::Hazard => SchemeGlobals::Hazard(Arc::new(hazard::HazardGlobals::new(
                 engine.heap(),
                 self.max_threads,
-                self.config.hazard_slots,
+                guards,
             ))),
             Scheme::Dta => SchemeGlobals::Dta(Arc::new(dta::DtaGlobals::new(
                 engine.heap(),
@@ -352,7 +344,7 @@ impl SchemeFactoryBuilder {
             Scheme::Nbr => SchemeGlobals::Nbr(Arc::new(nbr::NbrGlobals::new(
                 engine.heap(),
                 self.max_threads,
-                self.config.hazard_slots,
+                guards,
             ))),
             Scheme::Hyaline => SchemeGlobals::Hyaline(Arc::new(hyaline::HyalineGlobals::new(
                 engine.heap(),
@@ -363,6 +355,7 @@ impl SchemeFactoryBuilder {
             scheme: self.scheme,
             engine,
             config: self.config,
+            guards,
             globals,
         }
     }
@@ -373,6 +366,8 @@ pub struct SchemeFactory {
     scheme: Scheme,
     engine: Arc<HtmEngine>,
     config: ReclaimConfig,
+    /// Guard slots per thread.
+    guards: usize,
     globals: SchemeGlobals,
 }
 
@@ -419,54 +414,65 @@ impl SchemeFactory {
 
     /// Builds the executor for thread slot `thread_id`.
     pub fn thread(&self, thread_id: usize) -> Box<dyn SchemeThread> {
+        let heap = self.engine.heap().clone();
+        let config = &self.config;
         match &self.globals {
-            SchemeGlobals::None => Box::new(none::NoReclaimThread::new(self.engine.heap().clone())),
-            SchemeGlobals::Epoch(globals) => Box::new(epoch::EpochThread::new(
-                globals.clone(),
-                self.engine.heap().clone(),
-                thread_id,
-                self.config.retire_batch,
-                self.config.epoch_wait_budget,
+            SchemeGlobals::None => Box::new(Frame::new(heap, none::NoReclaim::default())),
+            SchemeGlobals::Epoch(globals) => Box::new(Frame::new(
+                heap,
+                epoch::Epoch::new(
+                    globals.clone(),
+                    thread_id,
+                    config.retire_batch,
+                    config.epoch_wait_budget,
+                ),
             )),
-            SchemeGlobals::Hazard(globals) => Box::new(hazard::HazardThread::new(
-                globals.clone(),
-                self.engine.heap().clone(),
-                thread_id,
-                self.config.retire_batch,
-                self.config.mutation_defer_hazard_publish,
-                self.config.mutation_double_retire,
+            SchemeGlobals::Hazard(globals) => Box::new(Frame::new(
+                heap,
+                hazard::Hazard::new(
+                    globals.clone(),
+                    thread_id,
+                    config.retire_batch,
+                    config.mutation_defer_hazard_publish,
+                    config.mutation_double_retire,
+                ),
             )),
-            SchemeGlobals::Dta(globals) => Box::new(dta::DtaThread::new(
-                globals.clone(),
-                self.engine.heap().clone(),
-                thread_id,
-                self.config.dta_k,
-                self.config.retire_batch,
-                self.config.dta_freeze_lag,
+            SchemeGlobals::Dta(globals) => Box::new(Frame::new(
+                heap,
+                dta::Dta::new(
+                    globals.clone(),
+                    thread_id,
+                    config.dta_k,
+                    config.retire_batch,
+                    dta::FREEZE_LAG,
+                ),
             )),
-            SchemeGlobals::RefCount(globals) => Box::new(refcount::RcThread::new(
-                globals.clone(),
-                self.engine.heap().clone(),
-                self.config.hazard_slots,
+            SchemeGlobals::RefCount(globals) => Box::new(Frame::new(
+                heap,
+                refcount::RefCount::new(globals.clone(), self.guards),
             )),
             SchemeGlobals::StackTrack(rt) => Box::new(rt.register_thread(thread_id)),
-            SchemeGlobals::Nbr(globals) => Box::new(nbr::NbrThread::new(
-                globals.clone(),
-                self.engine.heap().clone(),
-                thread_id,
-                self.config.retire_batch,
-                self.config.mutation_nbr_skip_restart,
+            SchemeGlobals::Nbr(globals) => Box::new(Frame::new(
+                heap,
+                nbr::Nbr::new(
+                    globals.clone(),
+                    thread_id,
+                    config.retire_batch,
+                    config.mutation_nbr_skip_restart,
+                ),
             )),
-            SchemeGlobals::Hyaline(globals) => Box::new(hyaline::HyalineThread::new(
-                globals.clone(),
-                self.engine.heap().clone(),
-                thread_id,
-                if self.config.retire_batch > 0 {
-                    self.config.retire_batch
-                } else {
-                    self.config.hyaline_batch
-                },
-                self.config.mutation_hyaline_drop_decrement,
+            SchemeGlobals::Hyaline(globals) => Box::new(Frame::new(
+                heap,
+                hyaline::Hyaline::new(
+                    globals.clone(),
+                    thread_id,
+                    if config.retire_batch > 0 {
+                        config.retire_batch
+                    } else {
+                        hyaline::BATCH
+                    },
+                    config.mutation_hyaline_drop_decrement,
+                ),
             )),
         }
     }

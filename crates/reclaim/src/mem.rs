@@ -88,11 +88,11 @@ pub trait NodeType: Copy {
 /// How many guard slots a structure's operations need at once.
 ///
 /// Declared once per structure (next to its node layout) and consumed by
-/// [`crate::SchemeFactoryBuilder::guard_requirement`], which derives
-/// [`crate::ReclaimConfig::hazard_slots`] from it — replacing the
-/// `2 * MAX_LEVEL + 2` arithmetic that used to be copy-pasted into every
-/// harness. Harnesses that run several structures (or must keep a
-/// determinism contract with committed results) combine requirements with
+/// [`crate::SchemeFactoryBuilder::guard_requirement`], which sizes the
+/// per-thread guard slots from it — replacing the `2 * MAX_LEVEL + 2`
+/// arithmetic that used to be copy-pasted into every harness. Harnesses
+/// that run several structures (or must keep a determinism contract with
+/// committed results) combine requirements with
 /// [`GuardRequirement::max`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuardRequirement {

@@ -15,7 +15,7 @@
 //!
 //! In this simulator the signal is delivered by the scheduler
 //! ([`st_machine::SignalBoard`]): the handler
-//! ([`SchemeThread::neutralize`]) runs before the victim's next step, the
+//! ([`crate::SchemeThread::neutralize`]) runs before the victim's next step, the
 //! exact analogue of a POSIX handler running before the next user
 //! instruction. Because each step is an atomic basic block, the victim can
 //! never be "mid-dereference" when neutralized — which is the same
@@ -31,13 +31,11 @@
 //! epoch-based reclamation. The price is the signal broadcast, amortized
 //! by batching retires ([`NbrGlobals::scan_threshold`]).
 
-use crate::api::{expect_step, SchemeThread};
+use crate::frame::Protocol;
 use st_machine::Cpu;
+use st_obs::MetricsRegistry;
 use st_simheap::tagged::TAG_MASK;
 use st_simheap::{Addr, Heap, Word};
-use st_simhtm::Abort;
-use stacktrack::layout::STACK_SLOTS;
-use stacktrack::{OpBody, OpMem, Step};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -83,14 +81,10 @@ impl NbrGlobals {
     }
 }
 
-/// Per-thread NBR executor.
-pub struct NbrThread {
+/// Per-thread NBR state.
+pub struct Nbr {
     globals: Arc<NbrGlobals>,
-    heap: Arc<Heap>,
     thread_id: usize,
-    locals: [Word; STACK_SLOTS],
-    slots: usize,
-    active: bool,
     /// `true` once the current operation crossed into its write phase
     /// (reservations published, restarts refused).
     in_write_phase: bool,
@@ -119,24 +113,19 @@ pub struct NbrThread {
     pub freed: u64,
 }
 
-impl NbrThread {
-    /// Creates the executor for thread slot `thread_id`. `retire_batch`
-    /// overrides the broadcast threshold when non-zero; `skip_restart`
-    /// enables the ignore-neutralization mutation (checker use only).
+impl Nbr {
+    /// The state of thread slot `thread_id`. `retire_batch` overrides the
+    /// broadcast threshold when non-zero; `skip_restart` enables the
+    /// ignore-neutralization mutation (checker use only).
     pub fn new(
         globals: Arc<NbrGlobals>,
-        heap: Arc<Heap>,
         thread_id: usize,
         retire_batch: usize,
         skip_restart: bool,
     ) -> Self {
         Self {
             globals,
-            heap,
             thread_id,
-            locals: [0; STACK_SLOTS],
-            slots: 0,
-            active: false,
             in_write_phase: false,
             guard_vals: [0; 64],
             used_guards: 0,
@@ -169,7 +158,7 @@ impl NbrThread {
     /// The read-to-write transition: publish every pointer the read phase
     /// collected into this thread's reservation slots, with one fence.
     /// From here on the operation refuses neutralization.
-    fn enter_write_phase(&mut self, cpu: &mut Cpu) {
+    fn enter_write_phase(&mut self, heap: &Heap, cpu: &mut Cpu) {
         if self.in_write_phase {
             return;
         }
@@ -178,16 +167,15 @@ impl NbrThread {
             let g = used.trailing_zeros() as usize;
             used &= used - 1;
             let slot = self.slot_index(g);
-            self.heap
-                .store(cpu, self.globals.slots, slot, self.guard_vals[g]);
+            heap.store(cpu, self.globals.slots, slot, self.guard_vals[g]);
         }
-        self.heap.fence(cpu);
+        heap.fence(cpu);
         self.in_write_phase = true;
     }
 
     /// Clears this thread's published reservations (cheap stores; the
     /// slots only carry values while an operation is in its write phase).
-    fn clear_reservations(&mut self, cpu: &mut Cpu) {
+    fn clear_reservations(&mut self, heap: &Heap, cpu: &mut Cpu) {
         if !self.in_write_phase {
             return;
         }
@@ -196,14 +184,14 @@ impl NbrThread {
             let g = used.trailing_zeros() as usize;
             used &= used - 1;
             let slot = self.slot_index(g);
-            self.heap.store(cpu, self.globals.slots, slot, 0);
+            heap.store(cpu, self.globals.slots, slot, 0);
         }
     }
 
     /// The reclaimer path: broadcast the neutralization signal to every
     /// peer, scan the reservation matrix, and free whatever no reservation
     /// covers — no waiting, no acknowledgment.
-    fn broadcast_and_reclaim(&mut self, cpu: &mut Cpu) {
+    fn broadcast_and_reclaim(&mut self, heap: &Heap, cpu: &mut Cpu) {
         let syscall = cpu.costs.signal_deliver;
         for t in 0..self.globals.max_threads {
             if t == self.thread_id {
@@ -218,7 +206,7 @@ impl NbrThread {
         for t in 0..self.globals.max_threads {
             for g in 0..self.globals.slots_per_thread {
                 let i = (t * self.globals.stride + g) as u64;
-                let r = self.heap.load(cpu, self.globals.slots, i);
+                let r = heap.load(cpu, self.globals.slots, i);
                 if r != 0 {
                     reserved.insert(r);
                 }
@@ -229,179 +217,118 @@ impl NbrThread {
             if reserved.contains(&node.raw()) {
                 self.limbo.push(node);
             } else {
-                self.heap.free(cpu, node);
+                heap.free(cpu, node);
                 self.freed += 1;
             }
         }
     }
 }
 
-impl OpMem for NbrThread {
-    fn load(&mut self, cpu: &mut Cpu, addr: Addr, off: u64) -> Result<Word, Abort> {
-        Ok(self.heap.load(cpu, addr, off))
-    }
+impl Protocol for Nbr {
+    const NAME: &'static str = "NBR";
 
     /// Read phase: a plain load — the pointer is only recorded locally
     /// (restartability is the protection). Write phase: publish + fence,
     /// hazard-style, since restarts are refused from here on.
-    fn load_ptr(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        guard: usize,
-    ) -> Result<Word, Abort> {
-        let v = self.heap.load(cpu, addr, off);
+    fn load_ptr(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr, off: u64, guard: usize) -> Word {
+        let v = heap.load(cpu, addr, off);
         if v & !TAG_MASK == 0 {
-            return Ok(v);
+            return v;
         }
         self.guard_vals[guard] = v & !TAG_MASK;
         self.used_guards |= 1 << guard;
         if self.in_write_phase {
             let slot = self.slot_index(guard);
-            self.heap
-                .store(cpu, self.globals.slots, slot, v & !TAG_MASK);
-            self.heap.fence(cpu);
+            heap.store(cpu, self.globals.slots, slot, v & !TAG_MASK);
+            heap.fence(cpu);
         }
-        Ok(v)
+        v
     }
 
-    fn store(&mut self, cpu: &mut Cpu, addr: Addr, off: u64, value: Word) -> Result<(), Abort> {
-        // Initializing a private, not-yet-linked allocation is still part
-        // of the restartable read phase; any other store is a write intent.
-        if !self.fresh.contains(&addr) {
-            self.enter_write_phase(cpu);
-        }
-        self.heap.store(cpu, addr, off, value);
-        Ok(())
-    }
-
-    fn cas(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        expected: Word,
-        new: Word,
-    ) -> Result<Result<Word, Word>, Abort> {
-        if !self.fresh.contains(&addr) {
-            self.enter_write_phase(cpu);
-        }
-        Ok(self.heap.cas(cpu, addr, off, expected, new))
-    }
-
-    fn alloc(&mut self, cpu: &mut Cpu, words: usize) -> Addr {
-        let addr = self
-            .heap
-            .alloc(cpu, words)
-            .expect("simulated heap exhausted; enlarge HeapConfig::capacity_words");
-        self.fresh.push(addr);
-        addr
-    }
-
-    fn retire_unlinked(&mut self, cpu: &mut Cpu, addr: Addr) -> Result<(), Abort> {
-        // A retire is a write intent by definition (the unlink it follows
-        // certainly was); entering the write phase here keeps the
-        // retire-then-restart double-retire impossible by construction.
-        self.enter_write_phase(cpu);
-        self.heap.note_retire(cpu.thread_id, cpu.now(), addr);
-        self.limbo.push(addr);
-        if self.limbo.len() >= self.trigger() {
-            self.broadcast_and_reclaim(cpu);
-        }
-        Ok(())
-    }
-
-    fn protect_slot(&mut self, cpu: &mut Cpu, guard: usize, value: Word) {
+    fn protect(&mut self, heap: &Heap, cpu: &mut Cpu, guard: usize, value: Word) {
         self.guard_vals[guard] = value & !TAG_MASK;
         self.used_guards |= 1 << guard;
         if self.in_write_phase {
             let slot = self.slot_index(guard);
-            self.heap
-                .store(cpu, self.globals.slots, slot, value & !TAG_MASK);
+            heap.store(cpu, self.globals.slots, slot, value & !TAG_MASK);
         }
     }
 
-    fn get_local(&mut self, _cpu: &mut Cpu, slot: usize) -> Word {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot]
+    fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
+        // A retire is a write intent by definition (the unlink it follows
+        // certainly was); entering the write phase here keeps the
+        // retire-then-restart double-retire impossible by construction.
+        self.enter_write_phase(heap, cpu);
+        heap.note_retire(cpu.thread_id, cpu.now(), addr);
+        self.limbo.push(addr);
+        if self.limbo.len() >= self.trigger() {
+            self.broadcast_and_reclaim(heap, cpu);
+        }
     }
 
-    fn set_local(&mut self, _cpu: &mut Cpu, slot: usize, value: Word) {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot] = value;
+    /// Initializing a private, not-yet-linked allocation is still part of
+    /// the restartable read phase; any other store or CAS is a write
+    /// intent.
+    fn write_intent(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
+        if !self.fresh.contains(&addr) {
+            self.enter_write_phase(heap, cpu);
+        }
     }
-}
 
-impl SchemeThread for NbrThread {
-    fn begin_op(&mut self, _cpu: &mut Cpu, _op_id: u32, slots: usize) {
-        assert!(!self.active, "operation already active");
-        assert!(slots <= STACK_SLOTS);
-        self.slots = slots;
-        self.locals[..slots].fill(0);
-        self.active = true;
+    fn allocated(&mut self, _heap: &Heap, _cpu: &mut Cpu, addr: Addr) {
+        self.fresh.push(addr);
+    }
+
+    fn begin(&mut self, _heap: &Heap, _cpu: &mut Cpu) {
         self.in_write_phase = false;
         self.used_guards = 0;
         debug_assert!(self.fresh.is_empty());
     }
 
-    fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
-        assert!(self.active, "step_op without an active operation");
-        match expect_step(body(self, cpu)) {
-            Step::Continue => None,
-            Step::Done(v) => {
-                self.clear_reservations(cpu);
-                self.used_guards = 0;
-                self.in_write_phase = false;
-                self.fresh.clear();
-                self.active = false;
-                Some(v)
-            }
-        }
+    fn end(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        self.clear_reservations(heap, cpu);
+        self.used_guards = 0;
+        self.in_write_phase = false;
+        self.fresh.clear();
     }
 
-    /// The neutralization handler. A signal caught outside an operation or
-    /// past the write-phase transition is ignored (the reservations cover
-    /// the write phase); a signal caught in the read phase abandons the
-    /// attempt: locals are zeroed (the body restarts from its first
-    /// phase), attempt-private allocations go back to the allocator, and
-    /// the collected guards are forgotten.
-    fn neutralize(&mut self, cpu: &mut Cpu) {
-        if !self.active || self.in_write_phase {
-            return;
+    /// The neutralization handler. A signal caught past the write-phase
+    /// transition is ignored (the reservations cover the write phase); a
+    /// signal caught in the read phase abandons the attempt: the frame
+    /// zeroes the locals (the body restarts from its first phase),
+    /// attempt-private allocations go back to the allocator, and the
+    /// collected guards are forgotten.
+    fn neutralize(&mut self, heap: &Heap, cpu: &mut Cpu) -> bool {
+        if self.in_write_phase {
+            return false;
         }
         if self.skip_restart {
             // Seeded defect: pretend the handler never ran. The traversal
             // keeps its stale locals and walks into freed memory.
-            return;
+            return false;
         }
         self.neutralizations += 1;
-        self.locals[..self.slots].fill(0);
         self.used_guards = 0;
         for addr in std::mem::take(&mut self.fresh) {
-            self.heap.free_unpublished(cpu, addr);
+            heap.free_unpublished(cpu, addr);
         }
+        true
     }
 
-    fn outstanding_garbage(&self) -> u64 {
+    fn garbage(&self) -> u64 {
         self.limbo.len() as u64
     }
 
-    fn report_metrics(&self, reg: &mut st_obs::MetricsRegistry) {
-        reg.add("reclaim.outstanding_garbage", self.outstanding_garbage());
+    fn report(&self, reg: &mut MetricsRegistry) {
         reg.add("scheme.nbr.neutralizations", self.neutralizations);
         reg.add("scheme.nbr.signals_sent", self.signals_sent);
         reg.add("scheme.nbr.freed", self.freed);
     }
 
-    fn teardown(&mut self, cpu: &mut Cpu) {
+    fn teardown(&mut self, heap: &Heap, cpu: &mut Cpu) {
         if !self.limbo.is_empty() {
-            self.broadcast_and_reclaim(cpu);
+            self.broadcast_and_reclaim(heap, cpu);
         }
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "NBR"
     }
 }
 
@@ -410,8 +337,11 @@ impl SchemeThread for NbrThread {
 // the layer beneath the typed `mem` API structures use.
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::test_support::{test_cpu, test_env};
+    use crate::SchemeThread;
     use st_machine::SignalBoard;
+    use stacktrack::{OpMem, Step};
 
     fn setup(threads: usize) -> (Arc<NbrGlobals>, Arc<Heap>) {
         let (heap, _) = test_env();
@@ -422,7 +352,7 @@ mod tests {
     #[test]
     fn read_phase_loads_pay_no_fence() {
         let (globals, heap) = setup(1);
-        let mut th = NbrThread::new(globals, heap.clone(), 0, 0, false);
+        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 0, false));
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
         let x = heap.alloc_untimed(2).unwrap();
@@ -441,7 +371,7 @@ mod tests {
     #[test]
     fn first_shared_store_publishes_reservations() {
         let (globals, heap) = setup(1);
-        let mut th = NbrThread::new(globals.clone(), heap.clone(), 0, 0, false);
+        let mut th = Frame::new(heap.clone(), Nbr::new(globals.clone(), 0, 0, false));
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
         let x = heap.alloc_untimed(2).unwrap();
@@ -456,7 +386,7 @@ mod tests {
         };
         let fences = cpu.counters.fences;
         th.step_op(&mut cpu, &mut body);
-        assert!(th.in_write_phase);
+        assert!(th.scheme.in_write_phase);
         assert!(cpu.counters.fences > fences, "transition costs one fence");
         assert_eq!(heap.peek(globals.slots, 1), x.raw(), "reservation live");
 
@@ -468,8 +398,8 @@ mod tests {
     #[test]
     fn reclaimer_frees_immediately_and_respects_reservations() {
         let (globals, heap) = setup(2);
-        let mut writer = NbrThread::new(globals.clone(), heap.clone(), 0, 0, false);
-        let mut reclaimer = NbrThread::new(globals.clone(), heap.clone(), 1, 1, false);
+        let mut writer = Frame::new(heap.clone(), Nbr::new(globals.clone(), 0, 0, false));
+        let mut reclaimer = Frame::new(heap.clone(), Nbr::new(globals.clone(), 1, 1, false));
         let mut cpu_w = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -512,7 +442,7 @@ mod tests {
     #[test]
     fn neutralize_restarts_a_read_phase_attempt() {
         let (globals, heap) = setup(1);
-        let mut th = NbrThread::new(globals, heap.clone(), 0, 0, false);
+        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 0, false));
         let mut cpu = test_cpu(0);
 
         th.begin_op(&mut cpu, 0, 2);
@@ -527,7 +457,7 @@ mod tests {
         assert!(heap.is_live(fresh));
 
         th.neutralize(&mut cpu);
-        assert_eq!(th.neutralizations, 1);
+        assert_eq!(th.scheme.neutralizations, 1);
         assert_eq!(th.locals[0], 0, "locals zeroed: body restarts");
         assert!(!heap.is_live(fresh), "abandoned allocation returned");
 
@@ -542,12 +472,12 @@ mod tests {
     #[test]
     fn neutralize_is_refused_in_the_write_phase_and_when_idle() {
         let (globals, heap) = setup(1);
-        let mut th = NbrThread::new(globals, heap.clone(), 0, 0, false);
+        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 0, false));
         let mut cpu = test_cpu(0);
 
         // Idle: ignored.
         th.neutralize(&mut cpu);
-        assert_eq!(th.neutralizations, 0);
+        assert_eq!(th.scheme.neutralizations, 0);
 
         // Write phase: ignored, locals keep their values.
         let cell = heap.alloc_untimed(1).unwrap();
@@ -559,7 +489,7 @@ mod tests {
         };
         th.step_op(&mut cpu, &mut body);
         th.neutralize(&mut cpu);
-        assert_eq!(th.neutralizations, 0);
+        assert_eq!(th.scheme.neutralizations, 0);
         assert_eq!(th.locals[0], 9, "write phase refuses the restart");
     }
 
@@ -567,7 +497,7 @@ mod tests {
     fn broadcast_raises_signals_against_every_peer() {
         let (globals, heap) = setup(3);
         let board = Arc::new(SignalBoard::new(3));
-        let mut th = NbrThread::new(globals, heap.clone(), 0, 1, false);
+        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 1, false));
         let mut cpu = test_cpu(0);
         cpu.attach_signals(board.clone());
 
@@ -576,7 +506,7 @@ mod tests {
             m.retire_unlinked(cpu, n)?;
             Ok(Step::Done(0))
         });
-        assert_eq!(th.signals_sent, 2);
+        assert_eq!(th.scheme.signals_sent, 2);
         assert_eq!(board.pending(0), 0, "no self-signal");
         assert_eq!(board.pending(1), 1);
         assert_eq!(board.pending(2), 1);
@@ -586,7 +516,7 @@ mod tests {
     #[test]
     fn skip_restart_mutation_keeps_stale_locals() {
         let (globals, heap) = setup(1);
-        let mut th = NbrThread::new(globals, heap.clone(), 0, 0, true);
+        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 0, true));
         let mut cpu = test_cpu(0);
         th.begin_op(&mut cpu, 0, 1);
         let mut body = |m: &mut dyn OpMem, cpu: &mut Cpu| {
@@ -596,6 +526,6 @@ mod tests {
         th.step_op(&mut cpu, &mut body);
         th.neutralize(&mut cpu);
         assert_eq!(th.locals[0], 5, "mutation ignores the signal");
-        assert_eq!(th.neutralizations, 0);
+        assert_eq!(th.scheme.neutralizations, 0);
     }
 }

@@ -4,125 +4,34 @@
 //! every figure in the paper plots against — and the scheme whose leak the
 //! integration tests demonstrate.
 
-use crate::api::{expect_step, SchemeThread};
+use crate::frame::Protocol;
 use st_machine::Cpu;
-use st_simheap::{Addr, Heap, Word};
-use st_simhtm::Abort;
-use stacktrack::layout::STACK_SLOTS;
-use stacktrack::{OpBody, OpMem, Step};
-use std::sync::Arc;
+use st_obs::MetricsRegistry;
+use st_simheap::{Addr, Heap};
 
-/// Executor that never frees.
-pub struct NoReclaimThread {
-    heap: Arc<Heap>,
-    locals: [Word; STACK_SLOTS],
-    slots: usize,
-    active: bool,
-    leaked: u64,
+/// No reclamation: retires are counted and leaked.
+#[derive(Debug, Default)]
+pub struct NoReclaim {
+    /// Nodes retired and never freed.
+    pub leaked: u64,
 }
 
-impl NoReclaimThread {
-    /// Creates an executor over `heap`.
-    pub fn new(heap: Arc<Heap>) -> Self {
-        Self {
-            heap,
-            locals: [0; STACK_SLOTS],
-            slots: 0,
-            active: false,
-            leaked: 0,
-        }
-    }
-}
+impl Protocol for NoReclaim {
+    const NAME: &'static str = "Original";
 
-impl OpMem for NoReclaimThread {
-    fn load(&mut self, cpu: &mut Cpu, addr: Addr, off: u64) -> Result<Word, Abort> {
-        Ok(self.heap.load(cpu, addr, off))
-    }
-
-    fn load_ptr(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        _guard: usize,
-    ) -> Result<Word, Abort> {
-        Ok(self.heap.load(cpu, addr, off))
-    }
-
-    fn store(&mut self, cpu: &mut Cpu, addr: Addr, off: u64, value: Word) -> Result<(), Abort> {
-        self.heap.store(cpu, addr, off, value);
-        Ok(())
-    }
-
-    fn cas(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        expected: Word,
-        new: Word,
-    ) -> Result<Result<Word, Word>, Abort> {
-        Ok(self.heap.cas(cpu, addr, off, expected, new))
-    }
-
-    fn alloc(&mut self, cpu: &mut Cpu, words: usize) -> Addr {
-        self.heap.alloc(cpu, words).expect(
-            "simulated heap exhausted (NoReclaim leaks by design; size the heap for the run)",
-        )
-    }
-
-    fn retire_unlinked(&mut self, cpu: &mut Cpu, addr: Addr) -> Result<(), Abort> {
+    fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
         // The ledger still sees the retire: the audit harness uses this
         // scheme as its positive leak reference.
-        self.heap.note_retire(cpu.thread_id, cpu.now(), addr);
+        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.leaked += 1;
-        Ok(())
     }
 
-    fn get_local(&mut self, _cpu: &mut Cpu, slot: usize) -> Word {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot]
-    }
-
-    fn set_local(&mut self, _cpu: &mut Cpu, slot: usize, value: Word) {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot] = value;
-    }
-}
-
-impl SchemeThread for NoReclaimThread {
-    fn begin_op(&mut self, _cpu: &mut Cpu, _op_id: u32, slots: usize) {
-        assert!(!self.active, "operation already active");
-        assert!(slots <= STACK_SLOTS);
-        self.slots = slots;
-        self.locals[..slots].fill(0);
-        self.active = true;
-    }
-
-    fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
-        assert!(self.active, "step_op without an active operation");
-        match expect_step(body(self, cpu)) {
-            Step::Continue => None,
-            Step::Done(v) => {
-                self.active = false;
-                Some(v)
-            }
-        }
-    }
-
-    fn report_metrics(&self, reg: &mut st_obs::MetricsRegistry) {
-        reg.add("reclaim.outstanding_garbage", self.outstanding_garbage());
-        reg.add("scheme.none.leaked", self.leaked);
-    }
-
-    fn outstanding_garbage(&self) -> u64 {
+    fn garbage(&self) -> u64 {
         self.leaked
     }
 
-    fn teardown(&mut self, _cpu: &mut Cpu) {}
-
-    fn scheme_name(&self) -> &'static str {
-        "Original"
+    fn report(&self, reg: &mut MetricsRegistry) {
+        reg.add("scheme.none.leaked", self.leaked);
     }
 }
 
@@ -131,12 +40,15 @@ impl SchemeThread for NoReclaimThread {
 // the layer beneath the typed `mem` API structures use.
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::test_support::test_env;
+    use crate::SchemeThread;
+    use stacktrack::Step;
 
     #[test]
     fn ops_run_and_retires_leak() {
         let (heap, mut cpu) = test_env();
-        let mut th = NoReclaimThread::new(heap.clone());
+        let mut th = Frame::new(heap.clone(), NoReclaim::default());
         let v = th.run_op(&mut cpu, 0, 1, &mut |m, cpu| {
             let n = m.alloc(cpu, 2);
             m.store(cpu, n, 0, 5)?;

@@ -16,13 +16,11 @@
 //! closes the classic increment-after-free race (see DESIGN.md on
 //! simulation atomicity).
 
-use crate::api::{expect_step, SchemeThread};
+use crate::frame::Protocol;
 use st_machine::Cpu;
+use st_obs::MetricsRegistry;
 use st_simheap::tagged::TAG_MASK;
 use st_simheap::{Addr, Heap, Word};
-use st_simhtm::Abort;
-use stacktrack::layout::STACK_SLOTS;
-use stacktrack::{OpBody, OpMem, Step};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -56,28 +54,20 @@ impl RcGlobals {
     }
 }
 
-/// Per-thread reference-counting executor.
-pub struct RcThread {
+/// Per-thread reference-counting state.
+pub struct RefCount {
     globals: Arc<RcGlobals>,
-    heap: Arc<Heap>,
     guards: Vec<Word>,
-    locals: [Word; STACK_SLOTS],
-    slots: usize,
-    active: bool,
     /// Nodes this thread freed (statistics).
     pub freed: u64,
 }
 
-impl RcThread {
-    /// Creates an executor with `guard_slots` guards.
-    pub fn new(globals: Arc<RcGlobals>, heap: Arc<Heap>, guard_slots: usize) -> Self {
+impl RefCount {
+    /// The state of a thread with `guard_slots` guards.
+    pub fn new(globals: Arc<RcGlobals>, guard_slots: usize) -> Self {
         Self {
             globals,
-            heap,
             guards: vec![0; guard_slots],
-            locals: [0; STACK_SLOTS],
-            slots: 0,
-            active: false,
             freed: 0,
         }
     }
@@ -105,7 +95,7 @@ impl RcThread {
 
     /// Drops one reference; frees the node when the count hits zero with
     /// the retired flag set.
-    fn release(&mut self, cpu: &mut Cpu, user: Word) {
+    fn release(&mut self, heap: &Heap, cpu: &mut Cpu, user: Word) {
         let base = user & !TAG_MASK;
         if base == 0 {
             return;
@@ -123,68 +113,46 @@ impl RcThread {
             free_now
         };
         if free_now {
-            self.heap.free(cpu, Addr::from_raw(base));
+            heap.free(cpu, Addr::from_raw(base));
             self.freed += 1;
         }
     }
 }
 
-impl OpMem for RcThread {
-    fn load(&mut self, cpu: &mut Cpu, addr: Addr, off: u64) -> Result<Word, Abort> {
-        Ok(self.heap.load(cpu, addr, off))
-    }
+impl Protocol for RefCount {
+    const NAME: &'static str = "RefCount";
 
     /// Counted pointer load: bump the target, validate the source, release
     /// the guard's previous target.
-    fn load_ptr(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        guard: usize,
-    ) -> Result<Word, Abort> {
+    fn load_ptr(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr, off: u64, guard: usize) -> Word {
         loop {
-            let v = self.heap.load(cpu, addr, off);
+            let v = heap.load(cpu, addr, off);
             if v & !TAG_MASK == 0 {
-                return Ok(v);
+                return v;
             }
             self.acquire(cpu, v);
-            if self.heap.load(cpu, addr, off) == v {
+            if heap.load(cpu, addr, off) == v {
                 let old = std::mem::replace(&mut self.guards[guard], v & !TAG_MASK);
-                self.release(cpu, old);
-                return Ok(v);
+                self.release(heap, cpu, old);
+                return v;
             }
-            self.release(cpu, v);
+            self.release(heap, cpu, v);
         }
     }
 
-    fn store(&mut self, cpu: &mut Cpu, addr: Addr, off: u64, value: Word) -> Result<(), Abort> {
-        self.heap.store(cpu, addr, off, value);
-        Ok(())
+    /// Moves a counted reference into another guard: bump the new target,
+    /// release the guard's previous one.
+    fn protect(&mut self, heap: &Heap, cpu: &mut Cpu, guard: usize, value: Word) {
+        self.acquire(cpu, value);
+        let old = std::mem::replace(&mut self.guards[guard], value & !TAG_MASK);
+        self.release(heap, cpu, old);
     }
 
-    fn cas(
-        &mut self,
-        cpu: &mut Cpu,
-        addr: Addr,
-        off: u64,
-        expected: Word,
-        new: Word,
-    ) -> Result<Result<Word, Word>, Abort> {
-        Ok(self.heap.cas(cpu, addr, off, expected, new))
-    }
-
-    fn alloc(&mut self, cpu: &mut Cpu, words: usize) -> Addr {
-        self.heap
-            .alloc(cpu, words)
-            .expect("simulated heap exhausted; enlarge HeapConfig::capacity_words")
-    }
-
-    fn retire_unlinked(&mut self, cpu: &mut Cpu, addr: Addr) -> Result<(), Abort> {
+    fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
         self.charge_rmw(cpu);
         // Before the possible immediate free below, so the ledger sees
         // retire → free in order.
-        self.heap.note_retire(cpu.thread_id, cpu.now(), addr);
+        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         let free_now = {
             let mut counts = self.globals.counts.lock().unwrap();
             let e = counts.entry(addr.raw()).or_default();
@@ -197,69 +165,25 @@ impl OpMem for RcThread {
             free_now
         };
         if free_now {
-            self.heap.free(cpu, addr);
+            heap.free(cpu, addr);
             self.freed += 1;
         }
-        Ok(())
     }
 
-    /// Moves a counted reference into another guard: bump the new target,
-    /// release the guard's previous one.
-    fn protect_slot(&mut self, cpu: &mut Cpu, guard: usize, value: Word) {
-        self.acquire(cpu, value);
-        let old = std::mem::replace(&mut self.guards[guard], value & !TAG_MASK);
-        self.release(cpu, old);
-    }
-
-    fn get_local(&mut self, _cpu: &mut Cpu, slot: usize) -> Word {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot]
-    }
-
-    fn set_local(&mut self, _cpu: &mut Cpu, slot: usize, value: Word) {
-        assert!(slot < self.slots, "undeclared local slot {slot}");
-        self.locals[slot] = value;
-    }
-}
-
-impl SchemeThread for RcThread {
-    fn begin_op(&mut self, _cpu: &mut Cpu, _op_id: u32, slots: usize) {
-        assert!(!self.active, "operation already active");
-        assert!(slots <= STACK_SLOTS);
-        self.slots = slots;
-        self.locals[..slots].fill(0);
-        self.active = true;
-    }
-
-    fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
-        assert!(self.active, "step_op without an active operation");
-        match expect_step(body(self, cpu)) {
-            Step::Continue => None,
-            Step::Done(v) => {
-                for g in 0..self.guards.len() {
-                    let old = std::mem::take(&mut self.guards[g]);
-                    self.release(cpu, old);
-                }
-                self.active = false;
-                Some(v)
-            }
+    fn end(&mut self, heap: &Heap, cpu: &mut Cpu) {
+        for g in 0..self.guards.len() {
+            let old = std::mem::take(&mut self.guards[g]);
+            self.release(heap, cpu, old);
         }
     }
 
-    fn report_metrics(&self, reg: &mut st_obs::MetricsRegistry) {
-        reg.add("reclaim.outstanding_garbage", self.outstanding_garbage());
-        reg.add("scheme.rc.freed", self.freed);
-    }
-
-    fn outstanding_garbage(&self) -> u64 {
+    fn garbage(&self) -> u64 {
         // Counts free instantly at zero; nothing is batched locally.
         0
     }
 
-    fn teardown(&mut self, _cpu: &mut Cpu) {}
-
-    fn scheme_name(&self) -> &'static str {
-        "RefCount"
+    fn report(&self, reg: &mut MetricsRegistry) {
+        reg.add("scheme.rc.freed", self.freed);
     }
 }
 
@@ -268,10 +192,13 @@ impl SchemeThread for RcThread {
 // the layer beneath the typed `mem` API structures use.
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::test_support::{test_cpu, test_env};
+    use crate::SchemeThread;
+    use stacktrack::{OpMem, Step};
 
-    fn thread(heap: &Arc<Heap>, globals: &Arc<RcGlobals>) -> RcThread {
-        RcThread::new(globals.clone(), heap.clone(), 4)
+    fn thread(heap: &Arc<Heap>, globals: &Arc<RcGlobals>) -> Frame<RefCount> {
+        Frame::new(heap.clone(), RefCount::new(globals.clone(), 4))
     }
 
     #[test]
@@ -285,7 +212,7 @@ mod tests {
             Ok(Step::Done(n.raw()))
         });
         assert!(!heap.is_live(Addr::from_raw(user)));
-        assert_eq!(th.freed, 1);
+        assert_eq!(th.scheme.freed, 1);
     }
 
     #[test]
@@ -322,7 +249,7 @@ mod tests {
         let mut fin = |_: &mut dyn OpMem, _: &mut Cpu| Ok(Step::Done(0));
         holder.step_op(&mut cpu, &mut fin);
         assert!(!heap.is_live(node));
-        assert_eq!(holder.freed, 1);
+        assert_eq!(holder.scheme.freed, 1);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl NodeType for ListNode {
 
 /// The list's declared guard requirement: `prev`/`cur`/`next` protected
 /// at once. Consumed by `SchemeFactoryBuilder::guard_requirement` to
-/// derive `ReclaimConfig::hazard_slots`.
+/// size the per-thread guard slots.
 pub const fn guard_requirement() -> GuardRequirement {
     GuardRequirement::new(LIST_GUARDS)
 }

@@ -6,7 +6,8 @@
 use crate::history::{DsOp, SpecKind};
 use crate::{hash, list, queue, rbtree, skiplist};
 use st_machine::{Cpu, Pcg32};
-use st_reclaim::none::NoReclaimThread;
+use st_reclaim::none::NoReclaim;
+use st_reclaim::Frame;
 use st_reclaim::SchemeThread;
 use st_simheap::Heap;
 use stacktrack::OpBody;
@@ -361,7 +362,7 @@ impl StructureInstance {
     /// an armed heap oracle.
     fn inserter<'a>(&'a self, heap: &'a Arc<Heap>) -> impl FnMut(u64, &mut Pcg32) -> bool + 'a {
         let mut list_index: Option<list::ListIndex> = None;
-        let mut writer: Option<(Cpu, NoReclaimThread)> = None;
+        let mut writer: Option<(Cpu, Frame<NoReclaim>)> = None;
         move |key, rng| match self {
             StructureInstance::List(s) => list_index
                 .get_or_insert_with(|| s.index_untimed(heap))
@@ -373,8 +374,12 @@ impl StructureInstance {
             }
             StructureInstance::Hash(s) => s.insert_untimed(heap, key),
             StructureInstance::RbTree(s) => {
-                let (cpu, writer) = writer
-                    .get_or_insert_with(|| (scratch_cpu(), NoReclaimThread::new(heap.clone())));
+                let (cpu, writer) = writer.get_or_insert_with(|| {
+                    (
+                        scratch_cpu(),
+                        Frame::new(heap.clone(), NoReclaim::default()),
+                    )
+                });
                 let mut body = rbtree::insert_body(*s, key);
                 writer.run_op(cpu, rbtree::OP_INSERT, rbtree::RB_SLOTS, &mut body) == 1
             }
