@@ -326,7 +326,10 @@ pub fn run(args: &[String]) -> ExitCode {
                 .collect::<Result<Vec<Scheme>, _>>()
                 .map(|v| opts.schemes = v),
             "--budget-ms" => int(flag).map(|v| opts.budget_ms = v),
-            "--episodes" => int(flag).map(|v| opts.max_episodes = v.max(1)),
+            "--episodes" => match int(flag) {
+                Ok(0) => Err("--episodes must be at least 1".to_string()),
+                v => v.map(|v| opts.max_episodes = v),
+            },
             "--threads" => int(flag).map(|v| opts.threads = v as usize),
             "--ops" => int(flag).map(|v| opts.ops = v as usize),
             "--keys" => int(flag).map(|v| opts.keys = v),

@@ -115,7 +115,10 @@ pub fn run(args: &[String]) -> ExitCode {
             "--depth" => int(flag).map(|v| opts.depth = v),
             "--preemptions" => int(flag).map(|v| opts.preemptions = v as usize),
             "--percent" => int(flag).map(|v| opts.percent = v as u32),
-            "--schedules" => int(flag).map(|v| opts.schedules = v),
+            "--schedules" => match int(flag) {
+                Ok(0) => Err("--schedules must be at least 1".to_string()),
+                v => v.map(|v| opts.schedules = v),
+            },
             "--threads" => int(flag).map(|v| opts.threads = v as usize),
             "--ops" => int(flag).map(|v| opts.ops = v as usize),
             "--keys" => int(flag).map(|v| opts.keys = v),

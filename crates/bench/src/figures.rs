@@ -482,14 +482,13 @@ impl Grid {
     }
 }
 
+/// Segments of `len` blocks: with `min == max` the predictor's streaks
+/// cannot move the limit.
 fn fixed_split(len: u32) -> StConfig {
     StConfig {
         initial_split_length: len,
         min_split_length: len.max(1),
         max_split_length: len.max(1),
-        // Streaks never trip: limits stay fixed.
-        abort_streak: u32::MAX,
-        commit_streak: u32::MAX,
         ..StConfig::default()
     }
 }

@@ -1,8 +1,9 @@
 //! Command-line rejection paths of the `st-bench` binary: a zero run
 //! length, thread count or job count, `--schemes` on a figure other than
-//! `robustness`, or a checker config past its limits, is a usage error
-//! (exit 2) and must leave the output directory untouched; an output path
-//! that cannot be written exits 1 and names it.
+//! `robustness`, a checker config past its limits, or a check with no
+//! schedules or audit episodes, is a usage error (exit 2) and must leave
+//! the output directory untouched; an output path that cannot be written
+//! exits 1 and names it.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -28,9 +29,13 @@ fn run_into_empty_out(case: &str, args: &[&str]) -> (Option<i32>, String, Vec<Pa
     (result.status.code(), stderr, written)
 }
 
+/// A zero count (a figure run of no time, threads or jobs, a check of no
+/// schedules, which would report a pass having explored nothing, or an
+/// audit of no episodes) or `--schemes` outside `robustness` is refused,
+/// naming its flag.
 #[test]
 fn zero_counts_are_usage_errors_that_write_nothing() {
-    let cases: [(&str, &[&str], &str); 4] = [
+    let cases: [(&str, &[&str], &str); 6] = [
         (
             "threads",
             &["fig2-hash", "--ms", "1", "--threads", "0"],
@@ -50,6 +55,16 @@ fn zero_counts_are_usage_errors_that_write_nothing() {
             "schemes",
             &["fig1-list", "--ms", "1", "--schemes", "Hazards"],
             "--schemes applies only to robustness",
+        ),
+        (
+            "schedules",
+            &["check", "--schedules", "0"],
+            "--schedules must be at least 1",
+        ),
+        (
+            "episodes",
+            &["audit", "--episodes", "0"],
+            "--episodes must be at least 1",
         ),
     ];
     for (case, args, message) in cases {
@@ -112,16 +127,26 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
     (result.status.code(), stderr)
 }
 
-/// A checker config past one of its limits: a thread with no operations
-/// (which would leave `--threads` unbounded), a history longer than the
+/// A checker config past one of its limits: no threads (which would pass
+/// without checking anything), a thread with no operations (which would
+/// leave `--threads` unbounded), a history longer than the
 /// linearizability check searches, or more StackTrack thread contexts
 /// than the checker's heap holds. `check`, `check --replay` and `audit`
 /// reject each before running anything (`check` writes no files).
 #[test]
 fn checker_configs_past_their_limits_are_usage_errors() {
+    let no_threads = "a check runs at least one thread";
     let no_ops = "a checked thread runs at least one operation";
     let history = "a checked history holds at most 64 operations";
     let contexts = "StackTrack fits at most 7 thread contexts";
+    let threadless = [
+        "--structures",
+        "list",
+        "--schemes",
+        "Hazards",
+        "--threads",
+        "0",
+    ];
     let idle = [
         "--structures",
         "list",
@@ -151,6 +176,7 @@ fn checker_configs_past_their_limits_are_usage_errors() {
         "8",
     ];
     for (flags, message) in [
+        (&threadless[..], no_threads),
         (&idle[..], no_ops),
         (&long[..], history),
         (&wide[..], contexts),
@@ -173,6 +199,7 @@ fn checker_configs_past_their_limits_are_usage_errors() {
         assert!(written.is_empty(), "audit {flags:?} wrote {written:?}");
     }
     for (token, message) in [
+        ("stck1:list:Hazards:t0:o1:k6:s1:mnone:-", no_threads),
         ("stck1:list:Hazards:t1000:o0:k6:s1:mnone:-", no_ops),
         ("stck1:list:Hazards:t3:o21:k6:s1:mnone:-", history),
         ("stck1:list:StackTrack:t8:o1:k6:s1:mnone:-", contexts),

@@ -20,81 +20,9 @@ use st_simheap::{Heap, HeapConfig, LedgerStats, Word};
 use st_simhtm::{HtmConfig, HtmEngine};
 use st_structures::history::{check_linearizable, DsOp, HistoryRecorder, MAX_HISTORY};
 use st_structures::{OpDriver, OpSource, StructureInstance, StructureKind};
-use stacktrack::StConfig;
+use stacktrack::{Mutation, StConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-
-/// Protocol mutations the checker can inject to prove its oracles have
-/// teeth (see `docs/TESTING.md` and `docs/AUDIT.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mutation {
-    /// Protocols intact.
-    None,
-    /// StackTrack: skip the `splits`/`oper_counter` re-read after an
-    /// inspection (Algorithm 1 lines 23-29), accepting torn snapshots.
-    SkipSplitsRecheck,
-    /// Hazard pointers: defer the publish/fence/revalidate of `load_ptr`
-    /// to the next step boundary, un-protecting the node across a
-    /// scheduling point.
-    DeferHazardPublish,
-    /// StackTrack: swallow one scan verdict that would free a candidate
-    /// (the block is neither freed nor kept as a survivor). The heap
-    /// ledger must report it as a leak at teardown.
-    SkipFree,
-    /// Hazard pointers: issue the first retire twice, planting a
-    /// double-retire (and eventually a double free) the heap ledger must
-    /// catch.
-    DoubleRetire,
-    /// NBR: ignore delivered neutralization signals, leaving the read
-    /// phase's stale locals live across the reclaimer's free (the classic
-    /// missed-signal bug; the use-after-free oracle must catch it).
-    NbrSkipRestart,
-    /// Hyaline: the dispatching thread skips its own reference decrement
-    /// on the first batch, so the batch's count never reaches zero and
-    /// the ledger reports its nodes as leaks at teardown.
-    HyalineDropDecrement,
-}
-
-impl Mutation {
-    /// Short name (used in replay tokens and CLI flags).
-    pub fn name(self) -> &'static str {
-        match self {
-            Mutation::None => "none",
-            Mutation::SkipSplitsRecheck => "splits",
-            Mutation::DeferHazardPublish => "hazard",
-            Mutation::SkipFree => "skipfree",
-            Mutation::DoubleRetire => "dretire",
-            Mutation::NbrSkipRestart => "nbrskip",
-            Mutation::HyalineDropDecrement => "hyadrop",
-        }
-    }
-}
-
-impl std::fmt::Display for Mutation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Mutation {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" => Ok(Mutation::None),
-            "splits" => Ok(Mutation::SkipSplitsRecheck),
-            "hazard" => Ok(Mutation::DeferHazardPublish),
-            "skipfree" => Ok(Mutation::SkipFree),
-            "dretire" => Ok(Mutation::DoubleRetire),
-            "nbrskip" => Ok(Mutation::NbrSkipRestart),
-            "hyadrop" => Ok(Mutation::HyalineDropDecrement),
-            _ => Err(format!(
-                "unknown mutation {s:?} (expected none, splits, hazard, skipfree, \
-                 dretire, nbrskip, or hyadrop)"
-            )),
-        }
-    }
-}
 
 /// The workload and environment of one check, fully determining every
 /// schedule's execution together with the controller's choices.
@@ -146,13 +74,18 @@ const HEAP_WORDS: u64 = 1 << 18;
 const SETUP_OPS: usize = 2;
 
 impl CheckConfig {
-    /// Rejects a config whose schedules cannot run: a thread with no
-    /// operations, a history longer than the linearizability check
-    /// searches, or more StackTrack thread contexts than the heap holds.
-    /// At least one op per thread makes the history bound cap `threads` at
-    /// `MAX_HISTORY - SETUP_OPS`, which every scheme's per-thread tables
-    /// fit.
+    /// Rejects a config whose schedules cannot run or check nothing: no
+    /// threads, a thread with no operations, a history longer than the
+    /// linearizability check searches, or more StackTrack thread contexts
+    /// than the heap holds. At least one op per thread makes the history
+    /// bound cap `threads` at `MAX_HISTORY - SETUP_OPS`, which every
+    /// scheme's per-thread tables fit.
     pub fn validate(&self) -> Result<(), String> {
+        if self.threads == 0 {
+            return Err(
+                "a check runs at least one thread, but 0 threads were asked for".to_string(),
+            );
+        }
         if self.ops_per_thread == 0 {
             return Err(
                 "a checked thread runs at least one operation, but 0 ops were asked for"
@@ -316,19 +249,16 @@ pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) 
         HtmConfig::default(),
         config.threads,
     ));
-    let mut rc = ReclaimConfig {
+    let rc = ReclaimConfig {
         // Reclaim promptly: a batch of one puts every free inside the
         // explored window instead of deferring it past the race.
-        retire_batch: 1,
+        retire_batch: Some(1),
         // Keep quiescence waits short so epoch threads do not eat the
         // step budget spinning.
         epoch_wait_budget: 10_000,
+        mutation: config.mutation,
         ..ReclaimConfig::default()
     };
-    rc.mutation_defer_hazard_publish = config.mutation == Mutation::DeferHazardPublish;
-    rc.mutation_double_retire = config.mutation == Mutation::DoubleRetire;
-    rc.mutation_nbr_skip_restart = config.mutation == Mutation::NbrSkipRestart;
-    rc.mutation_hyaline_drop_decrement = config.mutation == Mutation::HyalineDropDecrement;
     let st_config = StConfig {
         // Short segments and fine-grained interruptible scans maximize
         // the schedule points where the consistency protocol matters.
@@ -338,14 +268,15 @@ pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) 
         // with the reclaimer's unlink writes.
         initial_split_length: 1,
         scan_chunk_words: 1,
+        // The same batch of one: StackTrack scans once its free set
+        // exceeds `max_free`.
         max_free: 0,
         // Bodies keep every retained pointer in a shadow-stack local, so
         // protection does not rely on the register file; leaving register
         // exposure on would let stale register words pin candidates and
         // mask scan misses from the explorer.
         expose_registers: false,
-        mutation_skip_splits_recheck: config.mutation == Mutation::SkipSplitsRecheck,
-        mutation_skip_one_free: config.mutation == Mutation::SkipFree,
+        mutation: config.mutation,
         ..StConfig::default()
     };
     let factory = SchemeFactory::builder(config.scheme)

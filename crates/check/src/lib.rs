@@ -23,10 +23,11 @@
 //!   schedule, and serializes it as a [`token::ReplayToken`] that
 //!   `st-bench check --replay` reproduces exactly.
 //!
-//! The harness proves it has teeth via *mutation knobs*
-//! ([`harness::Mutation`]): disabling StackTrack's consistency re-read or
-//! hazard pointers' publish-validate protocol must produce a detected
-//! violation within the default budget (see `tests/model_check.rs`).
+//! The harness proves it has teeth via *mutation knobs* ([`Mutation`],
+//! declared in `stacktrack` and read by each scheme's executor):
+//! disabling StackTrack's consistency re-read or hazard pointers'
+//! publish-validate protocol must produce a detected violation within the
+//! default budget (see `tests/model_check.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +40,7 @@ pub mod token;
 pub use explore::{
     check, replay, shrink_failure, CheckReport, ExploreConfig, ExploreMode, Failure,
 };
-pub use harness::{run_schedule, CheckConfig, Mutation, ScheduleOutcome, Violation};
+pub use harness::{run_schedule, CheckConfig, ScheduleOutcome, Violation};
 pub use schedule::{Decision, RecordingController};
+pub use stacktrack::Mutation;
 pub use token::ReplayToken;

@@ -18,10 +18,11 @@
 //! (preemption storm), `K<t>@<at>` (kill) — and is omitted when the plan
 //! is empty, so pre-fault tokens keep parsing unchanged.
 
-use crate::harness::{CheckConfig, Mutation};
+use crate::harness::CheckConfig;
 use st_machine::{FaultEvent, FaultPlan};
 use st_reclaim::Scheme;
 use st_structures::StructureKind as Structure;
+use stacktrack::Mutation;
 use std::collections::BTreeMap;
 
 /// A self-contained, replayable description of one schedule.

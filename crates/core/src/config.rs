@@ -18,12 +18,100 @@ pub enum ScanMode {
     Batched,
 }
 
+/// Consecutive aborts of one segment before its limit shrinks by 1
+/// (paper section 5.3).
+pub const ABORT_STREAK: u32 = 5;
+
+/// Consecutive commits of one segment before its limit grows by 1
+/// (paper section 5.3).
+pub const COMMIT_STREAK: u32 = 5;
+
+/// Consecutive failures of a length-1 segment before the operation falls
+/// back to the software slow path.
+pub const SLOW_FAIL_THRESHOLD: u32 = 3;
+
+/// Protocol mutations the model checker and the audit harness inject to
+/// prove their oracles have teeth (see `docs/TESTING.md` and
+/// `docs/AUDIT.md`). **Never set one in a real run.** Each scheme reads
+/// only its own variants: a baseline once, when its executor is built,
+/// StackTrack where the seeded check sits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutation {
+    /// Protocols intact.
+    None,
+    /// StackTrack: skip the `splits`/`oper_counter` re-read after an
+    /// inspection (Algorithm 1 lines 23-29), accepting torn snapshots.
+    SkipSplitsRecheck,
+    /// Hazard pointers: defer the publish/fence/revalidate of `load_ptr`
+    /// to the next step boundary, un-protecting the node across a
+    /// scheduling point.
+    DeferHazardPublish,
+    /// StackTrack: swallow one scan verdict that would free a candidate
+    /// (one-shot per runtime; the block is neither freed nor kept as a
+    /// survivor). The heap ledger must report it as a leak at teardown.
+    SkipFree,
+    /// Hazard pointers: issue the first retire twice (one-shot), planting
+    /// a double-retire (and eventually a double free) the heap ledger
+    /// must catch.
+    DoubleRetire,
+    /// NBR: ignore delivered neutralization signals, leaving the read
+    /// phase's stale locals live across the reclaimer's free (the classic
+    /// missed-signal bug; the use-after-free oracle must catch it).
+    NbrSkipRestart,
+    /// Hyaline: the dispatching thread skips its own reference decrement
+    /// on the first batch (one-shot), so the batch's count never reaches
+    /// zero and the ledger reports its nodes as leaks at teardown.
+    HyalineDropDecrement,
+}
+
+impl Mutation {
+    /// Short name (used in replay tokens and CLI flags).
+    pub fn name(self) -> &'static str {
+        match self {
+            Mutation::None => "none",
+            Mutation::SkipSplitsRecheck => "splits",
+            Mutation::DeferHazardPublish => "hazard",
+            Mutation::SkipFree => "skipfree",
+            Mutation::DoubleRetire => "dretire",
+            Mutation::NbrSkipRestart => "nbrskip",
+            Mutation::HyalineDropDecrement => "hyadrop",
+        }
+    }
+}
+
+impl std::fmt::Display for Mutation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Mutation {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "none" => Ok(Mutation::None),
+            "splits" => Ok(Mutation::SkipSplitsRecheck),
+            "hazard" => Ok(Mutation::DeferHazardPublish),
+            "skipfree" => Ok(Mutation::SkipFree),
+            "dretire" => Ok(Mutation::DoubleRetire),
+            "nbrskip" => Ok(Mutation::NbrSkipRestart),
+            "hyadrop" => Ok(Mutation::HyalineDropDecrement),
+            _ => Err(format!(
+                "unknown mutation {s:?} (expected none, splits, hazard, skipfree, \
+                 dretire, nbrskip, or hyadrop)"
+            )),
+        }
+    }
+}
+
 /// Tunable parameters of the StackTrack runtime.
 ///
 /// Defaults follow the paper: initial split length 50 basic blocks,
-/// limits adjusted by one after 5 consecutive aborts/commits, scans
-/// amortized over batches of frees ("the cost of the global scan becomes
-/// negligible ... when it executes once per every 10 free memory calls").
+/// limits adjusted by one after [`ABORT_STREAK`]/[`COMMIT_STREAK`]
+/// consecutive aborts/commits, scans amortized over batches of frees
+/// ("the cost of the global scan becomes negligible ... when it executes
+/// once per every 10 free memory calls").
 #[derive(Debug, Clone)]
 pub struct StConfig {
     /// Initial segment length, in basic blocks (paper: 50).
@@ -32,15 +120,9 @@ pub struct StConfig {
     pub min_split_length: u32,
     /// Upper bound on segment length.
     pub max_split_length: u32,
-    /// Consecutive aborts of one segment before its limit shrinks by 1.
-    pub abort_streak: u32,
-    /// Consecutive commits of one segment before its limit grows by 1.
-    pub commit_streak: u32,
-    /// Free-set size that triggers `SCAN_AND_FREE` (paper's `max_free`).
+    /// `SCAN_AND_FREE` runs once the free set exceeds this size (paper's
+    /// `max_free`).
     pub max_free: usize,
-    /// Consecutive failures of a length-1 segment before the operation
-    /// falls back to the software slow path.
-    pub slow_fail_threshold: u32,
     /// Probability that an operation is forced onto the slow path at start
     /// (the Figure 5 experiment; 0.0 in normal operation).
     pub forced_slow_prob: f64,
@@ -55,18 +137,9 @@ pub struct StConfig {
     /// Words inspected per scheduler step during a scan (scan
     /// interruptibility granularity).
     pub scan_chunk_words: u64,
-    /// **Mutation knob for the model checker — never enable in real runs.**
-    /// Skips the Algorithm 1 lines 23-29 `splits`/`oper_counter` re-read at
-    /// the end of an inspection, accepting torn snapshots. `st-check`'s
-    /// mutation tests flip this to prove the use-after-free oracle detects
-    /// the resulting unsound frees.
-    pub mutation_skip_splits_recheck: bool,
-    /// **Mutation knob for the audit harness — never enable in real
-    /// runs.** Swallows the first scan verdict that would free a
-    /// candidate (one-shot per runtime): the block is neither freed nor
-    /// kept as a survivor, so the heap-ledger oracle must report it as a
-    /// leak at teardown.
-    pub mutation_skip_one_free: bool,
+    /// Seeded defect for the checker and the audit harness; StackTrack
+    /// reads [`Mutation::SkipSplitsRecheck`] and [`Mutation::SkipFree`].
+    pub mutation: Mutation,
 }
 
 impl Default for StConfig {
@@ -75,17 +148,13 @@ impl Default for StConfig {
             initial_split_length: 50,
             min_split_length: 1,
             max_split_length: 200,
-            abort_streak: 5,
-            commit_streak: 5,
             max_free: 10,
-            slow_fail_threshold: 3,
             forced_slow_prob: 0.0,
             scan_mode: ScanMode::Batched,
             interior_pointers: false,
             expose_registers: true,
             scan_chunk_words: 24,
-            mutation_skip_splits_recheck: false,
-            mutation_skip_one_free: false,
+            mutation: Mutation::None,
         }
     }
 }
@@ -98,8 +167,8 @@ mod tests {
     fn defaults_match_the_paper() {
         let c = StConfig::default();
         assert_eq!(c.initial_split_length, 50);
-        assert_eq!(c.abort_streak, 5);
-        assert_eq!(c.commit_streak, 5);
+        assert_eq!(ABORT_STREAK, 5);
+        assert_eq!(COMMIT_STREAK, 5);
         assert_eq!(c.min_split_length, 1);
         assert_eq!(c.forced_slow_prob, 0.0);
     }

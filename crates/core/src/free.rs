@@ -19,7 +19,7 @@
 //! store Harris marks there), and optionally resolves interior pointers
 //! through the heap's allocation-table range query (section 5.5).
 
-use crate::config::ScanMode;
+use crate::config::{Mutation, ScanMode};
 use crate::layout::{
     OFF_ACTIVE, OFF_OPER_COUNTER, OFF_REFSET, OFF_REFSET_COUNT, OFF_REGISTERS, OFF_SPLITS,
     OFF_STACK, OFF_STACK_DEPTH, REG_SLOTS,
@@ -531,7 +531,7 @@ fn step_inspection(
     // Consistency check (Algorithm 1, lines 23-29): if the thread committed
     // another segment while we scanned — and is still in the same
     // operation — the snapshot may be torn; restart the inspection.
-    if rt.config.mutation_skip_splits_recheck {
+    if rt.config.mutation == Mutation::SkipSplitsRecheck {
         return InspectStep::ThreadDone { hit: current.found };
     }
     let htm_post = heap.load(cpu, current.ctx, OFF_SPLITS);
@@ -699,7 +699,7 @@ mod tests {
             StConfig {
                 scan_mode: ScanMode::Batched,
                 scan_chunk_words: 8,
-                mutation_skip_one_free: true,
+                mutation: Mutation::SkipFree,
                 ..StConfig::default()
             },
             4,

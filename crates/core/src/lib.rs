@@ -73,7 +73,7 @@ pub mod runtime;
 pub mod stats;
 pub mod thread;
 
-pub use config::{ScanMode, StConfig};
+pub use config::{Mutation, ScanMode, StConfig};
 pub use opmem::{OpBody, OpMem, Step};
 pub use runtime::StRuntime;
 pub use stats::StThreadStats;

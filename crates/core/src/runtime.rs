@@ -1,6 +1,6 @@
 //! The global StackTrack runtime: activity array and shared counters.
 
-use crate::config::StConfig;
+use crate::config::{Mutation, StConfig};
 use crate::layout::CTX_WORDS;
 use crate::thread::StThread;
 use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
@@ -23,8 +23,8 @@ pub struct StRuntime {
     pub(crate) activity: Addr,
     pub(crate) slow_count: Addr,
     pub(crate) max_threads: usize,
-    /// One-shot arming of [`StConfig::mutation_skip_one_free`]: the first
-    /// scan verdict that would free a candidate swallows it instead.
+    /// One-shot arming of [`Mutation::SkipFree`]: the first scan verdict
+    /// that would free a candidate swallows it instead.
     skip_free_armed: AtomicBool,
 }
 
@@ -42,7 +42,7 @@ impl StRuntime {
         let slow_count = heap
             .alloc_untimed(1)
             .expect("heap too small for the slow-path counter");
-        let skip_free_armed = AtomicBool::new(config.mutation_skip_one_free);
+        let skip_free_armed = AtomicBool::new(config.mutation == Mutation::SkipFree);
         Arc::new(Self {
             engine,
             config,
@@ -54,10 +54,10 @@ impl StRuntime {
     }
 
     /// Consumes the one-shot skip-free mutation: `true` exactly once per
-    /// runtime when [`StConfig::mutation_skip_one_free`] is set, `false`
-    /// otherwise.
+    /// runtime under [`Mutation::SkipFree`], `false` otherwise.
     pub(crate) fn consume_skip_free(&self) -> bool {
-        self.config.mutation_skip_one_free && self.skip_free_armed.swap(false, Ordering::Relaxed)
+        self.config.mutation == Mutation::SkipFree
+            && self.skip_free_armed.swap(false, Ordering::Relaxed)
     }
 
     /// The heap underneath the engine.

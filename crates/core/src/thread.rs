@@ -1,6 +1,7 @@
 //! The per-thread StackTrack executor: split engine, slow path, and
 //! the `FREE` entry point.
 
+use crate::config::{ABORT_STREAK, COMMIT_STREAK, SLOW_FAIL_THRESHOLD};
 use crate::free::{Retired, ScanBuffers, ScanJob};
 use crate::layout::{
     OFF_ACTIVE, OFF_OPER_COUNTER, OFF_OP_ID, OFF_REFSET, OFF_REFSET_COUNT, OFF_REGISTERS,
@@ -89,8 +90,8 @@ impl StThread {
             c.initial_split_length,
             c.min_split_length,
             c.max_split_length,
-            c.abort_streak,
-            c.commit_streak,
+            ABORT_STREAK,
+            COMMIT_STREAK,
         );
         Self {
             rt,
@@ -490,7 +491,7 @@ impl StThread {
 
         self.restore_from_committed();
 
-        if self.fails_at_one >= self.rt.config.slow_fail_threshold {
+        if self.fails_at_one >= SLOW_FAIL_THRESHOLD {
             self.enter_slow(cpu);
         } else {
             self.split_start(cpu);

@@ -343,8 +343,9 @@ fn abandon_mid_slow_path_restores_the_counter() {
 
 #[test]
 fn hopeless_segments_fall_back_to_the_slow_path() {
-    // Every transactional access aborts spuriously: limits shrink to 1,
-    // then the fallback threshold trips and the op finishes in software.
+    // Every transactional access aborts spuriously: segments start at
+    // length 1, so the fallback threshold trips and the op finishes in
+    // software.
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 18,
         ..HeapConfig::small()
@@ -360,9 +361,7 @@ fn hopeless_segments_fall_back_to_the_slow_path() {
     let rt = StRuntime::new(
         engine,
         StConfig {
-            initial_split_length: 2,
-            abort_streak: 1,
-            slow_fail_threshold: 2,
+            initial_split_length: 1,
             ..StConfig::default()
         },
         1,

@@ -91,7 +91,8 @@ pub struct Dta {
     globals: Arc<DtaGlobals>,
     thread_id: usize,
     k: u32,
-    batch: usize,
+    /// Limbo size that triggers a sweep.
+    threshold: usize,
     freeze_lag: u64,
     hops: u32,
     limbo: Vec<(Addr, Word)>,
@@ -105,7 +106,7 @@ pub struct Dta {
 
 impl Dta {
     /// The state of thread slot `thread_id`, anchoring every `k` pointer
-    /// hops. A peer whose newest anchor lags the era clock by more than
+    /// hops and sweeping once `threshold` retired nodes wait. A peer whose newest anchor lags the era clock by more than
     /// `freeze_lag` retires is frozen out of the horizon (see the module
     /// docs; the factory passes [`FREEZE_LAG`]); [`u64::MAX`] disables
     /// freezing.
@@ -118,7 +119,7 @@ impl Dta {
         globals: Arc<DtaGlobals>,
         thread_id: usize,
         k: u32,
-        batch: usize,
+        threshold: usize,
         freeze_lag: u64,
     ) -> Self {
         assert!(k >= 4, "anchor period must exceed the traversal lag");
@@ -126,7 +127,7 @@ impl Dta {
             globals,
             thread_id,
             k,
-            batch,
+            threshold,
             freeze_lag,
             hops: 0,
             limbo: Vec::new(),
@@ -218,7 +219,7 @@ impl Protocol for Dta {
         let stamp = heap.fetch_add(cpu, self.globals.era, 0, 1) + 1;
         heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.limbo.push((addr, stamp));
-        if self.limbo.len() > self.batch {
+        if self.limbo.len() >= self.threshold {
             self.sweep(heap, cpu);
         }
     }
@@ -308,8 +309,8 @@ mod tests {
     #[test]
     fn idle_threads_do_not_pin_the_horizon() {
         let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Dta::new(globals.clone(), 0, 4, 0, u64::MAX));
-        let _b = Frame::new(heap.clone(), Dta::new(globals, 1, 4, 0, u64::MAX));
+        let mut a = Frame::new(heap.clone(), Dta::new(globals.clone(), 0, 4, 1, u64::MAX));
+        let _b = Frame::new(heap.clone(), Dta::new(globals, 1, 4, 1, u64::MAX));
         let mut cpu = test_cpu(0);
         let node = heap.alloc_untimed(2).unwrap();
 
@@ -330,8 +331,8 @@ mod tests {
     #[test]
     fn active_thread_with_stale_anchors_blocks_frees() {
         let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Dta::new(globals.clone(), 0, 4, 0, u64::MAX));
-        let mut b = Frame::new(heap.clone(), Dta::new(globals, 1, 4, 0, u64::MAX));
+        let mut a = Frame::new(heap.clone(), Dta::new(globals.clone(), 0, 4, 1, u64::MAX));
+        let mut b = Frame::new(heap.clone(), Dta::new(globals, 1, 4, 1, u64::MAX));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
         let node = heap.alloc_untimed(2).unwrap();
@@ -365,8 +366,8 @@ mod tests {
     #[test]
     fn lagging_thread_is_frozen_and_restarts() {
         let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Dta::new(globals.clone(), 0, 4, 0, 4));
-        let mut b = Frame::new(heap.clone(), Dta::new(globals, 1, 4, 0, 4));
+        let mut a = Frame::new(heap.clone(), Dta::new(globals.clone(), 0, 4, 1, 4));
+        let mut b = Frame::new(heap.clone(), Dta::new(globals, 1, 4, 1, 4));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 

@@ -69,7 +69,8 @@ struct Wait {
 pub struct Epoch {
     globals: Arc<EpochGlobals>,
     thread_id: usize,
-    batch: usize,
+    /// Limbo size that arms a quiescence wait at operation end.
+    threshold: usize,
     wait_budget: u64,
     timestamp: Word,
     limbo: Vec<Addr>,
@@ -83,17 +84,18 @@ pub struct Epoch {
 }
 
 impl Epoch {
-    /// The state of thread slot `thread_id`.
+    /// The state of thread slot `thread_id`, arming a quiescence wait at
+    /// the end of an operation once `threshold` retired nodes wait.
     pub fn new(
         globals: Arc<EpochGlobals>,
         thread_id: usize,
-        batch: usize,
+        threshold: usize,
         wait_budget: u64,
     ) -> Self {
         Self {
             globals,
             thread_id,
-            batch,
+            threshold,
             wait_budget,
             timestamp: 0,
             limbo: Vec::new(),
@@ -187,7 +189,7 @@ impl Protocol for Epoch {
     fn end(&mut self, heap: &Heap, cpu: &mut Cpu) {
         self.bump_timestamp(heap, cpu); // even: quiescent
         if self.wait.is_none()
-            && self.limbo.len() > self.batch
+            && self.limbo.len() >= self.threshold
             && !self.stragglers_unmoved(heap, cpu)
         {
             self.arm_wait(heap, cpu);
@@ -213,7 +215,7 @@ impl Protocol for Epoch {
     fn teardown(&mut self, heap: &Heap, cpu: &mut Cpu) {
         if !self.limbo.is_empty() {
             if self.wait.is_none() {
-                // Force a snapshot even below the batch threshold or with
+                // Force a snapshot even below the threshold or with
                 // a straggler on record.
                 self.arm_wait(heap, cpu);
             }
@@ -253,8 +255,8 @@ mod tests {
         m.run_op(cpu, 0, 0, &mut |_, _| Ok(Step::Done(0)));
     }
 
-    /// One operation that retires `node`; at batch 0 it arms a wait at its
-    /// end, which `run_op` leaves unpolled.
+    /// One operation that retires `node`; at threshold 1 it arms a wait at
+    /// its end, which `run_op` leaves unpolled.
     fn retire_op(m: &mut Frame<Epoch>, cpu: &mut Cpu, node: Addr) {
         m.run_op(cpu, 0, 0, &mut |m, cpu| {
             m.retire_unlinked(cpu, node).map(|()| Step::Done(0))
@@ -264,15 +266,15 @@ mod tests {
     #[test]
     fn frees_after_quiescence() {
         let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 0, BUDGET));
-        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 0, BUDGET));
+        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 1, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 1, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
         // B runs one full op so its timestamp is even (quiescent).
         noop(&mut b, &mut cpu_b);
 
-        // A retires a node; batch 0 arms the wait at op end, and with
+        // A retires a node; threshold 1 arms the wait at op end, and with
         // everyone quiescent the first poll clears it.
         let node = heap.alloc_untimed(2).unwrap();
         retire_op(&mut a, &mut cpu_a, node);
@@ -286,8 +288,8 @@ mod tests {
     #[test]
     fn in_operation_thread_makes_limbo_hoard() {
         let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 0, BUDGET));
-        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 0, BUDGET));
+        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 1, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 1, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -319,8 +321,8 @@ mod tests {
     #[test]
     fn a_poll_reloads_only_the_straggler() {
         let (globals, heap) = setup(16);
-        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 0, BUDGET));
-        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 9, 0, BUDGET));
+        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 1, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 9, 1, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(9);
 
@@ -347,8 +349,8 @@ mod tests {
     #[test]
     fn reclaimers_do_not_deadlock_each_other() {
         let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 0, BUDGET));
-        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 0, BUDGET));
+        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 1, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 1, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -371,7 +373,11 @@ mod tests {
         let mut cpu = test_cpu(0);
         let node = heap.alloc_untimed(2).unwrap();
         retire_op(&mut a, &mut cpu, node);
-        assert_eq!(a.outstanding_garbage(), 1, "below batch: still in limbo");
+        assert_eq!(
+            a.outstanding_garbage(),
+            1,
+            "below threshold: still in limbo"
+        );
         a.teardown(&mut cpu);
         assert_eq!(a.outstanding_garbage(), 0);
         assert!(!heap.is_live(node));

@@ -5,7 +5,7 @@
 //! slot, issues a full fence, and revalidates the source — "these
 //! additional fence instructions ... induce significant overhead, as can
 //! be seen in our experiments". Retired nodes collect in a per-thread
-//! list; when it exceeds the scan threshold, the thread snapshots all
+//! list; when it reaches the scan threshold, the thread snapshots all
 //! hazard slots and frees the unprotected nodes.
 
 use crate::frame::Protocol;
@@ -13,6 +13,7 @@ use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::tagged::TAG_MASK;
 use st_simheap::{Addr, Heap, Word};
+use stacktrack::Mutation;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -62,9 +63,8 @@ pub struct Hazard {
     thread_id: usize,
     used_guards: u64,
     rlist: Vec<Addr>,
-    /// Retired-list size that triggers a scan; 0 means
-    /// [`HazardGlobals::scan_threshold`].
-    retire_batch: usize,
+    /// Retired-list size that triggers a scan.
+    threshold: usize,
     /// **Mutation knob for the model checker.** When set, `load_ptr` skips
     /// the publish-fence-revalidate protocol and only records the intended
     /// publication; it lands at the *start of the next step*, so the node
@@ -82,35 +82,27 @@ pub struct Hazard {
 }
 
 impl Hazard {
-    /// The state of thread slot `thread_id`. `retire_batch` overrides the
-    /// scan threshold when non-zero; `defer_publish` enables the
-    /// validation-disabling mutation, `double_retire` the one-shot
-    /// retire-twice mutation (checker/audit use only).
+    /// The state of thread slot `thread_id`, scanning once `threshold`
+    /// retired nodes wait (the factory's default is
+    /// [`HazardGlobals::scan_threshold`]). `mutation` seeds
+    /// [`Mutation::DeferHazardPublish`] or [`Mutation::DoubleRetire`]
+    /// (checker/audit use only) and is ignored otherwise.
     pub fn new(
         globals: Arc<HazardGlobals>,
         thread_id: usize,
-        retire_batch: usize,
-        defer_publish: bool,
-        double_retire: bool,
+        threshold: usize,
+        mutation: Mutation,
     ) -> Self {
         Self {
             globals,
             thread_id,
             used_guards: 0,
             rlist: Vec::new(),
-            retire_batch,
-            defer_publish,
+            threshold,
+            defer_publish: mutation == Mutation::DeferHazardPublish,
             pending_publish: Vec::new(),
-            double_retire,
+            double_retire: mutation == Mutation::DoubleRetire,
             scans: 0,
-        }
-    }
-
-    fn scan_trigger(&self) -> usize {
-        if self.retire_batch > 0 {
-            self.retire_batch
-        } else {
-            self.globals.scan_threshold()
         }
     }
 
@@ -192,7 +184,7 @@ impl Protocol for Hazard {
             heap.note_retire(cpu.thread_id, cpu.now(), addr);
             self.rlist.push(addr);
         }
-        if self.rlist.len() >= self.scan_trigger() {
+        if self.rlist.len() >= self.threshold {
             self.scan(heap, cpu);
         }
     }
@@ -259,7 +251,7 @@ mod tests {
         let (globals, heap) = setup(1);
         let mut th = Frame::new(
             heap.clone(),
-            Hazard::new(globals.clone(), 0, 0, false, false),
+            Hazard::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
         );
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
@@ -284,11 +276,11 @@ mod tests {
         let (globals, heap) = setup(2);
         let mut holder = Frame::new(
             heap.clone(),
-            Hazard::new(globals.clone(), 0, 0, false, false),
+            Hazard::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
         );
         let mut reclaimer = Frame::new(
             heap.clone(),
-            Hazard::new(globals.clone(), 1, 0, false, false),
+            Hazard::new(globals.clone(), 1, globals.scan_threshold(), Mutation::None),
         );
         let mut cpu_h = test_cpu(0);
         let mut cpu_r = test_cpu(1);
@@ -324,7 +316,10 @@ mod tests {
     fn scan_triggers_at_threshold() {
         let (globals, heap) = setup(1);
         let threshold = globals.scan_threshold();
-        let mut th = Frame::new(heap.clone(), Hazard::new(globals, 0, 0, false, false));
+        let mut th = Frame::new(
+            heap.clone(),
+            Hazard::new(globals, 0, threshold, Mutation::None),
+        );
         let mut cpu = test_cpu(0);
 
         for i in 0..threshold {
@@ -344,7 +339,10 @@ mod tests {
     #[test]
     fn teardown_frees_everything() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Hazard::new(globals, 0, 0, false, false));
+        let mut th = Frame::new(
+            heap.clone(),
+            Hazard::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+        );
         let mut cpu = test_cpu(0);
         let n = heap.alloc_untimed(2).unwrap();
         th.run_op(&mut cpu, 0, 0, &mut |m, cpu| {
@@ -358,7 +356,10 @@ mod tests {
     #[test]
     fn null_loads_skip_the_protocol() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Hazard::new(globals, 0, 0, false, false));
+        let mut th = Frame::new(
+            heap.clone(),
+            Hazard::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+        );
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
         th.begin_op(&mut cpu, 0, 0);

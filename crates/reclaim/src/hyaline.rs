@@ -33,12 +33,13 @@ use crate::frame::Protocol;
 use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::{Addr, Heap, Word};
+use stacktrack::Mutation;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Retires aggregated into one dispatched batch when the factory's
-/// `retire_batch` is 0. Smaller batches reclaim sooner but dispatch (and
+/// `retire_batch` is `None`. Smaller batches reclaim sooner but dispatch (and
 /// hand off) more often.
 pub const BATCH: usize = 8;
 
@@ -146,22 +147,23 @@ pub struct Hyaline {
 }
 
 impl Hyaline {
-    /// The state of thread slot `thread_id`. `batch_size` is the dispatch
-    /// granularity (at least 1); `drop_decrement` enables the leak-seeding
-    /// mutation (audit/checker use only).
+    /// The state of thread slot `thread_id`, dispatching once
+    /// `batch_size` retired nodes wait. `mutation` seeds
+    /// [`Mutation::HyalineDropDecrement`] (audit/checker use only) and is
+    /// ignored otherwise.
     pub fn new(
         globals: Arc<HyalineGlobals>,
         thread_id: usize,
         batch_size: usize,
-        drop_decrement: bool,
+        mutation: Mutation,
     ) -> Self {
         Self {
             globals,
             thread_id,
             pending: Vec::new(),
-            batch_size: batch_size.max(1),
+            batch_size,
             published_era: 0,
-            drop_decrement,
+            drop_decrement: mutation == Mutation::HyalineDropDecrement,
             dispatches: 0,
             batch_handoffs: 0,
             freed: 0,
@@ -371,7 +373,7 @@ mod tests {
     #[test]
     fn solo_dispatch_frees_immediately() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 1, false));
+        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 1, Mutation::None));
         let mut cpu = test_cpu(0);
         let n = heap.alloc_untimed(2).unwrap();
         th.run_op(&mut cpu, 0, 0, &mut |m, cpu| {
@@ -387,8 +389,14 @@ mod tests {
     #[test]
     fn active_reader_holds_the_batch_until_its_op_ends() {
         let (globals, heap) = setup(2);
-        let mut writer = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 0, 1, false));
-        let mut reader = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 1, 1, false));
+        let mut writer = Frame::new(
+            heap.clone(),
+            Hyaline::new(globals.clone(), 0, 1, Mutation::None),
+        );
+        let mut reader = Frame::new(
+            heap.clone(),
+            Hyaline::new(globals.clone(), 1, 1, Mutation::None),
+        );
         let mut cpu_w = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -426,8 +434,14 @@ mod tests {
     #[test]
     fn stale_era_reader_is_skipped() {
         let (globals, heap) = setup(2);
-        let mut writer = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 0, 1, false));
-        let mut reader = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 1, 1, false));
+        let mut writer = Frame::new(
+            heap.clone(),
+            Hyaline::new(globals.clone(), 0, 1, Mutation::None),
+        );
+        let mut reader = Frame::new(
+            heap.clone(),
+            Hyaline::new(globals.clone(), 1, 1, Mutation::None),
+        );
         let mut cpu_w = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -462,8 +476,14 @@ mod tests {
     #[test]
     fn prepopulated_nodes_default_to_the_oldest_era() {
         let (globals, heap) = setup(2);
-        let mut writer = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 0, 1, false));
-        let mut reader = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 1, 1, false));
+        let mut writer = Frame::new(
+            heap.clone(),
+            Hyaline::new(globals.clone(), 0, 1, Mutation::None),
+        );
+        let mut reader = Frame::new(
+            heap.clone(),
+            Hyaline::new(globals.clone(), 1, 1, Mutation::None),
+        );
         let mut cpu_w = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -485,7 +505,7 @@ mod tests {
     #[test]
     fn batches_aggregate_to_the_configured_size() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 4, false));
+        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 4, Mutation::None));
         let mut cpu = test_cpu(0);
         for i in 0..8u64 {
             let n = heap.alloc_untimed(2).unwrap();
@@ -502,8 +522,14 @@ mod tests {
     #[test]
     fn teardown_drains_the_tail() {
         let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 0, 100, false));
-        let mut b = Frame::new(heap.clone(), Hyaline::new(globals.clone(), 1, 100, false));
+        let mut a = Frame::new(
+            heap.clone(),
+            Hyaline::new(globals.clone(), 0, 100, Mutation::None),
+        );
+        let mut b = Frame::new(
+            heap.clone(),
+            Hyaline::new(globals.clone(), 1, 100, Mutation::None),
+        );
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -523,7 +549,7 @@ mod tests {
     #[test]
     fn teardown_ends_an_open_operation() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 1, false));
+        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 1, Mutation::None));
         let mut cpu = test_cpu(0);
         th.begin_op(&mut cpu, 0, 0);
         th.teardown(&mut cpu);
@@ -533,7 +559,10 @@ mod tests {
     #[test]
     fn drop_decrement_mutation_leaks_the_first_batch() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Hyaline::new(globals, 0, 1, true));
+        let mut th = Frame::new(
+            heap.clone(),
+            Hyaline::new(globals, 0, 1, Mutation::HyalineDropDecrement),
+        );
         let mut cpu = test_cpu(0);
         let n1 = heap.alloc_untimed(2).unwrap();
         let n2 = heap.alloc_untimed(2).unwrap();

@@ -87,7 +87,7 @@ pub(crate) mod test_support {
 }
 
 use st_simhtm::HtmEngine;
-use stacktrack::{StConfig, StRuntime};
+use stacktrack::{Mutation, StConfig, StRuntime};
 use std::sync::Arc;
 
 /// The reclamation schemes of the paper's evaluation.
@@ -174,9 +174,15 @@ impl std::str::FromStr for Scheme {
 /// Baseline-scheme tunables.
 #[derive(Debug, Clone)]
 pub struct ReclaimConfig {
-    /// Limbo-list size that triggers an epoch wait / DTA sweep / hazard
-    /// scan (comparable to StackTrack's `max_free`).
-    pub retire_batch: usize,
+    /// Retired nodes that trigger reclamation (an epoch wait, a DTA
+    /// sweep, a hazard scan, an NBR broadcast, a Hyaline dispatch): with
+    /// `Some(n)` every scheme reclaims once `n` retired nodes wait
+    /// (`Some(0)` acts as `Some(1)`). `None` keeps each scheme's own
+    /// threshold: 1 for Epoch and DTA, `2 x threads x guard slots` for
+    /// Hazards and NBR, [`hyaline::BATCH`] for Hyaline. `Some(n)` matches
+    /// StackTrack's `max_free = n - 1`, because StackTrack scans once its
+    /// free set *exceeds* `max_free`.
+    pub retire_batch: Option<usize>,
     /// DTA: hops between anchor publications.
     pub dta_k: u32,
     /// Epoch: cycles a reclaimer spins on a quiescence snapshot before
@@ -186,40 +192,20 @@ pub struct ReclaimConfig {
     /// stalled or crashed thread only costs one budget before the
     /// reclaimer resumes operating with a growing limbo list.
     pub epoch_wait_budget: u64,
-    /// **Mutation knob for the model checker — never enable in real
-    /// runs.** Defers the hazard-pointer publish/fence/revalidate of
-    /// `load_ptr` to the next step boundary, re-opening the protection
-    /// race Michael's protocol closes. `st-check`'s mutation tests flip
-    /// this to prove the use-after-free oracle has teeth.
-    pub mutation_defer_hazard_publish: bool,
-    /// **Mutation knob for the audit harness — never enable in real
-    /// runs.** Makes a hazard-pointer thread's first retire enter the
-    /// retired list twice (one-shot), seeding the double-retire /
-    /// double-free defect the heap-ledger oracle must catch.
-    pub mutation_double_retire: bool,
-    /// **Mutation knob for the model checker — never enable in real
-    /// runs.** NBR's neutralization handler ignores the signal instead of
-    /// restarting the read phase, so a traversal keeps dereferencing
-    /// pointers the signaling reclaimer just freed — the use-after-free
-    /// the restart protocol exists to prevent.
-    pub mutation_nbr_skip_restart: bool,
-    /// **Mutation knob for the audit harness — never enable in real
-    /// runs.** One-shot: a Hyaline thread's first dispatch skips its own
-    /// reference decrement, so that batch's counter never reaches zero
-    /// and its nodes leak — the defect the heap-ledger oracle must catch.
-    pub mutation_hyaline_drop_decrement: bool,
+    /// Seeded defect for the checker and the audit harness; Hazards read
+    /// [`Mutation::DeferHazardPublish`] and [`Mutation::DoubleRetire`],
+    /// NBR [`Mutation::NbrSkipRestart`], Hyaline
+    /// [`Mutation::HyalineDropDecrement`].
+    pub mutation: Mutation,
 }
 
 impl Default for ReclaimConfig {
     fn default() -> Self {
         Self {
-            retire_batch: 0,
+            retire_batch: None,
             dta_k: 20,
             epoch_wait_budget: 2_500_000,
-            mutation_defer_hazard_publish: false,
-            mutation_double_retire: false,
-            mutation_nbr_skip_restart: false,
-            mutation_hyaline_drop_decrement: false,
+            mutation: Mutation::None,
         }
     }
 }
@@ -389,15 +375,6 @@ impl SchemeFactory {
         self.scheme
     }
 
-    /// The StackTrack runtime, when the scheme is StackTrack (for
-    /// statistics extraction).
-    pub fn st_runtime(&self) -> Option<&Arc<StRuntime>> {
-        match &self.globals {
-            SchemeGlobals::StackTrack(rt) => Some(rt),
-            _ => None,
-        }
-    }
-
     /// Precise protection-publication regions for the heap's ABA
     /// re-exposure oracle: heap words that, while holding a pointer,
     /// forbid recycling its block. Hazard pointers and NBR publish such
@@ -416,6 +393,8 @@ impl SchemeFactory {
     pub fn thread(&self, thread_id: usize) -> Box<dyn SchemeThread> {
         let heap = self.engine.heap().clone();
         let config = &self.config;
+        // The reclamation threshold: the configured one, else the scheme's.
+        let threshold = |own: usize| config.retire_batch.unwrap_or(own).max(1);
         match &self.globals {
             SchemeGlobals::None => Box::new(Frame::new(heap, none::NoReclaim::default())),
             SchemeGlobals::Epoch(globals) => Box::new(Frame::new(
@@ -423,7 +402,7 @@ impl SchemeFactory {
                 epoch::Epoch::new(
                     globals.clone(),
                     thread_id,
-                    config.retire_batch,
+                    threshold(1),
                     config.epoch_wait_budget,
                 ),
             )),
@@ -432,9 +411,8 @@ impl SchemeFactory {
                 hazard::Hazard::new(
                     globals.clone(),
                     thread_id,
-                    config.retire_batch,
-                    config.mutation_defer_hazard_publish,
-                    config.mutation_double_retire,
+                    threshold(globals.scan_threshold()),
+                    config.mutation,
                 ),
             )),
             SchemeGlobals::Dta(globals) => Box::new(Frame::new(
@@ -443,7 +421,7 @@ impl SchemeFactory {
                     globals.clone(),
                     thread_id,
                     config.dta_k,
-                    config.retire_batch,
+                    threshold(1),
                     dta::FREEZE_LAG,
                 ),
             )),
@@ -457,8 +435,8 @@ impl SchemeFactory {
                 nbr::Nbr::new(
                     globals.clone(),
                     thread_id,
-                    config.retire_batch,
-                    config.mutation_nbr_skip_restart,
+                    threshold(globals.scan_threshold()),
+                    config.mutation,
                 ),
             )),
             SchemeGlobals::Hyaline(globals) => Box::new(Frame::new(
@@ -466,12 +444,8 @@ impl SchemeFactory {
                 hyaline::Hyaline::new(
                     globals.clone(),
                     thread_id,
-                    if config.retire_batch > 0 {
-                        config.retire_batch
-                    } else {
-                        hyaline::BATCH
-                    },
-                    config.mutation_hyaline_drop_decrement,
+                    threshold(hyaline::BATCH),
+                    config.mutation,
                 ),
             )),
         }
@@ -481,6 +455,8 @@ impl SchemeFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_simhtm::HtmConfig;
+    use stacktrack::Step;
 
     #[test]
     fn scheme_names_round_trip_through_fromstr() {
@@ -494,5 +470,33 @@ mod tests {
             assert_eq!(scheme.to_string(), scheme.name());
         }
         assert!("nonsense".parse::<Scheme>().is_err());
+    }
+
+    /// `retire_batch: Some(n)` reads "reclaim once `n` retired nodes
+    /// wait" in every scheme that batches retires: at `Some(1)` one
+    /// retiring operation, once its idle work drains, leaves no garbage.
+    #[test]
+    fn a_batch_of_one_reclaims_the_first_retire() {
+        for scheme in [Scheme::Epoch, Scheme::Hazard, Scheme::Nbr, Scheme::Hyaline] {
+            let (heap, mut cpu) = test_support::test_env();
+            let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), 1));
+            let factory = SchemeFactory::builder(scheme)
+                .engine(engine)
+                .reclaim_config(ReclaimConfig {
+                    retire_batch: Some(1),
+                    ..ReclaimConfig::default()
+                })
+                .build();
+            let mut th = factory.thread(0);
+            let node = heap.alloc_untimed(2).unwrap();
+            th.run_op(&mut cpu, 0, 0, &mut |m, cpu| {
+                m.retire_unlinked(cpu, node).map(|()| Step::Done(0))
+            });
+            while th.idle_work_pending() {
+                th.step_idle(&mut cpu);
+            }
+            assert_eq!(th.outstanding_garbage(), 0, "{scheme}");
+            assert!(!heap.is_live(node), "{scheme}");
+        }
     }
 }

@@ -36,6 +36,7 @@ use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::tagged::TAG_MASK;
 use st_simheap::{Addr, Heap, Word};
+use stacktrack::Mutation;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -96,9 +97,8 @@ pub struct Nbr {
     /// [`Heap::free_unpublished`] if the attempt is neutralized.
     fresh: Vec<Addr>,
     limbo: Vec<Addr>,
-    /// Limbo size that triggers a broadcast + scan; 0 means
-    /// [`NbrGlobals::scan_threshold`].
-    retire_batch: usize,
+    /// Limbo size that triggers a broadcast + scan.
+    threshold: usize,
     /// **Mutation knob for the model checker — never enable in real
     /// runs.** The neutralization handler ignores the signal instead of
     /// restarting, so the thread keeps traversing through pointers the
@@ -114,14 +114,16 @@ pub struct Nbr {
 }
 
 impl Nbr {
-    /// The state of thread slot `thread_id`. `retire_batch` overrides the
-    /// broadcast threshold when non-zero; `skip_restart` enables the
-    /// ignore-neutralization mutation (checker use only).
+    /// The state of thread slot `thread_id`, broadcasting once
+    /// `threshold` retired nodes wait (the factory's default is
+    /// [`NbrGlobals::scan_threshold`]). `mutation` seeds
+    /// [`Mutation::NbrSkipRestart`] (checker use only) and is ignored
+    /// otherwise.
     pub fn new(
         globals: Arc<NbrGlobals>,
         thread_id: usize,
-        retire_batch: usize,
-        skip_restart: bool,
+        threshold: usize,
+        mutation: Mutation,
     ) -> Self {
         Self {
             globals,
@@ -131,19 +133,11 @@ impl Nbr {
             used_guards: 0,
             fresh: Vec::new(),
             limbo: Vec::new(),
-            retire_batch,
-            skip_restart,
+            threshold,
+            skip_restart: mutation == Mutation::NbrSkipRestart,
             neutralizations: 0,
             signals_sent: 0,
             freed: 0,
-        }
-    }
-
-    fn trigger(&self) -> usize {
-        if self.retire_batch > 0 {
-            self.retire_batch
-        } else {
-            self.globals.scan_threshold()
         }
     }
 
@@ -261,7 +255,7 @@ impl Protocol for Nbr {
         self.enter_write_phase(heap, cpu);
         heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.limbo.push(addr);
-        if self.limbo.len() >= self.trigger() {
+        if self.limbo.len() >= self.threshold {
             self.broadcast_and_reclaim(heap, cpu);
         }
     }
@@ -352,7 +346,10 @@ mod tests {
     #[test]
     fn read_phase_loads_pay_no_fence() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 0, false));
+        let mut th = Frame::new(
+            heap.clone(),
+            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+        );
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
         let x = heap.alloc_untimed(2).unwrap();
@@ -371,7 +368,10 @@ mod tests {
     #[test]
     fn first_shared_store_publishes_reservations() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Nbr::new(globals.clone(), 0, 0, false));
+        let mut th = Frame::new(
+            heap.clone(),
+            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+        );
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
         let x = heap.alloc_untimed(2).unwrap();
@@ -398,8 +398,14 @@ mod tests {
     #[test]
     fn reclaimer_frees_immediately_and_respects_reservations() {
         let (globals, heap) = setup(2);
-        let mut writer = Frame::new(heap.clone(), Nbr::new(globals.clone(), 0, 0, false));
-        let mut reclaimer = Frame::new(heap.clone(), Nbr::new(globals.clone(), 1, 1, false));
+        let mut writer = Frame::new(
+            heap.clone(),
+            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+        );
+        let mut reclaimer = Frame::new(
+            heap.clone(),
+            Nbr::new(globals.clone(), 1, 1, Mutation::None),
+        );
         let mut cpu_w = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -442,7 +448,10 @@ mod tests {
     #[test]
     fn neutralize_restarts_a_read_phase_attempt() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 0, false));
+        let mut th = Frame::new(
+            heap.clone(),
+            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+        );
         let mut cpu = test_cpu(0);
 
         th.begin_op(&mut cpu, 0, 2);
@@ -472,7 +481,10 @@ mod tests {
     #[test]
     fn neutralize_is_refused_in_the_write_phase_and_when_idle() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 0, false));
+        let mut th = Frame::new(
+            heap.clone(),
+            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+        );
         let mut cpu = test_cpu(0);
 
         // Idle: ignored.
@@ -497,7 +509,7 @@ mod tests {
     fn broadcast_raises_signals_against_every_peer() {
         let (globals, heap) = setup(3);
         let board = Arc::new(SignalBoard::new(3));
-        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 1, false));
+        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 1, Mutation::None));
         let mut cpu = test_cpu(0);
         cpu.attach_signals(board.clone());
 
@@ -516,7 +528,15 @@ mod tests {
     #[test]
     fn skip_restart_mutation_keeps_stale_locals() {
         let (globals, heap) = setup(1);
-        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 0, true));
+        let mut th = Frame::new(
+            heap.clone(),
+            Nbr::new(
+                globals.clone(),
+                0,
+                globals.scan_threshold(),
+                Mutation::NbrSkipRestart,
+            ),
+        );
         let mut cpu = test_cpu(0);
         th.begin_op(&mut cpu, 0, 1);
         let mut body = |m: &mut dyn OpMem, cpu: &mut Cpu| {

@@ -254,11 +254,6 @@ impl Heap {
         }
     }
 
-    /// Creates a heap with default configuration.
-    pub fn default_sized() -> Self {
-        Self::new(HeapConfig::default())
-    }
-
     fn cell(&self, addr: Addr, off: u64) -> &AtomicU64 {
         let idx = addr.index() + off;
         assert!(

@@ -44,11 +44,6 @@ impl HashShape {
         self.buckets[(h >> 33) as usize % self.buckets.len()]
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Inserts directly (initial population).
     pub fn insert_untimed(&self, heap: &Heap, key: u64) -> bool {
         self.bucket_of(key).insert_untimed(heap, key)

@@ -279,11 +279,6 @@ impl MsQueue {
             v => Some(v),
         }
     }
-
-    /// Snapshot of queued values (untimed; tests).
-    pub fn collect_values(&self) -> Vec<Word> {
-        self.shape.collect_values_untimed(&self.heap)
-    }
 }
 
 #[cfg(test)]

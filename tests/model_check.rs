@@ -191,6 +191,8 @@ fn intact_protocols_pass_dfs_and_random_exploration() {
             Scheme::StackTrack,
             Scheme::Epoch,
             Scheme::Hazard,
+            Scheme::Dta,
+            Scheme::RefCount,
             Scheme::Nbr,
             Scheme::Hyaline,
         ] {
