@@ -2,10 +2,10 @@
 //! harness (see `docs/AUDIT.md`).
 //!
 //! ```text
-//! st-bench audit [--structures list,hash] [--schemes A,B,...]
-//!                [--budget-ms N] [--episodes N] [--threads N] [--ops N]
-//!                [--keys N] [--seed N] [--faults on|off] [--percent N]
-//!                [--mutate M] [--out DIR]
+//! st-bench audit [--structures list,hash,queue,skiplist,rbtree] [--schemes A,B,...]
+//!                [--threads N] [--ops N] [--keys N] [--seed N] [--percent N]
+//!                [--mutate none|splits|hazard|skipfree|dretire|nbrskip|hyadrop]
+//!                [--budget-ms N] [--episodes N] [--faults on|off] [--out DIR]
 //! ```
 //!
 //! Each *episode* runs one seeded scripted workload (the `st-check`
@@ -24,13 +24,14 @@
 //! combination, with the `audit.*` counters named in [`st_obs::audit`]
 //! and a `per_thread` envelope whose ops rows sum to `run.total_ops`.
 
+use crate::cli::{checker_flags, parse_flags, CheckerFlags, Flag, ANY, POSITIVE};
 use crate::experiment::PerThread;
+use crate::report::{self, SnapshotRun};
 use st_check::{
-    run_schedule, shrink_failure, CheckConfig, Mutation, RecordingController, ReplayToken,
-    Violation,
+    run_schedule, shrink_failure, CheckConfig, RecordingController, ReplayToken, Violation,
 };
 use st_machine::{FaultPlan, Pcg32};
-use st_obs::{audit, Json, MetricsRegistry, SCHEMA_VERSION};
+use st_obs::{audit, Json, MetricsRegistry};
 use st_reclaim::Scheme;
 use st_structures::StructureKind;
 use std::path::PathBuf;
@@ -41,54 +42,70 @@ use std::time::Instant;
 /// Soak parameters (CLI flags of `st-bench audit`).
 #[derive(Debug, Clone)]
 pub struct AuditOpts {
-    /// Structures to soak (default: list and hash, the two whose node
-    /// turnover is highest per step).
-    pub structures: Vec<StructureKind>,
-    /// Schemes to soak (default: all six, including the reclaim-none
-    /// reference).
-    pub schemes: Vec<Scheme>,
+    /// The flags `audit` shares with `check`. By default it soaks list and
+    /// hash, the two whose node turnover is highest per step, under every
+    /// scheme, the reclaim-none reference included. Episode `e` soaks
+    /// seed `seed + e * PHI`.
+    pub checker: CheckerFlags,
     /// Wall-clock soak budget in milliseconds. Every combination gets at
     /// least one episode even when the budget is already spent.
     pub budget_ms: u64,
     /// Hard cap on episodes per combination (keeps artifacts bounded and
     /// runs reproducible when the budget is generous).
     pub max_episodes: u64,
-    /// Simulated threads per episode.
-    pub threads: usize,
-    /// Scripted operations per thread per episode.
-    pub ops: usize,
-    /// Keys drawn from `1..=keys` (small, to force conflicts).
-    pub keys: u64,
-    /// Base seed; episode `e` soaks seed `base + e * PHI`.
-    pub seed: u64,
     /// Inject a seed-derived stall + preemption-storm plan per episode.
     pub faults: bool,
-    /// Per-decision deviation probability of the randomized scheduler.
-    pub percent: u32,
-    /// Protocol mutation (teeth checks; `none` for real audits).
-    pub mutation: Mutation,
     /// Output directory for `audit.metrics.json`.
     pub out: PathBuf,
 }
 
 impl Default for AuditOpts {
     fn default() -> Self {
-        let base = CheckConfig::default();
         AuditOpts {
-            structures: vec![StructureKind::List, StructureKind::Hash],
-            schemes: Scheme::all().to_vec(),
+            checker: CheckerFlags::new(
+                vec![StructureKind::List, StructureKind::Hash],
+                Scheme::all().to_vec(),
+            ),
             budget_ms: 3_000,
             max_episodes: 40,
-            threads: base.threads,
-            ops: base.ops_per_thread,
-            keys: base.key_range,
-            seed: base.seed,
             faults: false,
-            percent: 25,
-            mutation: Mutation::None,
             out: PathBuf::from("results"),
         }
     }
+}
+
+impl AsMut<CheckerFlags> for AuditOpts {
+    fn as_mut(&mut self) -> &mut CheckerFlags {
+        &mut self.checker
+    }
+}
+
+/// `audit`'s flags: the checker block, then its own.
+pub fn flags() -> Vec<Flag<AuditOpts>> {
+    let own: [Flag<AuditOpts>; 4] = [
+        Flag::int("--budget-ms", ANY, |o, v| o.budget_ms = v),
+        Flag::int("--episodes", POSITIVE, |o, v| o.max_episodes = v),
+        Flag::text("--faults", "on|off", |o, v| {
+            o.faults = match v {
+                "on" => true,
+                "off" => false,
+                other => return Err(format!("--faults takes on or off, got {other:?}")),
+            };
+            Ok(())
+        }),
+        Flag::text("--out", "DIR", |o, v| {
+            o.out = v.into();
+            Ok(())
+        }),
+    ];
+    checker_flags().into_iter().chain(own).collect()
+}
+
+/// Reads `audit`'s arguments, refusing a checker config past its limits.
+pub(crate) fn parse(args: &[String]) -> Result<AuditOpts, String> {
+    let opts: AuditOpts = parse_flags(&flags(), args)?;
+    opts.checker.configs()?;
+    Ok(opts)
 }
 
 /// Accumulated soak state of one structure × scheme combination.
@@ -103,7 +120,7 @@ pub struct ComboSummary {
     /// Completed operations across all episodes.
     pub ops: u64,
     /// Completed operations per thread slot (snapshot envelope rows).
-    pub per_thread_ops: Vec<u64>,
+    pub per_thread: Vec<PerThread>,
     /// Ledger retire events across all episodes.
     pub retires: u64,
     /// Ledger free events across all episodes.
@@ -115,13 +132,20 @@ pub struct ComboSummary {
 }
 
 impl ComboSummary {
-    fn new(structure: StructureKind, scheme: Scheme, threads: usize) -> Self {
+    fn new(config: &CheckConfig) -> Self {
         Self {
-            structure,
-            scheme,
+            structure: config.structure,
+            scheme: config.scheme,
             episodes: 0,
             ops: 0,
-            per_thread_ops: vec![0; threads],
+            per_thread: (0..config.threads)
+                .map(|thread| PerThread {
+                    thread,
+                    ops: 0,
+                    busy_cycles: 0,
+                    garbage: 0,
+                })
+                .collect(),
             retires: 0,
             frees: 0,
             violation_counts: [0; audit::VIOLATION_COUNTERS.len()],
@@ -132,6 +156,20 @@ impl ComboSummary {
     /// Total findings across all classes.
     pub fn violations(&self) -> u64 {
         self.violation_counts.iter().sum()
+    }
+
+    /// The `audit.*` counters, plus `run.total_ops`.
+    fn metrics(&self) -> MetricsRegistry {
+        let mut metrics = MetricsRegistry::new();
+        metrics.add("run.total_ops", self.ops);
+        metrics.add(audit::EPISODES, self.episodes);
+        metrics.add(audit::RETIRES, self.retires);
+        metrics.add(audit::FREES, self.frees);
+        metrics.add(audit::VIOLATIONS, self.violations());
+        for (key, &count) in audit::VIOLATION_COUNTERS.iter().zip(&self.violation_counts) {
+            metrics.add(key, count);
+        }
+        metrics
     }
 }
 
@@ -168,44 +206,21 @@ fn fault_plan(seed: u64, threads: usize) -> FaultPlan {
         .storm(0, rng.below(20_000), 500 + rng.below(4_000))
 }
 
-/// The config of one episode of `structure` under `scheme`.
-fn episode_config(
-    opts: &AuditOpts,
-    structure: StructureKind,
-    scheme: Scheme,
-    seed: u64,
-) -> CheckConfig {
-    CheckConfig {
-        structure,
-        scheme,
-        threads: opts.threads,
-        ops_per_thread: opts.ops,
-        key_range: opts.keys,
-        seed,
-        mutation: opts.mutation,
-        faults: if opts.faults {
-            fault_plan(seed, opts.threads)
-        } else {
-            FaultPlan::default()
-        },
-        ..CheckConfig::default()
-    }
-}
-
 /// Runs the soak and returns one summary per combination.
+///
+/// # Panics
+///
+/// If a combination is past the checker's limits, which the command
+/// line refuses.
 pub fn soak(opts: &AuditOpts) -> Vec<ComboSummary> {
     let started = Instant::now();
-    let mut combos: Vec<ComboSummary> = opts
-        .structures
-        .iter()
-        .flat_map(|&structure| {
-            opts.schemes
-                .iter()
-                .map(move |&scheme| ComboSummary::new(structure, scheme, opts.threads))
-        })
-        .collect();
+    let configs = opts
+        .checker
+        .configs()
+        .expect("every combination is within the checker's limits");
+    let mut combos: Vec<ComboSummary> = configs.iter().map(ComboSummary::new).collect();
     'soak: for e in 0..opts.max_episodes {
-        for combo in combos.iter_mut() {
+        for (combo, base) in combos.iter_mut().zip(&configs) {
             // Episode 0 always runs so every combination has coverage.
             if e > 0 && started.elapsed().as_millis() as u64 >= opts.budget_ms {
                 break 'soak;
@@ -213,17 +228,25 @@ pub fn soak(opts: &AuditOpts) -> Vec<ComboSummary> {
             if combo.failure.is_some() {
                 continue;
             }
-            let seed = opts.seed.wrapping_add(e.wrapping_mul(0x9e37_79b9));
-            let config = episode_config(opts, combo.structure, combo.scheme, seed);
+            let seed = base.seed.wrapping_add(e.wrapping_mul(0x9e37_79b9));
+            let config = CheckConfig {
+                seed,
+                faults: if opts.faults {
+                    fault_plan(seed, base.threads)
+                } else {
+                    FaultPlan::default()
+                },
+                ..base.clone()
+            };
             let ctrl = Arc::new(RecordingController::random(
                 seed ^ 0x51ed_c0de,
-                opts.percent,
+                opts.checker.percent,
             ));
             let outcome = run_schedule(&config, ctrl);
             combo.episodes += 1;
             combo.ops += outcome.completed_ops;
-            for (t, &n) in outcome.per_thread_ops.iter().enumerate() {
-                combo.per_thread_ops[t] += n;
+            for (row, &n) in combo.per_thread.iter_mut().zip(&outcome.per_thread_ops) {
+                row.ops += n;
             }
             combo.retires += outcome.ledger.retire_events;
             combo.frees += outcome.ledger.free_events;
@@ -245,130 +268,30 @@ pub fn soak(opts: &AuditOpts) -> Vec<ComboSummary> {
 /// combination, `audit.*` counters plus a `per_thread` envelope whose
 /// ops rows sum to `run.total_ops`.
 pub fn audit_snapshot(name: &str, budget_ms: u64, combos: &[ComboSummary]) -> Json {
-    let mut doc = Json::obj();
-    doc.set("schema_version", SCHEMA_VERSION);
-    doc.set("name", name);
-    let runs: Vec<Json> = combos
+    let labels: Vec<(String, MetricsRegistry)> = combos
         .iter()
-        .map(|c| {
-            let mut metrics = MetricsRegistry::new();
-            metrics.add("run.total_ops", c.ops);
-            metrics.add(audit::EPISODES, c.episodes);
-            metrics.add(audit::RETIRES, c.retires);
-            metrics.add(audit::FREES, c.frees);
-            metrics.add(audit::VIOLATIONS, c.violations());
-            for (key, &count) in audit::VIOLATION_COUNTERS.iter().zip(&c.violation_counts) {
-                metrics.add(key, count);
-            }
-            let rows: Vec<Json> = c
-                .per_thread_ops
-                .iter()
-                .enumerate()
-                .map(|(thread, &ops)| {
-                    PerThread {
-                        thread,
-                        ops,
-                        busy_cycles: 0,
-                        garbage: 0,
-                    }
-                    .to_json()
-                })
-                .collect();
-            let mut run = Json::obj();
-            run.set("scheme", c.scheme.name());
-            run.set("structure", c.structure.to_string());
-            run.set("threads", c.per_thread_ops.len());
-            run.set("duration_ms", budget_ms);
-            run.set("per_thread", Json::Arr(rows));
-            run.set("metrics", metrics.to_json());
-            run
-        })
+        .map(|c| (c.structure.to_string(), c.metrics()))
         .collect();
-    doc.set("runs", Json::Arr(runs));
-    doc
+    report::snapshot(
+        name,
+        combos
+            .iter()
+            .zip(&labels)
+            .map(|(c, (structure, metrics))| SnapshotRun {
+                scheme: c.scheme.name(),
+                structure,
+                threads: c.per_thread.len(),
+                duration_ms: budget_ms,
+                per_thread: &c.per_thread,
+                metrics,
+            }),
+    )
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: st-bench audit [--structures list,hash,queue,skiplist,rbtree] \
-         [--schemes None,Hazards,Epoch,StackTrack,DTA,RefCount,NBR,Hyaline] [--budget-ms N] \
-         [--episodes N] [--threads N] [--ops N] [--keys N] [--seed N] \
-         [--faults on|off] [--percent N] \
-         [--mutate none|splits|hazard|skipfree|dretire|nbrskip|hyadrop] [--out DIR]"
-    );
-    ExitCode::from(2)
-}
-
-/// Entry point for `st-bench audit`.
-pub fn run(args: &[String]) -> ExitCode {
-    let mut opts = AuditOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("missing value for {flag}");
-            return usage();
-        };
-        let int = |what: &str| -> Result<u64, String> {
-            value
-                .parse()
-                .map_err(|_| format!("{what} takes an integer, got {value:?}"))
-        };
-        let result: Result<(), String> = match flag {
-            "--structures" => value
-                .split(',')
-                .map(|s| s.trim().parse())
-                .collect::<Result<Vec<StructureKind>, _>>()
-                .map(|v| opts.structures = v),
-            "--schemes" => value
-                .split(',')
-                .map(|s| s.trim().parse())
-                .collect::<Result<Vec<Scheme>, _>>()
-                .map(|v| opts.schemes = v),
-            "--budget-ms" => int(flag).map(|v| opts.budget_ms = v),
-            "--episodes" => match int(flag) {
-                Ok(0) => Err("--episodes must be at least 1".to_string()),
-                v => v.map(|v| opts.max_episodes = v),
-            },
-            "--threads" => int(flag).map(|v| opts.threads = v as usize),
-            "--ops" => int(flag).map(|v| opts.ops = v as usize),
-            "--keys" => int(flag).map(|v| opts.keys = v),
-            "--seed" => int(flag).map(|v| opts.seed = v),
-            "--percent" => int(flag).map(|v| opts.percent = v as u32),
-            "--faults" => match value.as_str() {
-                "on" => {
-                    opts.faults = true;
-                    Ok(())
-                }
-                "off" => {
-                    opts.faults = false;
-                    Ok(())
-                }
-                other => Err(format!("--faults takes on or off, got {other:?}")),
-            },
-            "--mutate" => value.parse().map(|m| opts.mutation = m),
-            "--out" => {
-                opts.out = PathBuf::from(value);
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = result {
-            eprintln!("{e}");
-            return usage();
-        }
-        i += 2;
-    }
-    for &structure in &opts.structures {
-        for &scheme in &opts.schemes {
-            if let Err(e) = episode_config(&opts, structure, scheme, opts.seed).validate() {
-                eprintln!("{e}");
-                return usage();
-            }
-        }
-    }
-
-    let combos = soak(&opts);
+/// Runs `st-bench audit`: soaks, reports each combination, and writes
+/// `audit.metrics.json` under `--out`.
+pub fn run(opts: &AuditOpts) -> ExitCode {
+    let combos = soak(opts);
     let mut failed = false;
     for c in &combos {
         match &c.failure {

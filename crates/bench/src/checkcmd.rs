@@ -2,10 +2,10 @@
 //! command line.
 //!
 //! ```text
-//! st-bench check [--structures a,b] [--schemes A,B] [--mode dfs|random]
-//!                [--depth N] [--preemptions N] [--percent N] [--schedules N]
-//!                [--threads N] [--ops N] [--keys N] [--seed N]
+//! st-bench check [--structures list,hash,queue,skiplist,rbtree] [--schemes A,B,...]
+//!                [--threads N] [--ops N] [--keys N] [--seed N] [--percent N]
 //!                [--mutate none|splits|hazard|skipfree|dretire|nbrskip|hyadrop]
+//!                [--mode dfs|random] [--depth N] [--preemptions N] [--schedules N]
 //!                [--replay TOKEN]
 //! ```
 //!
@@ -14,172 +14,115 @@
 //! it, explores every requested structure × scheme pair and exits
 //! non-zero if any schedule violates an oracle.
 
-use st_check::{check, replay, CheckConfig, ExploreConfig, ExploreMode, Mutation, ReplayToken};
+use crate::cli::{checker_flags, parse_flags, CheckerFlags, Command, Flag, ANY, COUNT, POSITIVE};
+use st_check::{check, replay, CheckConfig, ExploreConfig, ExploreMode, ReplayToken};
 use st_obs::MetricsRegistry;
 use st_reclaim::Scheme;
 use st_structures::StructureKind;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: st-bench check [--structures list,hash,queue,skiplist,rbtree] \
-         [--schemes StackTrack,Epoch] [--mode dfs|random] [--depth N] \
-         [--preemptions N] [--percent N] [--schedules N] [--threads N] \
-         [--ops N] [--keys N] [--seed N] \
-         [--mutate none|splits|hazard|skipfree|dretire|nbrskip|hyadrop] \
-         [--replay TOKEN]"
-    );
-    ExitCode::from(2)
-}
-
-struct CheckOpts {
-    structures: Vec<StructureKind>,
-    schemes: Vec<Scheme>,
-    dfs: bool,
-    depth: u64,
-    preemptions: usize,
-    percent: u32,
-    schedules: u64,
-    threads: usize,
-    ops: usize,
-    keys: u64,
-    seed: u64,
-    mutation: Mutation,
-    replay_token: Option<String>,
+/// `st-bench check`'s options: the checker block and its own flags.
+#[derive(Debug)]
+pub struct CheckOpts {
+    /// The flags `check` shares with `audit`.
+    pub checker: CheckerFlags,
+    /// `--mode random`: randomized exploration at `--percent` instead of
+    /// bounded DFS.
+    pub random: bool,
+    /// The DFS bounds (`--depth`, `--preemptions`) and `--schedules`;
+    /// its mode stays DFS until every flag is read.
+    pub explore: ExploreConfig,
+    /// `--replay`: run this one schedule and nothing else.
+    pub replay: Option<ReplayToken>,
 }
 
 impl Default for CheckOpts {
     fn default() -> Self {
-        let base = CheckConfig::default();
         CheckOpts {
-            structures: vec![
-                StructureKind::List,
-                StructureKind::Hash,
-                StructureKind::Queue,
-                StructureKind::SkipList,
-                StructureKind::RbTree,
-            ],
-            schemes: vec![Scheme::StackTrack, Scheme::Epoch],
-            dfs: true,
-            depth: 12,
-            preemptions: 2,
-            percent: 25,
-            schedules: 300,
-            threads: base.threads,
-            ops: base.ops_per_thread,
-            keys: base.key_range,
-            seed: base.seed,
-            mutation: Mutation::None,
-            replay_token: None,
+            checker: CheckerFlags::new(
+                vec![
+                    StructureKind::List,
+                    StructureKind::Hash,
+                    StructureKind::Queue,
+                    StructureKind::SkipList,
+                    StructureKind::RbTree,
+                ],
+                vec![Scheme::StackTrack, Scheme::Epoch],
+            ),
+            random: false,
+            explore: ExploreConfig::default(),
+            replay: None,
         }
     }
 }
 
-/// Entry point for `st-bench check`.
-pub fn run(args: &[String]) -> ExitCode {
-    let mut opts = CheckOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("missing value for {flag}");
-            return usage();
-        };
-        let int = |what: &str| -> Result<u64, String> {
-            value
-                .parse()
-                .map_err(|_| format!("{what} takes an integer, got {value:?}"))
-        };
-        let result: Result<(), String> = match flag {
-            "--structures" => value
-                .split(',')
-                .map(|s| s.trim().parse())
-                .collect::<Result<Vec<StructureKind>, _>>()
-                .map(|v| opts.structures = v),
-            "--schemes" => value
-                .split(',')
-                .map(|s| s.trim().parse())
-                .collect::<Result<Vec<Scheme>, _>>()
-                .map(|v| opts.schemes = v),
-            "--mode" => match value.as_str() {
-                "dfs" => {
-                    opts.dfs = true;
-                    Ok(())
-                }
-                "random" => {
-                    opts.dfs = false;
-                    Ok(())
-                }
-                other => Err(format!("--mode takes dfs or random, got {other:?}")),
-            },
-            "--depth" => int(flag).map(|v| opts.depth = v),
-            "--preemptions" => int(flag).map(|v| opts.preemptions = v as usize),
-            "--percent" => int(flag).map(|v| opts.percent = v as u32),
-            "--schedules" => match int(flag) {
-                Ok(0) => Err("--schedules must be at least 1".to_string()),
-                v => v.map(|v| opts.schedules = v),
-            },
-            "--threads" => int(flag).map(|v| opts.threads = v as usize),
-            "--ops" => int(flag).map(|v| opts.ops = v as usize),
-            "--keys" => int(flag).map(|v| opts.keys = v),
-            "--seed" => int(flag).map(|v| opts.seed = v),
-            "--mutate" => value.parse().map(|m| opts.mutation = m),
-            "--replay" => {
-                opts.replay_token = Some(value.clone());
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = result {
-            eprintln!("{e}");
-            return usage();
-        }
-        i += 2;
-    }
-
-    if let Some(token) = opts.replay_token {
-        return run_replay(&token);
-    }
-    match configs(&opts) {
-        Ok(configs) => explore(&opts, &configs),
-        Err(e) => {
-            eprintln!("{e}");
-            usage()
-        }
+impl AsMut<CheckerFlags> for CheckOpts {
+    fn as_mut(&mut self) -> &mut CheckerFlags {
+        &mut self.checker
     }
 }
 
-/// One config per requested structure × scheme pair, each validated.
-fn configs(opts: &CheckOpts) -> Result<Vec<CheckConfig>, String> {
-    let mut configs = Vec::new();
-    for &structure in &opts.structures {
-        for &scheme in &opts.schemes {
-            let config = CheckConfig {
-                structure,
-                scheme,
-                threads: opts.threads,
-                ops_per_thread: opts.ops,
-                key_range: opts.keys,
-                seed: opts.seed,
-                mutation: opts.mutation,
-                ..CheckConfig::default()
+/// `check`'s flags: the checker block, then its own.
+pub fn flags() -> Vec<Flag<CheckOpts>> {
+    let own: [Flag<CheckOpts>; 5] = [
+        Flag::text("--mode", "dfs|random", |o, v| {
+            o.random = match v {
+                "dfs" => false,
+                "random" => true,
+                other => return Err(format!("--mode takes dfs or random, got {other:?}")),
             };
-            config.validate()?;
-            configs.push(config);
-        }
-    }
-    Ok(configs)
+            Ok(())
+        }),
+        Flag::int("--depth", ANY, |o, v| {
+            if let ExploreMode::Dfs { depth, .. } = &mut o.explore.mode {
+                *depth = v;
+            }
+        }),
+        Flag::int("--preemptions", COUNT, |o, v| {
+            if let ExploreMode::Dfs {
+                preemption_bound, ..
+            } = &mut o.explore.mode
+            {
+                *preemption_bound = v as usize;
+            }
+        }),
+        Flag::int("--schedules", POSITIVE, |o, v| o.explore.max_schedules = v),
+        Flag::text("--replay", "TOKEN", |o, v| {
+            let token = v.parse().map_err(|e| format!("bad replay token: {e}"))?;
+            o.replay = Some(token);
+            Ok(())
+        }),
+    ];
+    checker_flags().into_iter().chain(own).collect()
 }
 
-fn run_replay(token: &str) -> ExitCode {
-    let token: ReplayToken = match token.parse() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bad replay token: {e}");
-            return ExitCode::from(2);
+/// Reads `check`'s arguments into the replay or exploration they ask for.
+pub(crate) fn parse(args: &[String]) -> Result<Command, String> {
+    let mut opts: CheckOpts = parse_flags(&flags(), args)?;
+    if let Some(token) = opts.replay {
+        return Ok(Command::Replay(token));
+    }
+    if opts.random {
+        if opts.checker.percent == 0 {
+            return Err(
+                "--percent must be at least 1 with --mode random: at 0 no decision deviates, \
+                 so every schedule would be the same one"
+                    .to_string(),
+            );
         }
-    };
-    let outcome = replay(&token);
+        opts.explore.mode = ExploreMode::Random {
+            percent: opts.checker.percent,
+        };
+    }
+    Ok(Command::Check {
+        configs: opts.checker.configs()?,
+        explore: opts.explore,
+    })
+}
+
+/// Runs the one schedule of `token` and reports what the oracles saw.
+pub fn run_replay(token: &ReplayToken) -> ExitCode {
+    let outcome = replay(token);
     println!(
         "replay {token}: {} decisions, {} scans ({} consistency restarts)",
         outcome.decisions, outcome.scans, outcome.scan_retries
@@ -195,25 +138,13 @@ fn run_replay(token: &str) -> ExitCode {
     }
 }
 
-fn explore(opts: &CheckOpts, configs: &[CheckConfig]) -> ExitCode {
-    let explore = ExploreConfig {
-        mode: if opts.dfs {
-            ExploreMode::Dfs {
-                depth: opts.depth,
-                preemption_bound: opts.preemptions,
-            }
-        } else {
-            ExploreMode::Random {
-                percent: opts.percent,
-            }
-        },
-        max_schedules: opts.schedules,
-    };
+/// Explores every config and reports each verdict.
+pub fn explore(configs: &[CheckConfig], explore: &ExploreConfig) -> ExitCode {
     let mut metrics = MetricsRegistry::new();
     let mut failed = false;
     for config in configs {
         let (structure, scheme) = (config.structure, config.scheme);
-        let report = check(config, &explore);
+        let report = check(config, explore);
         metrics.add("check.schedules", report.schedules_run);
         metrics.add("check.decisions", report.total_decisions);
         match &report.failure {

@@ -41,8 +41,8 @@ pub struct BenchOpts {
     /// The schemes of a fault experiment (`None` = every scheme); the
     /// other figures have fixed columns.
     pub schemes: Option<Vec<Scheme>>,
-    /// Sweep worker threads (`1` = serial; results are identical either
-    /// way — see `docs/PERF.md`).
+    /// Sweep worker threads (`1` runs the configs in order on one worker;
+    /// results are identical at any count — see `docs/PERF.md`).
     pub jobs: usize,
     /// Where per-config host timings go (`--timing-out`).
     pub timing: Option<Arc<TimingSink>>,

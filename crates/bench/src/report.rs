@@ -98,22 +98,39 @@ pub fn fmt_f(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Builds the versioned full-snapshot document for `<name>.metrics.json`.
+/// One run of a schema-v2 snapshot, as [`snapshot`] writes it.
+#[derive(Debug)]
+pub struct SnapshotRun<'a> {
+    /// Scheme display name.
+    pub scheme: &'a str,
+    /// Structure display name.
+    pub structure: &'a str,
+    /// Simulated thread count.
+    pub threads: usize,
+    /// Run length in milliseconds.
+    pub duration_ms: u64,
+    /// The `per_thread` envelope rows.
+    pub per_thread: &'a [PerThread],
+    /// The full metrics registry.
+    pub metrics: &'a MetricsRegistry,
+}
+
+/// Builds a versioned full-snapshot document, the one schema-v2 writer.
 ///
 /// Shape (see `docs/METRICS.md`):
 /// `{"schema_version": N, "name": ..., "runs": [{scheme, structure,
 /// threads, duration_ms, per_thread: [{thread, ops, busy_cycles,
 /// garbage}, ...], metrics: {...}}, ...]}`.
-pub fn metrics_snapshot(name: &str, results: &[RunResult]) -> Json {
+pub fn snapshot<'a>(name: &str, runs: impl IntoIterator<Item = SnapshotRun<'a>>) -> Json {
     let mut doc = Json::obj();
     doc.set("schema_version", SCHEMA_VERSION);
     doc.set("name", name);
-    let runs: Vec<Json> = results
-        .iter()
+    let runs: Vec<Json> = runs
+        .into_iter()
         .map(|r| {
             let mut run = Json::obj();
-            run.set("scheme", r.scheme.as_str());
-            run.set("structure", r.structure.as_str());
+            run.set("scheme", r.scheme);
+            run.set("structure", r.structure);
             run.set("threads", r.threads);
             run.set("duration_ms", r.duration_ms);
             let rows: Vec<Json> = r.per_thread.iter().map(PerThread::to_json).collect();
@@ -124,6 +141,21 @@ pub fn metrics_snapshot(name: &str, results: &[RunResult]) -> Json {
         .collect();
     doc.set("runs", Json::Arr(runs));
     doc
+}
+
+/// The `<name>.metrics.json` snapshot of a figure's results.
+pub fn metrics_snapshot(name: &str, results: &[RunResult]) -> Json {
+    snapshot(
+        name,
+        results.iter().map(|r| SnapshotRun {
+            scheme: &r.scheme,
+            structure: &r.structure,
+            threads: r.threads,
+            duration_ms: r.duration_ms,
+            per_thread: &r.per_thread,
+            metrics: &r.metrics,
+        }),
+    )
 }
 
 /// One run parsed back out of a `<name>.metrics.json` snapshot.
@@ -365,6 +397,44 @@ pub fn validate_audit(runs: &[ParsedRun]) -> Result<u64, String> {
         }
     }
     Ok(audited)
+}
+
+/// Runs the four snapshot validators ([`validate_per_thread`],
+/// [`validate_garbage_series`], [`validate_audit`],
+/// [`validate_scheme_counters`]) over a parsed snapshot, as
+/// `st-bench check-metrics` reports them: `Ok` with a line for each
+/// optional section found consistent, `Err` with a line for each invalid
+/// one.
+pub fn validate_snapshot(runs: &[ParsedRun]) -> Vec<Result<String, String>> {
+    let sections = [
+        (
+            "per_thread envelope",
+            validate_per_thread(runs).map(|()| None),
+        ),
+        (
+            "garbage_ts series",
+            validate_garbage_series(runs).map(|n| {
+                (n > 0).then(|| format!("garbage_ts series consistent ({n} samples/run)"))
+            }),
+        ),
+        (
+            "audit section",
+            validate_audit(runs)
+                .map(|n| (n > 0).then(|| format!("audit section consistent ({n} runs)"))),
+        ),
+        (
+            "scheme counters",
+            validate_scheme_counters(runs)
+                .map(|n| (n > 0).then(|| format!("scheme counter families consistent ({n} runs)"))),
+        ),
+    ];
+    sections
+        .into_iter()
+        .filter_map(|(section, found)| match found {
+            Ok(line) => line.map(Ok),
+            Err(e) => Some(Err(format!("invalid {section}: {e}"))),
+        })
+        .collect()
 }
 
 /// Per-scheme counter families: every `scheme.*` key a scheme's

@@ -8,8 +8,8 @@
 //! results **in config order**, so the persisted `results/*.json` and
 //! `results/*.metrics.json` artifacts are byte-identical to a serial run:
 //! per-config seeds are derived from the config alone, and output order
-//! never depends on completion order. `--jobs 1` takes a plain serial
-//! loop with no thread machinery at all.
+//! never depends on completion order. `--jobs 1` is the same path with
+//! one worker.
 //!
 //! Host wall-clock per config is captured into a [`TimingSink`]
 //! (`--timing-out`), the repo's perf trajectory record (see
@@ -165,25 +165,13 @@ pub fn host_cores() -> usize {
 /// Runs `configs` with up to `jobs` worker threads and returns results in
 /// config order, plus per-config host timings (same order).
 ///
-/// `jobs <= 1` runs the exact serial path: an in-order loop on the
-/// calling thread. More jobs only change *when* each simulation executes,
-/// never its seed or its position in the output — determinism of the
-/// persisted artifacts is the scheduler's contract, asserted end-to-end
-/// by the workspace determinism tests.
+/// Every job count runs the same scoped workers; one worker runs the
+/// configs in order. More jobs only change *when* each simulation
+/// executes, never its seed or its position in the output — determinism
+/// of the persisted artifacts is the scheduler's contract, asserted
+/// end-to-end by the workspace determinism tests.
 pub fn run_configs(configs: &[RunConfig], jobs: usize) -> (Vec<RunResult>, Vec<f64>) {
     let jobs = jobs.max(1).min(configs.len().max(1));
-    if jobs <= 1 {
-        let mut results = Vec::with_capacity(configs.len());
-        let mut times = Vec::with_capacity(configs.len());
-        for config in configs {
-            let started = Instant::now();
-            results.push(run(config));
-            times.push(started.elapsed().as_secs_f64() * 1e3);
-            eprint!(".");
-        }
-        return (results, times);
-    }
-
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<(RunResult, f64)>>> =
         configs.iter().map(|_| Mutex::new(None)).collect();

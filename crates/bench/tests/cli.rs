@@ -1,25 +1,27 @@
 //! Command-line rejection paths of the `st-bench` binary: a zero run
 //! length, thread count or job count, `--schemes` on a figure other than
-//! `robustness`, a checker config past its limits, or a check with no
-//! schedules or audit episodes, is a usage error (exit 2) and must leave
-//! the output directory untouched; an output path that cannot be written
-//! exits 1 and names it.
+//! `robustness`, a checker config past its limits, a check with no
+//! schedules or audit episodes, a deviation percentage above 100, or a
+//! random exploration that never deviates, is a usage error (exit 2) and
+//! must leave the output directory untouched; an output path that cannot
+//! be written exits 1 and names it.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 /// Runs `st-bench` with `args` plus `--out` set to a fresh, empty
-/// directory; returns the exit code, stderr and the files left behind.
+/// directory (`check` takes no `--out` and writes nothing, so it runs
+/// without one); returns the exit code, stderr and the files left behind.
 fn run_into_empty_out(case: &str, args: &[&str]) -> (Option<i32>, String, Vec<PathBuf>) {
     let out = std::env::temp_dir().join(format!("st-bench-cli-{}-{case}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
     std::fs::create_dir_all(&out).expect("create the temporary --out directory");
-    let result = Command::new(env!("CARGO_BIN_EXE_st-bench"))
-        .args(args)
-        .arg("--out")
-        .arg(&out)
-        .output()
-        .expect("spawn st-bench");
+    let mut command = Command::new(env!("CARGO_BIN_EXE_st-bench"));
+    command.args(args);
+    if args[0] != "check" {
+        command.arg("--out").arg(&out);
+    }
+    let result = command.output().expect("spawn st-bench");
     let written = std::fs::read_dir(&out)
         .expect("read the --out directory")
         .map(|entry| entry.expect("directory entry").path())
@@ -31,11 +33,12 @@ fn run_into_empty_out(case: &str, args: &[&str]) -> (Option<i32>, String, Vec<Pa
 
 /// A zero count (a figure run of no time, threads or jobs, a check of no
 /// schedules, which would report a pass having explored nothing, or an
-/// audit of no episodes) or `--schemes` outside `robustness` is refused,
-/// naming its flag.
+/// audit of no episodes), `--schemes` outside `robustness`, a
+/// `--percent` above 100, or `--mode random --percent 0` (every attempt
+/// the same schedule) is refused, naming its flag.
 #[test]
 fn zero_counts_are_usage_errors_that_write_nothing() {
-    let cases: [(&str, &[&str], &str); 6] = [
+    let cases: [(&str, &[&str], &str); 9] = [
         (
             "threads",
             &["fig2-hash", "--ms", "1", "--threads", "0"],
@@ -65,6 +68,29 @@ fn zero_counts_are_usage_errors_that_write_nothing() {
             "episodes",
             &["audit", "--episodes", "0"],
             "--episodes must be at least 1",
+        ),
+        (
+            "check-percent",
+            &["check", "--percent", "4294967296"],
+            "--percent must be at most 100",
+        ),
+        (
+            "audit-percent",
+            &["audit", "--percent", "101"],
+            "--percent must be at most 100",
+        ),
+        (
+            "random-percent",
+            &[
+                "check",
+                "--mode",
+                "random",
+                "--percent",
+                "0",
+                "--schedules",
+                "50",
+            ],
+            "--percent must be at least 1 with --mode random",
         ),
     ];
     for (case, args, message) in cases {
@@ -129,9 +155,9 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 
 /// A checker config past one of its limits: no threads (which would pass
 /// without checking anything), a thread with no operations (which would
-/// leave `--threads` unbounded), a history longer than the
-/// linearizability check searches, or more StackTrack thread contexts
-/// than the checker's heap holds. `check`, `check --replay` and `audit`
+/// leave `--threads` unbounded), no keys (which would script key 1
+/// only), a history longer than the linearizability check searches, or
+/// more StackTrack thread contexts than the checker's heap holds. `check`, `check --replay` and `audit`
 /// reject each before running anything (`check` writes no files).
 #[test]
 fn checker_configs_past_their_limits_are_usage_errors() {
@@ -139,6 +165,7 @@ fn checker_configs_past_their_limits_are_usage_errors() {
     let no_ops = "a checked thread runs at least one operation";
     let history = "a checked history holds at most 64 operations";
     let contexts = "StackTrack fits at most 7 thread contexts";
+    let no_keys = "a check draws keys from 1..=N";
     let threadless = [
         "--structures",
         "list",
@@ -167,6 +194,14 @@ fn checker_configs_past_their_limits_are_usage_errors() {
         "--ops",
         "21",
     ];
+    let keyless = [
+        "--structures",
+        "list",
+        "--schemes",
+        "Hazards",
+        "--keys",
+        "0",
+    ];
     let wide = [
         "--structures",
         "list",
@@ -180,6 +215,7 @@ fn checker_configs_past_their_limits_are_usage_errors() {
         (&idle[..], no_ops),
         (&long[..], history),
         (&wide[..], contexts),
+        (&keyless[..], no_keys),
     ] {
         let (code, stderr) = run(&[&["check"], flags].concat());
         assert_eq!(
@@ -203,6 +239,7 @@ fn checker_configs_past_their_limits_are_usage_errors() {
         ("stck1:list:Hazards:t1000:o0:k6:s1:mnone:-", no_ops),
         ("stck1:list:Hazards:t3:o21:k6:s1:mnone:-", history),
         ("stck1:list:StackTrack:t8:o1:k6:s1:mnone:-", contexts),
+        ("stck1:list:Hazards:t2:o1:k0:s1:mnone:-", no_keys),
     ] {
         let (code, stderr) = run(&["check", "--replay", token]);
         assert_eq!(code, Some(2), "{token} must exit 2; stderr: {stderr}");
@@ -217,4 +254,19 @@ fn checker_configs_past_their_limits_are_usage_errors() {
         let (code, stderr) = run(&["check", "--replay", token]);
         assert_eq!(code, Some(0), "{token} must run clean; stderr: {stderr}");
     }
+}
+
+/// An argument that is not UTF-8 is a usage error, not a panic.
+#[cfg(unix)]
+#[test]
+fn non_utf8_arguments_are_usage_errors() {
+    use std::os::unix::ffi::OsStrExt;
+    let result = Command::new(env!("CARGO_BIN_EXE_st-bench"))
+        .args(["check", "--seed"])
+        .arg(std::ffi::OsStr::from_bytes(b"\xff"))
+        .output()
+        .expect("spawn st-bench");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("is not UTF-8"), "{stderr}");
 }

@@ -52,14 +52,16 @@ pub struct ExploreConfig {
     pub max_schedules: u64,
 }
 
+/// `st-bench check`'s defaults: bounded DFS branching over the first 12
+/// decisions with at most 2 forced preemptions, capped at 300 schedules.
 impl Default for ExploreConfig {
     fn default() -> Self {
         Self {
             mode: ExploreMode::Dfs {
-                depth: 40,
+                depth: 12,
                 preemption_bound: 2,
             },
-            max_schedules: 400,
+            max_schedules: 300,
         }
     }
 }

@@ -75,16 +75,24 @@ const SETUP_OPS: usize = 2;
 
 impl CheckConfig {
     /// Rejects a config whose schedules cannot run or check nothing: no
-    /// threads, a thread with no operations, a history longer than the
-    /// linearizability check searches, or more StackTrack thread contexts
-    /// than the heap holds. At least one op per thread makes the history
-    /// bound cap `threads` at `MAX_HISTORY - SETUP_OPS`, which every
-    /// scheme's per-thread tables fit.
+    /// threads, a thread with no operations, no keys or a key range that
+    /// reaches the structures' `u64::MAX` sentinel, a history longer than
+    /// the linearizability check searches, or more StackTrack thread
+    /// contexts than the heap holds. At least one op per thread makes the
+    /// history bound cap `threads` at `MAX_HISTORY - SETUP_OPS`, which
+    /// every scheme's per-thread tables fit.
     pub fn validate(&self) -> Result<(), String> {
         if self.threads == 0 {
             return Err(
                 "a check runs at least one thread, but 0 threads were asked for".to_string(),
             );
+        }
+        if self.key_range == 0 || self.key_range == u64::MAX {
+            return Err(format!(
+                "a check draws keys from 1..=N for N from 1 to u64::MAX - 1 (u64::MAX is the \
+                 structures' sentinel key), but N = {} was asked for",
+                self.key_range
+            ));
         }
         if self.ops_per_thread == 0 {
             return Err(
@@ -424,6 +432,25 @@ mod tests {
         };
         let err = config.validate().unwrap_err();
         assert!(err.contains("at least one operation"), "{err}");
+    }
+
+    #[test]
+    fn a_key_range_without_keys_or_reaching_the_sentinel_is_rejected() {
+        for key_range in [0, u64::MAX] {
+            let config = CheckConfig {
+                key_range,
+                ..CheckConfig::default()
+            };
+            let err = config.validate().unwrap_err();
+            assert!(err.contains("a check draws keys from 1..=N"), "{err}");
+        }
+        for key_range in [1, u64::MAX - 1] {
+            let config = CheckConfig {
+                key_range,
+                ..CheckConfig::default()
+            };
+            assert_eq!(config.validate(), Ok(()));
+        }
     }
 
     /// The history bound (and StackTrack's context bound) must keep every

@@ -59,7 +59,7 @@ fn fault_spec(plan: &FaultPlan) -> String {
 fn parse_fault_spec(spec: &str) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::new();
     for ev in spec.split(';') {
-        let (kind, rest) = ev.split_at(ev.len().min(1));
+        let (kind, rest) = ev.split_at(ev.chars().next().map_or(0, char::len_utf8));
         let (target, timing) = rest
             .split_once('@')
             .ok_or_else(|| format!("bad fault event {ev:?} (expected <kind><target>@<timing>)"))?;
@@ -279,6 +279,7 @@ mod tests {
             "stck1:list:StackTrack:t3:o4:k6:s1:mnone:fX1@2:-",
             "stck1:list:StackTrack:t3:o4:k6:s1:mnone:fS1@2:-", // stall missing +for
             "stck1:list:StackTrack:t3:o4:k6:s1:mnone:fS@2+3:-",
+            "stck1:list:StackTrack:t3:o4:k6:s1:mnone:fé1@2+3:-", // a multi-byte kind
         ] {
             assert!(text.parse::<ReplayToken>().is_err(), "{text}");
         }

@@ -14,8 +14,9 @@
 //!    the schema-v2 parser and the `audit.*` validator.
 
 use st_bench::auditcmd::{audit_snapshot, soak, AuditOpts, ComboSummary};
+use st_bench::cli::CheckerFlags;
 use st_bench::report;
-use st_check::{replay, Mutation, Violation};
+use st_check::{replay, CheckConfig, Mutation, Violation};
 use st_obs::audit;
 use st_reclaim::Scheme;
 use st_structures::StructureKind as Structure;
@@ -26,9 +27,15 @@ use st_structures::StructureKind as Structure;
 /// "caught" are measured on equal footing.
 fn smoke(structure: Structure, scheme: Scheme, mutation: Mutation) -> AuditOpts {
     AuditOpts {
-        structures: vec![structure],
-        schemes: vec![scheme],
-        mutation,
+        checker: CheckerFlags {
+            structures: vec![structure],
+            schemes: vec![scheme],
+            config: CheckConfig {
+                mutation,
+                ..CheckConfig::default()
+            },
+            ..AuditOpts::default().checker
+        },
         max_episodes: 8,
         budget_ms: 60_000,
         ..AuditOpts::default()
@@ -118,8 +125,11 @@ fn double_retire_is_caught_and_absorbed_by_the_ledger() {
 #[test]
 fn intact_schemes_soak_clean_at_the_same_budget() {
     let opts = AuditOpts {
-        structures: vec![Structure::List, Structure::Hash],
-        schemes: Scheme::all().to_vec(),
+        checker: CheckerFlags {
+            structures: vec![Structure::List, Structure::Hash],
+            schemes: Scheme::all().to_vec(),
+            ..AuditOpts::default().checker
+        },
         max_episodes: 8,
         budget_ms: 60_000,
         faults: true,
@@ -162,8 +172,11 @@ fn intact_schemes_soak_clean_at_the_same_budget() {
 #[test]
 fn audit_snapshot_round_trips_and_validates() {
     let opts = AuditOpts {
-        structures: vec![Structure::List],
-        schemes: vec![Scheme::Epoch, Scheme::None],
+        checker: CheckerFlags {
+            structures: vec![Structure::List],
+            schemes: vec![Scheme::Epoch, Scheme::None],
+            ..AuditOpts::default().checker
+        },
         max_episodes: 3,
         budget_ms: 60_000,
         ..AuditOpts::default()
