@@ -20,9 +20,11 @@
 //! `st-bench check --replay` token and stops further soaking of its
 //! combination.
 //!
-//! The soak writes `audit.metrics.json` (schema v2): one run per
-//! combination, with the `audit.*` counters named in [`st_obs::audit`]
-//! and a `per_thread` envelope whose ops rows sum to `run.total_ops`.
+//! With `--out DIR` the soak writes `DIR/audit.metrics.json` (schema
+//! v2): one run per combination, with the `audit.*` counters named in
+//! [`st_obs::audit`] and a `per_thread` envelope whose ops rows sum to
+//! `run.total_ops`. Without it nothing is written, so a bare run leaves
+//! the committed, budget-dependent `results/audit.metrics.json` alone.
 
 use crate::cli::{checker_flags, parse_flags, CheckerFlags, Flag, ANY, POSITIVE};
 use crate::experiment::PerThread;
@@ -55,8 +57,9 @@ pub struct AuditOpts {
     pub max_episodes: u64,
     /// Inject a seed-derived stall + preemption-storm plan per episode.
     pub faults: bool,
-    /// Output directory for `audit.metrics.json`.
-    pub out: PathBuf,
+    /// Output directory for `audit.metrics.json`; `None` writes no
+    /// snapshot.
+    pub out: Option<PathBuf>,
 }
 
 impl Default for AuditOpts {
@@ -69,7 +72,7 @@ impl Default for AuditOpts {
             budget_ms: 3_000,
             max_episodes: 40,
             faults: false,
-            out: PathBuf::from("results"),
+            out: None,
         }
     }
 }
@@ -94,7 +97,7 @@ pub fn flags() -> Vec<Flag<AuditOpts>> {
             Ok(())
         }),
         Flag::text("--out", "DIR", |o, v| {
-            o.out = v.into();
+            o.out = Some(v.into());
             Ok(())
         }),
     ];
@@ -289,7 +292,7 @@ pub fn audit_snapshot(name: &str, budget_ms: u64, combos: &[ComboSummary]) -> Js
 }
 
 /// Runs `st-bench audit`: soaks, reports each combination, and writes
-/// `audit.metrics.json` under `--out`.
+/// `audit.metrics.json` under `--out` when one is given.
 pub fn run(opts: &AuditOpts) -> ExitCode {
     let combos = soak(opts);
     let mut failed = false;
@@ -317,22 +320,25 @@ pub fn run(opts: &AuditOpts) -> ExitCode {
             }
         }
     }
-    let doc = audit_snapshot("audit", opts.budget_ms, &combos);
-    if let Err(e) = std::fs::create_dir_all(&opts.out) {
-        eprintln!("{}: {e}", opts.out.display());
-        return ExitCode::FAILURE;
-    }
-    let path = opts.out.join("audit.metrics.json");
-    if let Err(e) = std::fs::write(&path, doc.to_pretty_string() + "\n") {
-        eprintln!("{}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "audit: {} combination(s), {} episode(s), snapshot {}",
+    let mut summary = format!(
+        "audit: {} combination(s), {} episode(s)",
         combos.len(),
-        combos.iter().map(|c| c.episodes).sum::<u64>(),
-        path.display()
+        combos.iter().map(|c| c.episodes).sum::<u64>()
     );
+    if let Some(out) = &opts.out {
+        if let Err(e) = std::fs::create_dir_all(out) {
+            eprintln!("{}: {e}", out.display());
+            return ExitCode::FAILURE;
+        }
+        let path = out.join("audit.metrics.json");
+        let doc = audit_snapshot("audit", opts.budget_ms, &combos);
+        if let Err(e) = std::fs::write(&path, doc.to_pretty_string() + "\n") {
+            eprintln!("{}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        summary += &format!(", snapshot {}", path.display());
+    }
+    println!("{summary}");
     if failed {
         ExitCode::FAILURE
     } else {

@@ -202,7 +202,6 @@ impl RunResult {
 pub fn run(config: &RunConfig) -> RunResult {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: config.spec.heap_words(config.duration_ms),
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(
         heap.clone(),

@@ -29,7 +29,8 @@
 //! docs/METRICS.md). `--schemes` picks the columns of `robustness` (and of
 //! `all`'s robustness run); the other figures refuse it. `check-metrics`
 //! validates existing snapshot files against the current schema;
-//! `check-timing` does the same for `--timing-out` reports.
+//! `check-timing` does the same for `--timing-out` reports. `audit`
+//! writes its snapshot only under an explicit `--out`.
 //! `--jobs N` fans the sweep across N worker threads without changing any
 //! artifact byte (docs/PERF.md); `--timing-out FILE` writes a host
 //! wall-clock report per configuration. See EXPERIMENTS.md for the

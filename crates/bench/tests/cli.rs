@@ -143,6 +143,46 @@ fn unwritable_output_exits_1_naming_the_path() {
     std::fs::remove_dir_all(&base).expect("remove the temporary directory");
 }
 
+/// `audit` without `--out` writes no snapshot: run from a checkout root,
+/// it leaves the committed `results/audit.metrics.json` byte for byte.
+#[test]
+fn audit_without_out_leaves_the_committed_snapshot_alone() {
+    let root = std::env::temp_dir().join(format!("st-bench-cli-{}-bare-audit", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let results = root.join("results");
+    std::fs::create_dir_all(&results).expect("create the temporary results directory");
+    let snapshot = results.join("audit.metrics.json");
+    let committed = b"{\"schema_version\": 2, \"runs\": []}\n";
+    std::fs::write(&snapshot, committed).expect("write the committed snapshot");
+    let args = [
+        "audit",
+        "--structures",
+        "list",
+        "--schemes",
+        "Hazards",
+        "--episodes",
+        "1",
+    ];
+    let result = Command::new(env!("CARGO_BIN_EXE_st-bench"))
+        .args(args)
+        .current_dir(&root)
+        .output()
+        .expect("spawn st-bench");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(0), "{args:?}; stderr: {stderr}");
+    assert_eq!(
+        std::fs::read(&snapshot).expect("read the snapshot back"),
+        committed,
+        "{args:?} rewrote results/audit.metrics.json"
+    );
+    let files: Vec<PathBuf> = std::fs::read_dir(&root)
+        .expect("read the working directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .collect();
+    assert_eq!(files, [results], "{args:?} wrote elsewhere");
+    std::fs::remove_dir_all(&root).expect("remove the temporary directory");
+}
+
 /// Runs `st-bench` with `args`; returns the exit code and stderr.
 fn run(args: &[&str]) -> (Option<i32>, String) {
     let result = Command::new(env!("CARGO_BIN_EXE_st-bench"))

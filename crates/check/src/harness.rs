@@ -250,7 +250,6 @@ fn script(config: &CheckConfig, t: usize) -> VecDeque<DsOp> {
 pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) -> ScheduleOutcome {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: HEAP_WORDS,
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(
         heap.clone(),

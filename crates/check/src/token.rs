@@ -285,6 +285,82 @@ mod tests {
         }
     }
 
+    /// Seeded fuzz of the fault-spec parser on its own. Random plans
+    /// print and parse back equal; random strings over the spec's
+    /// alphabet and character mutations of printed plans parse without a
+    /// panic, and each one accepted prints and parses back to the same
+    /// plan.
+    #[test]
+    fn fault_specs_fuzz_without_panics_and_round_trip() {
+        const ALPHABET: &[char] = &[
+            'S', 'P', 'K', 'X', '@', '+', '-', ';', ':', ' ', '0', '1', '9', 'é',
+        ];
+        let mut rng = st_machine::Pcg32::new(0xfa17);
+        let number = |rng: &mut st_machine::Pcg32| match rng.below(4) {
+            0 => rng.below(10),
+            1 => rng.below(1 << 20),
+            2 => rng.next_u64(),
+            _ => u64::MAX,
+        };
+        let accepted_round_trips = |spec: &str| {
+            if let Ok(plan) = parse_fault_spec(spec) {
+                let printed = fault_spec(&plan);
+                assert_eq!(
+                    parse_fault_spec(&printed),
+                    Ok(plan),
+                    "{spec:?} -> {printed:?}"
+                );
+            }
+        };
+        for _ in 0..2_000 {
+            let mut plan = FaultPlan::new();
+            for _ in 0..=rng.below(3) {
+                let (target, at_cycle, for_cycles) = (
+                    number(&mut rng) as usize,
+                    number(&mut rng),
+                    number(&mut rng),
+                );
+                plan.push(match rng.below(3) {
+                    0 => FaultEvent::Stall {
+                        thread: target,
+                        at_cycle,
+                        for_cycles,
+                    },
+                    1 => FaultEvent::PreemptionStorm {
+                        ctx: target,
+                        at_cycle,
+                        for_cycles,
+                    },
+                    _ => FaultEvent::Kill {
+                        thread: target,
+                        at_cycle,
+                    },
+                });
+            }
+            let spec = fault_spec(&plan);
+            assert_eq!(parse_fault_spec(&spec), Ok(plan), "{spec:?}");
+
+            let mut mutant: Vec<char> = spec.chars().collect();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(mutant.len() as u64 + 1) as usize;
+                let c = ALPHABET[rng.below(ALPHABET.len() as u64) as usize];
+                match rng.below(3) {
+                    0 if at < mutant.len() => mutant[at] = c,
+                    1 if at < mutant.len() => {
+                        mutant.remove(at);
+                    }
+                    _ => mutant.insert(at, c),
+                }
+            }
+            accepted_round_trips(&mutant.into_iter().collect::<String>());
+
+            let random: String = (0..rng.below(16))
+                .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+                .collect();
+            accepted_round_trips(&random);
+        }
+    }
+
     #[test]
     fn garbage_is_rejected_with_context() {
         assert!("nope".parse::<ReplayToken>().is_err());

@@ -585,7 +585,6 @@ mod tests {
     fn runtime(mode: ScanMode, interior: bool, chunk: u64) -> Arc<StRuntime> {
         let heap = Arc::new(Heap::new(HeapConfig {
             capacity_words: 1 << 18,
-            ..HeapConfig::default()
         }));
         let engine = Arc::new(HtmEngine::new(heap, HtmConfig::default(), 4));
         StRuntime::new(
@@ -691,7 +690,6 @@ mod tests {
     fn skip_free_mutation_swallows_exactly_one_candidate() {
         let heap = Arc::new(Heap::new(HeapConfig {
             capacity_words: 1 << 18,
-            ..HeapConfig::default()
         }));
         let engine = Arc::new(HtmEngine::new(heap, HtmConfig::default(), 4));
         let rt = StRuntime::new(

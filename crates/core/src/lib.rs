@@ -33,17 +33,20 @@
 //! `EXPOSE_REGISTERS` become visible. See `DESIGN.md` for the fidelity
 //! argument.
 //!
+//! [`SchemeThread`], beside [`OpMem`], is the executor side of that
+//! contract; [`StThread`] implements it like every baseline scheme in
+//! `st_reclaim`, so one driver runs any structure under any scheme.
+//!
 //! # Examples
 //!
 //! ```
-//! use stacktrack::{Step, StConfig, StRuntime};
+//! use stacktrack::{SchemeThread, Step, StConfig, StRuntime};
 //! use st_simhtm::{HtmConfig, HtmEngine};
 //! use st_simheap::{Heap, HeapConfig};
 //! use std::sync::Arc;
 //!
 //! let heap = Arc::new(Heap::new(HeapConfig {
 //!     capacity_words: 1 << 18,
-//!     ..HeapConfig::small()
 //! }));
 //! let engine = Arc::new(HtmEngine::new(heap, HtmConfig::default(), 1));
 //! let rt = StRuntime::new(engine, StConfig::default(), 1);
@@ -74,7 +77,7 @@ pub mod stats;
 pub mod thread;
 
 pub use config::{Mutation, ScanMode, StConfig};
-pub use opmem::{OpBody, OpMem, Step};
+pub use opmem::{OpBody, OpMem, SchemeThread, Step};
 pub use runtime::StRuntime;
 pub use stats::StThreadStats;
 pub use thread::StThread;

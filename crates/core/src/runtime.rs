@@ -132,7 +132,6 @@ mod tests {
             // Context blocks are dominated by the slow-path reference set;
             // size for a few of them.
             capacity_words: 1 << 18,
-            ..HeapConfig::small()
         }));
         let engine = Arc::new(HtmEngine::new(heap, HtmConfig::default(), n));
         StRuntime::new(engine, StConfig::default(), n)

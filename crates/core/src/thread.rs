@@ -8,7 +8,7 @@ use crate::layout::{
     OFF_SLOW_FLAG, OFF_SPLITS, OFF_STACK, OFF_STACK_DEPTH, OFF_STAGED, OFF_STAGED_COUNT,
     REFSET_CAP, REG_SLOTS, STACK_SLOTS, STAGED_CAP,
 };
-use crate::opmem::{OpBody, OpMem, Step};
+use crate::opmem::{OpBody, OpMem, SchemeThread, Step};
 use crate::predictor::SplitPredictor;
 use crate::runtime::StRuntime;
 use crate::stats::StThreadStats;
@@ -42,9 +42,9 @@ enum Resume {
 ///
 /// Owns the thread's context block, split predictor, free set, and the
 /// Rust-side mirrors of the shadow stack and register file. Operations are
-/// driven one basic block at a time with [`StThread::step_op`] (the
-/// discrete-event simulator's granularity) or to completion with
-/// [`StThread::run_op`].
+/// driven through its [`SchemeThread`] implementation: one basic block at a
+/// time with [`SchemeThread::step_op`] (the discrete-event simulator's
+/// granularity) or to completion with [`SchemeThread::run_op`].
 #[derive(Debug)]
 pub struct StThread {
     rt: Arc<StRuntime>,
@@ -141,36 +141,22 @@ impl StThread {
         &self.stats
     }
 
-    /// Zeroes the statistics, keeping predictor and reclamation state
-    /// (benchmark warm-up support: measure a converged predictor).
-    pub fn reset_stats(&mut self) {
-        self.stats = StThreadStats::default();
-    }
-
-    /// Nodes retired but not yet proven unreferenced.
-    pub fn free_set_len(&self) -> usize {
-        self.free_set.len()
-    }
-
     /// Whether an operation is in flight.
     pub fn op_active(&self) -> bool {
         !matches!(self.mode, Mode::Idle | Mode::Reclaim(Resume::Idle))
-    }
-
-    /// Whether a scan must be drained before the next operation.
-    pub fn idle_work_pending(&self) -> bool {
-        matches!(self.mode, Mode::Reclaim(Resume::Idle))
     }
 
     /// Unregisters the thread from the activity array.
     pub fn deregister(self) {
         self.rt.deregister(self.thread_id);
     }
+}
 
-    // ------------------------------------------------------------------
-    // Operation lifecycle.
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Operation lifecycle.
+// ----------------------------------------------------------------------
 
+impl SchemeThread for StThread {
     /// Starts an operation (`SPLIT_INIT` + first `SPLIT_START`).
     ///
     /// `op_id` identifies the operation kind for the split predictor;
@@ -180,7 +166,7 @@ impl StThread {
     ///
     /// Panics if an operation is already active, a scan is pending, or
     /// `slots > STACK_SLOTS`.
-    pub fn begin_op(&mut self, cpu: &mut Cpu, op_id: u32, slots: usize) {
+    fn begin_op(&mut self, cpu: &mut Cpu, op_id: u32, slots: usize) {
         assert!(
             matches!(self.mode, Mode::Idle),
             "begin_op while busy (mode {:?})",
@@ -229,7 +215,7 @@ impl StThread {
     ///
     /// Returns `Some(result)` when the operation completes (its final
     /// segment committed, or its slow path finished).
-    pub fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
+    fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
         match self.mode {
             Mode::Idle => panic!("step_op without an active operation"),
             Mode::Reclaim(_) => {
@@ -241,8 +227,13 @@ impl StThread {
         }
     }
 
+    /// Whether a scan must be drained before the next operation.
+    fn idle_work_pending(&self) -> bool {
+        matches!(self.mode, Mode::Reclaim(Resume::Idle))
+    }
+
     /// Advances a pending scan while no operation is active.
-    pub fn step_idle(&mut self, cpu: &mut Cpu) {
+    fn step_idle(&mut self, cpu: &mut Cpu) {
         assert!(
             self.idle_work_pending(),
             "step_idle without pending idle work"
@@ -250,26 +241,36 @@ impl StThread {
         self.step_reclaim(cpu);
     }
 
-    /// Runs a whole operation to completion (tests, examples, and
-    /// non-simulated usage).
-    pub fn run_op(
-        &mut self,
-        cpu: &mut Cpu,
-        op_id: u32,
-        slots: usize,
-        body: &mut (dyn FnMut(&mut dyn OpMem, &mut Cpu) -> Result<Step, Abort> + '_),
-    ) -> Word {
-        while self.idle_work_pending() {
-            self.step_idle(cpu);
-        }
-        self.begin_op(cpu, op_id, slots);
-        loop {
-            if let Some(v) = self.step_op(cpu, body) {
-                return v;
-            }
-        }
+    /// Nodes retired but not yet proven unreferenced.
+    fn outstanding_garbage(&self) -> u64 {
+        self.free_set.len() as u64
     }
 
+    fn st_stats(&self) -> Option<StThreadStats> {
+        Some(self.stats.clone())
+    }
+
+    /// Zeroes the statistics, keeping predictor and reclamation state
+    /// (benchmark warm-up support: measure a converged predictor).
+    fn reset_stats(&mut self) {
+        self.stats = StThreadStats::default();
+    }
+
+    fn teardown(&mut self, cpu: &mut Cpu) {
+        // A worker cut off mid-operation by the simulation deadline
+        // abandons the operation (the open segment rolls back) so the
+        // free set can always be scanned; survivors stay for leak
+        // accounting.
+        self.abandon_op(cpu);
+        self.force_full_scan(cpu);
+    }
+
+    fn scheme_name(&self) -> &'static str {
+        "StackTrack"
+    }
+}
+
+impl StThread {
     /// Abandons an in-flight operation without completing it (simulation
     /// deadline / teardown support). The open segment transaction is
     /// aborted and its speculative state rolled back, segment-local
@@ -865,16 +866,81 @@ impl OpMem for StThread {
 
 #[cfg(test)]
 mod tests {
-    use crate::{StConfig, StRuntime, Step};
+    use crate::{SchemeThread, StConfig, StRuntime, Step};
     use st_simheap::{Heap, HeapConfig};
     use st_simhtm::{HtmConfig, HtmEngine};
     use std::sync::Arc;
 
     #[test]
+    fn stacktrack_runs_through_the_trait() {
+        let heap = Arc::new(Heap::new(HeapConfig {
+            capacity_words: 1 << 18,
+        }));
+        let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), 1));
+        let rt = StRuntime::new(engine, StConfig::default(), 1);
+        let mut th: Box<dyn SchemeThread> = Box::new(rt.register_thread(0));
+        let mut cpu = rt.test_cpu(0);
+
+        // Runtime metadata (activity array, slow counter, thread context)
+        // stays allocated; only the retired node must come and go.
+        let metadata_objects = heap.stats().alloc.live_objects;
+        let v = th.run_op(&mut cpu, 0, 1, &mut |m, cpu| {
+            let n = m.alloc(cpu, 2);
+            m.store(cpu, n, 0, 3)?;
+            m.retire_unlinked(cpu, n)?;
+            Ok(Step::Done(9))
+        });
+        assert_eq!(v, 9);
+        assert_eq!(th.scheme_name(), "StackTrack");
+        assert_eq!(th.outstanding_garbage(), 1);
+        th.teardown(&mut cpu);
+        assert_eq!(th.outstanding_garbage(), 0);
+        assert_eq!(heap.stats().alloc.live_objects, metadata_objects);
+    }
+
+    #[test]
+    fn teardown_mid_operation_flushes_the_free_set() {
+        let heap = Arc::new(Heap::new(HeapConfig {
+            capacity_words: 1 << 18,
+        }));
+        let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), 1));
+        let rt = StRuntime::new(engine, StConfig::default(), 1);
+        let mut th: Box<dyn SchemeThread> = Box::new(rt.register_thread(0));
+        let mut cpu = rt.test_cpu(0);
+
+        let metadata_objects = heap.stats().alloc.live_objects;
+        // Retire a node so the free set is non-empty...
+        th.run_op(&mut cpu, 0, 1, &mut |m, cpu| {
+            let n = m.alloc(cpu, 2);
+            m.store(cpu, n, 0, 3)?;
+            m.retire_unlinked(cpu, n)?;
+            Ok(Step::Done(0))
+        });
+        assert_eq!(th.outstanding_garbage(), 1);
+
+        // ...then cut the worker off mid-operation, with an unpublished
+        // allocation in the open segment — the simulation-deadline shape.
+        th.begin_op(&mut cpu, 1, 1);
+        let mut stepped = false;
+        th.step_op(&mut cpu, &mut |m, cpu| {
+            let n = m.alloc(cpu, 2);
+            m.store(cpu, n, 0, 7)?;
+            stepped = true;
+            Ok(Step::Continue)
+        });
+        assert!(stepped);
+
+        // Teardown abandons the operation (rolling back the segment and
+        // its allocation) and drains the free set.
+        th.teardown(&mut cpu);
+        assert_eq!(th.outstanding_garbage(), 0);
+        assert_eq!(heap.stats().alloc.live_objects, metadata_objects);
+    }
+
+    #[test]
     fn a_retiring_commit_keeps_the_staged_buffer() {
         let heap = Arc::new(Heap::new(HeapConfig {
             capacity_words: 1 << 18,
-            ..HeapConfig::small()
         }));
         let engine = Arc::new(HtmEngine::new(heap, HtmConfig::default(), 1));
         let rt = StRuntime::new(engine, StConfig::default(), 1);

@@ -3,13 +3,12 @@
 
 use st_simheap::{Addr, Heap, HeapConfig};
 use st_simhtm::{HtmConfig, HtmEngine};
-use stacktrack::{ScanMode, StConfig, StRuntime, Step};
+use stacktrack::{ScanMode, SchemeThread, StConfig, StRuntime, Step};
 use std::sync::Arc;
 
 fn runtime_with(config: StConfig, threads: usize) -> Arc<StRuntime> {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 18,
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(heap, HtmConfig::default(), threads));
     StRuntime::new(engine, config, threads)
@@ -97,7 +96,7 @@ fn retire_frees_unreferenced_nodes() {
         assert!(!heap.is_live(n), "retired node {n:?} must be freed");
         assert!(heap.is_poisoned(n, 0));
     }
-    assert_eq!(th.free_set_len(), 0);
+    assert_eq!(th.outstanding_garbage(), 0);
 }
 
 #[test]
@@ -188,7 +187,7 @@ fn committed_stack_reference_blocks_reclamation() {
     }
     assert!(heap.is_live(x), "X is still referenced by B");
     assert_eq!(a.stats().survivors, 1);
-    assert_eq!(a.free_set_len(), 1);
+    assert_eq!(a.outstanding_garbage(), 1);
 
     // B finishes its operation; the reference disappears.
     loop {
@@ -348,7 +347,6 @@ fn hopeless_segments_fall_back_to_the_slow_path() {
     // software.
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 18,
-        ..HeapConfig::small()
     }));
     let engine = Arc::new(HtmEngine::new(
         heap,

@@ -10,7 +10,7 @@ use st_machine::rng::Pcg32;
 use st_simheap::{Heap, HeapConfig};
 use st_simhtm::{HtmConfig, HtmEngine};
 use stacktrack::predictor::SplitPredictor;
-use stacktrack::{StConfig, StRuntime, Step};
+use stacktrack::{SchemeThread, StConfig, StRuntime, Step};
 use std::sync::Arc;
 
 const CASES: u64 = 64;
@@ -77,7 +77,6 @@ fn executor_survives_arbitrary_abort_rates() {
 
         let heap = Arc::new(Heap::new(HeapConfig {
             capacity_words: 1 << 18,
-            ..HeapConfig::default()
         }));
         let engine = Arc::new(HtmEngine::new(
             heap.clone(),

@@ -556,10 +556,19 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Ok(Json::U64(v));
         }
     }
-    text.parse::<f64>().map(Json::F64).map_err(|_| JsonError {
+    let v = text.parse::<f64>().map_err(|_| JsonError {
         at: start,
         msg: "invalid number",
-    })
+    })?;
+    // JSON has no infinity: a number that overflows `f64` would print as
+    // `null`, so it is refused rather than read as a different value.
+    if !v.is_finite() {
+        return Err(JsonError {
+            at: start,
+            msg: "number out of range",
+        });
+    }
+    Ok(Json::F64(v))
 }
 
 #[cfg(test)]
@@ -587,6 +596,14 @@ mod tests {
         assert_eq!(Json::parse("1.0").unwrap(), v);
         assert_eq!(Json::parse("2.5e3").unwrap(), Json::F64(2500.0));
         assert_eq!(Json::F64(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn numbers_past_f64_are_errors() {
+        for text in ["1e999", "-1e999", "[0, 2e308]"] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.msg, "number out of range", "{text}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! StackTrack keeps its own executor ([`stacktrack::StThread`]), whose
 //! accesses are transactional.
 
-use crate::api::SchemeThread;
+use crate::SchemeThread;
 use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::{Addr, Heap, Word};

@@ -27,8 +27,6 @@
 //!   as the ablation the paper argues about ("hazard pointers can be seen
 //!   as an upper bound on the performance of reference-counting
 //!   techniques") — a fetch-add per pointer hop.
-//! - [`stacktrack_impl`]: the adapter that lets
-//!   [`stacktrack::StThread`] be driven through the same trait.
 //!
 //! Two post-paper schemes extend the comparison beyond the paper's six
 //! (see `docs/SCHEMES.md` and the "Beyond the paper" section of
@@ -42,12 +40,14 @@
 //!   handoff lists and a birth-era robustness bound.
 //!
 //! Pick a scheme with [`Scheme`] and build per-thread executors with
-//! [`SchemeFactory::builder`].
+//! [`SchemeFactory::builder`]. Every executor, each baseline's [`Frame`]
+//! and [`stacktrack::StThread`] alike, implements [`SchemeThread`], which
+//! `stacktrack` declares beside [`stacktrack::OpMem`] and this crate
+//! re-exports.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod api;
 pub mod dta;
 pub mod epoch;
 pub mod frame;
@@ -57,10 +57,9 @@ pub mod mem;
 pub mod nbr;
 pub mod none;
 pub mod refcount;
-pub mod stacktrack_impl;
 
-pub use api::SchemeThread;
 pub use frame::{Frame, Protocol};
+pub use stacktrack::SchemeThread;
 
 #[cfg(test)]
 pub(crate) mod test_support {

@@ -16,7 +16,6 @@ use std::sync::Arc;
 fn executor(scheme: Scheme) -> (Box<dyn SchemeThread>, Cpu) {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 18,
-        ..HeapConfig::small()
     }));
     let engine = Arc::new(HtmEngine::new(heap, HtmConfig::default(), 1));
     let factory = SchemeFactory::builder(scheme).engine(engine).build();

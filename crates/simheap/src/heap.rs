@@ -174,23 +174,20 @@ struct LedgerBook {
     free_events: u64,
 }
 
-/// Heap sizing and behaviour knobs.
+/// Slots in the cache-line traffic table.
+const TRAFFIC_SLOTS: usize = 1 << 14;
+
+/// Heap sizing.
 #[derive(Debug, Clone)]
 pub struct HeapConfig {
     /// Total heap capacity in 64-bit words.
     pub capacity_words: u64,
-    /// Whether `free` fills the block with [`POISON`].
-    pub poison_on_free: bool,
-    /// Slots in the cache-line traffic table.
-    pub traffic_slots: usize,
 }
 
 impl Default for HeapConfig {
     fn default() -> Self {
         Self {
             capacity_words: 1 << 22,
-            poison_on_free: true,
-            traffic_slots: 1 << 14,
         }
     }
 }
@@ -200,7 +197,6 @@ impl HeapConfig {
     pub fn small() -> Self {
         Self {
             capacity_words: 1 << 14,
-            ..Self::default()
         }
     }
 }
@@ -245,7 +241,7 @@ impl Heap {
         Self {
             words: crate::zeroed_words(len),
             allocator: Mutex::new(Allocator::new(config.capacity_words)),
-            traffic: Traffic::new(config.traffic_slots),
+            traffic: Traffic::new(TRAFFIC_SLOTS),
             config,
             uaf_enabled: AtomicBool::new(false),
             uaf: Mutex::new(UafState::default()),
@@ -440,10 +436,8 @@ impl Heap {
         let block = a
             .block_len(addr)
             .unwrap_or_else(|| panic!("free of unknown address {addr:?}"));
-        if self.config.poison_on_free {
-            for off in 0..block {
-                self.cell(addr, off).store(POISON, Ordering::Relaxed);
-            }
+        for off in 0..block {
+            self.cell(addr, off).store(POISON, Ordering::Relaxed);
         }
         a.free(addr);
     }

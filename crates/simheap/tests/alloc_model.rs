@@ -169,7 +169,6 @@ fn run(seed: u64, steps: usize) -> u64 {
     let mut alloc = Allocator::new(CAPACITY);
     let heap = Heap::new(HeapConfig {
         capacity_words: CAPACITY,
-        ..HeapConfig::default()
     });
     let mut c = cpu();
     let mut live: Vec<u64> = Vec::new();

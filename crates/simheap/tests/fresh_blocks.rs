@@ -23,7 +23,6 @@ fn rss_kib() -> u64 {
 fn carving_fresh_blocks_leaves_their_pages_untouched() {
     let heap = Heap::new(HeapConfig {
         capacity_words: 1 << 22,
-        ..HeapConfig::default()
     });
     let before = rss_kib();
     let blocks: Vec<_> = (0..64)

@@ -20,10 +20,7 @@ fn rss_kib() -> u64 {
 fn a_heap_is_resident_only_where_it_is_touched() {
     let capacity_words = 1 << 26; // 512 MiB of words.
     let before = rss_kib();
-    let heap = Heap::new(HeapConfig {
-        capacity_words,
-        ..HeapConfig::default()
-    });
+    let heap = Heap::new(HeapConfig { capacity_words });
     let (first, last) = (Addr::from_index(1), Addr::from_index(capacity_words - 1));
     heap.poke(first, 0, 7);
     heap.poke(last, 0, 9);

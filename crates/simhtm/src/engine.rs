@@ -10,11 +10,12 @@ use st_simheap::{Addr, Heap, Word};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Stripes in the version-lock table.
+const STRIPES: usize = 1 << 16;
+
 /// Engine parameters.
 #[derive(Debug, Clone)]
 pub struct HtmConfig {
-    /// Stripes in the version-lock table.
-    pub stripes: usize,
     /// Capacity model.
     pub capacity: CapacityModel,
     /// Probability that any single transactional access aborts spuriously
@@ -26,7 +27,6 @@ pub struct HtmConfig {
 impl Default for HtmConfig {
     fn default() -> Self {
         Self {
-            stripes: 1 << 16,
             capacity: CapacityModel::default(),
             spurious_abort_per_access: 0.0,
         }
@@ -56,7 +56,7 @@ impl HtmEngine {
     pub fn new(heap: Arc<Heap>, config: HtmConfig, max_threads: usize) -> Self {
         Self {
             heap,
-            stripes: StripeTable::new(config.stripes),
+            stripes: StripeTable::new(STRIPES),
             clock: AtomicU64::new(0),
             stats: (0..max_threads)
                 .map(|_| HtmThreadStats::default())
@@ -601,7 +601,6 @@ mod tests {
     fn capacity_abort_on_budget_overflow() {
         let heap = Arc::new(Heap::new(HeapConfig {
             capacity_words: 1 << 18,
-            ..HeapConfig::small()
         }));
         let mut config = HtmConfig::default();
         config.capacity.l1_lines = 8;

@@ -7,10 +7,9 @@
 //! the list's typed-API port (`st_reclaim::mem`) and its guard
 //! requirement wholesale — see [`guard_requirement`].
 
-use crate::list::{self, ListShape, LIST_SLOTS};
+use crate::list::{self, ListShape};
 use st_machine::Cpu;
 use st_reclaim::mem::GuardRequirement;
-use st_reclaim::SchemeThread;
 use st_simheap::Heap;
 use st_simhtm::Abort;
 use stacktrack::{OpMem, Step};
@@ -92,63 +91,12 @@ pub fn delete_body(
     list::delete_body(shape.bucket_of(key), key)
 }
 
-/// High-level hash-set handle.
-#[derive(Debug)]
-pub struct HashSet {
-    shape: HashShape,
-    heap: Arc<Heap>,
-}
-
-impl HashSet {
-    /// Creates a table with `buckets` buckets on `heap`.
-    pub fn new(heap: Arc<Heap>, buckets: usize) -> Self {
-        let shape = HashShape::new_untimed(&heap, buckets);
-        Self { shape, heap }
-    }
-
-    /// The shareable shape.
-    pub fn shape(&self) -> HashShape {
-        self.shape.clone()
-    }
-
-    /// The heap this table lives on.
-    pub fn heap(&self) -> &Arc<Heap> {
-        &self.heap
-    }
-
-    /// Membership test through a scheme executor.
-    pub fn contains(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = contains_body(&self.shape, key);
-        th.run_op(cpu, list::OP_CONTAINS, LIST_SLOTS, &mut body) == 1
-    }
-
-    /// Insert through a scheme executor.
-    pub fn insert(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = insert_body(&self.shape, key);
-        th.run_op(cpu, list::OP_INSERT, LIST_SLOTS, &mut body) == 1
-    }
-
-    /// Delete through a scheme executor.
-    pub fn delete(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = delete_body(&self.shape, key);
-        th.run_op(cpu, list::OP_DELETE, LIST_SLOTS, &mut body) == 1
-    }
-
-    /// All keys currently present (untimed snapshot).
-    pub fn collect_keys(&self) -> Vec<u64> {
-        self.shape.collect_keys_untimed(&self.heap)
-    }
-
-    /// Invariant check on every bucket.
-    pub fn check_invariants(&self) {
-        self.shape.check_invariants_untimed(&self.heap);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::DsOp::{Contains, Delete, Insert};
     use crate::testutil::{all_scheme_factories, test_cpu};
+    use crate::StructureInstance;
     use st_reclaim::Scheme;
 
     #[test]
@@ -172,25 +120,27 @@ mod tests {
     fn set_semantics_under_every_scheme() {
         for scheme in Scheme::all() {
             let (factory, heap) = all_scheme_factories(scheme, 1);
-            let set = HashSet::new(heap, 8);
+            let shape = HashShape::new_untimed(&heap, 8);
+            let set = StructureInstance::Hash(shape.clone());
             let mut th = factory.thread(0);
             let mut cpu = test_cpu(0);
+            let mut run = |op| set.run(th.as_mut(), &mut cpu, op) == 1;
 
             for k in 1..=32u64 {
-                assert!(set.insert(th.as_mut(), &mut cpu, k), "{scheme:?} {k}");
+                assert!(run(Insert(k)), "{scheme:?} {k}");
             }
             for k in 1..=32u64 {
-                assert!(set.contains(th.as_mut(), &mut cpu, k), "{scheme:?} {k}");
+                assert!(run(Contains(k)), "{scheme:?} {k}");
             }
             for k in (1..=32u64).step_by(2) {
-                assert!(set.delete(th.as_mut(), &mut cpu, k), "{scheme:?} {k}");
+                assert!(run(Delete(k)), "{scheme:?} {k}");
             }
             assert_eq!(
-                set.collect_keys(),
+                shape.collect_keys_untimed(&heap),
                 (2..=32).step_by(2).collect::<Vec<u64>>(),
                 "{scheme:?}"
             );
-            set.check_invariants();
+            shape.check_invariants_untimed(&heap);
             th.teardown(&mut cpu);
         }
     }

@@ -32,7 +32,8 @@
 //! checks a structure and turns a [`history::DsOp`] into its body
 //! ([`StructureInstance`]); [`driver`] runs a thread's operations through
 //! its scheme executor ([`OpDriver`]), asking an [`OpSource`] policy
-//! which operation comes next.
+//! which operation comes next; [`StructureInstance::run`] runs one
+//! operation to completion on an executor (tests, examples).
 //!
 //! # Conventions
 //!
@@ -56,11 +57,6 @@ pub mod skiplist;
 pub mod workload;
 
 pub use driver::{OpDriver, OpSource};
-pub use hash::HashSet;
-pub use list::LockFreeList;
-pub use queue::MsQueue;
-pub use rbtree::RbTree;
-pub use skiplist::SkipList;
 pub use workload::{StructureInstance, StructureKind, WorkloadSpec};
 
 /// The pointwise maximum of every structure's declared guard requirement
@@ -92,7 +88,6 @@ pub(crate) mod testutil {
     pub(crate) fn scheme_env() -> (Arc<Heap>, ()) {
         let heap = Arc::new(Heap::new(HeapConfig {
             capacity_words: 1 << 18,
-            ..HeapConfig::default()
         }));
         (heap, ())
     }

@@ -18,12 +18,10 @@
 
 use st_machine::Cpu;
 use st_reclaim::mem::{self, Guard, GuardPool, GuardRequirement, Mem, NodeType, Owned};
-use st_reclaim::SchemeThread;
 use st_simheap::{Addr, Heap, TaggedPtr, Word};
 use st_simhtm::Abort;
 use stacktrack::{OpMem, Step};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Operation ids (index the split predictor).
 pub const OP_CONTAINS: u32 = 0;
@@ -482,63 +480,12 @@ pub fn delete_body(
     }
 }
 
-/// High-level handle bundling the shape with convenience methods.
-#[derive(Debug)]
-pub struct LockFreeList {
-    shape: ListShape,
-    heap: Arc<Heap>,
-}
-
-impl LockFreeList {
-    /// Creates an empty list on `heap`.
-    pub fn new(heap: Arc<Heap>) -> Self {
-        let shape = ListShape::new_untimed(&heap);
-        Self { shape, heap }
-    }
-
-    /// The copyable shape (for building `'static` operation bodies).
-    pub fn shape(&self) -> ListShape {
-        self.shape
-    }
-
-    /// The heap this list lives on.
-    pub fn heap(&self) -> &Arc<Heap> {
-        &self.heap
-    }
-
-    /// Membership test through a scheme executor.
-    pub fn contains(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = contains_body(self.shape, key);
-        th.run_op(cpu, OP_CONTAINS, LIST_SLOTS, &mut body) == 1
-    }
-
-    /// Insert through a scheme executor.
-    pub fn insert(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = insert_body(self.shape, key);
-        th.run_op(cpu, OP_INSERT, LIST_SLOTS, &mut body) == 1
-    }
-
-    /// Delete through a scheme executor.
-    pub fn delete(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = delete_body(self.shape, key);
-        th.run_op(cpu, OP_DELETE, LIST_SLOTS, &mut body) == 1
-    }
-
-    /// Current key set (untimed snapshot).
-    pub fn collect_keys(&self) -> Vec<u64> {
-        self.shape.collect_keys_untimed(&self.heap)
-    }
-
-    /// Structural invariant check.
-    pub fn check_invariants(&self) {
-        self.shape.check_invariants_untimed(&self.heap);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::DsOp::{Contains, Delete, Insert};
     use crate::testutil::{all_scheme_factories, scheme_env, test_cpu};
+    use crate::StructureInstance;
     use st_reclaim::Scheme;
 
     #[test]
@@ -557,22 +504,28 @@ mod tests {
     fn set_semantics_under_every_scheme() {
         for scheme in Scheme::all() {
             let (factory, heap) = all_scheme_factories(scheme, 1);
-            let list = LockFreeList::new(heap);
+            let shape = ListShape::new_untimed(&heap);
+            let list = StructureInstance::List(shape);
             let mut th = factory.thread(0);
             let mut cpu = test_cpu(0);
+            let mut run = |op| list.run(th.as_mut(), &mut cpu, op) == 1;
 
-            assert!(!list.contains(th.as_mut(), &mut cpu, 7), "{scheme:?}");
-            assert!(list.insert(th.as_mut(), &mut cpu, 7), "{scheme:?}");
-            assert!(!list.insert(th.as_mut(), &mut cpu, 7), "{scheme:?} dup");
-            assert!(list.contains(th.as_mut(), &mut cpu, 7), "{scheme:?}");
-            assert!(list.insert(th.as_mut(), &mut cpu, 3), "{scheme:?}");
-            assert!(list.insert(th.as_mut(), &mut cpu, 11), "{scheme:?}");
-            assert_eq!(list.collect_keys(), vec![3, 7, 11], "{scheme:?}");
-            assert!(list.delete(th.as_mut(), &mut cpu, 7), "{scheme:?}");
-            assert!(!list.delete(th.as_mut(), &mut cpu, 7), "{scheme:?} gone");
-            assert!(!list.contains(th.as_mut(), &mut cpu, 7), "{scheme:?}");
-            assert_eq!(list.collect_keys(), vec![3, 11], "{scheme:?}");
-            list.check_invariants();
+            assert!(!run(Contains(7)), "{scheme:?}");
+            assert!(run(Insert(7)), "{scheme:?}");
+            assert!(!run(Insert(7)), "{scheme:?} dup");
+            assert!(run(Contains(7)), "{scheme:?}");
+            assert!(run(Insert(3)), "{scheme:?}");
+            assert!(run(Insert(11)), "{scheme:?}");
+            assert_eq!(
+                shape.collect_keys_untimed(&heap),
+                vec![3, 7, 11],
+                "{scheme:?}"
+            );
+            assert!(run(Delete(7)), "{scheme:?}");
+            assert!(!run(Delete(7)), "{scheme:?} gone");
+            assert!(!run(Contains(7)), "{scheme:?}");
+            assert_eq!(shape.collect_keys_untimed(&heap), vec![3, 11], "{scheme:?}");
+            shape.check_invariants_untimed(&heap);
             th.teardown(&mut cpu);
         }
     }
@@ -580,16 +533,17 @@ mod tests {
     #[test]
     fn deleted_nodes_are_reclaimed_by_stacktrack() {
         let (factory, heap) = all_scheme_factories(Scheme::StackTrack, 1);
-        let list = LockFreeList::new(heap.clone());
+        let shape = ListShape::new_untimed(&heap);
+        let list = StructureInstance::List(shape);
         let mut th = factory.thread(0);
         let mut cpu = test_cpu(0);
 
         let live_before = heap.stats().alloc.live_objects;
         for k in 1..=50u64 {
-            assert!(list.insert(th.as_mut(), &mut cpu, k));
+            assert_eq!(list.run(th.as_mut(), &mut cpu, Insert(k)), 1);
         }
         for k in 1..=50u64 {
-            assert!(list.delete(th.as_mut(), &mut cpu, k));
+            assert_eq!(list.run(th.as_mut(), &mut cpu, Delete(k)), 1);
         }
         th.teardown(&mut cpu);
         assert_eq!(
@@ -597,7 +551,7 @@ mod tests {
             live_before,
             "all 50 nodes must be reclaimed"
         );
-        assert_eq!(list.collect_keys(), Vec::<u64>::new());
+        assert_eq!(shape.collect_keys_untimed(&heap), Vec::<u64>::new());
     }
 
     #[test]
@@ -605,13 +559,12 @@ mod tests {
         // Two threads stepping operation-by-operation through the same
         // keys under StackTrack; determinism comes from manual stepping.
         let (factory, heap) = all_scheme_factories(Scheme::StackTrack, 2);
-        let list = LockFreeList::new(heap);
+        let shape = ListShape::new_untimed(&heap);
         let mut a = factory.thread(0);
         let mut b = factory.thread(1);
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
-        let shape = list.shape();
         for round in 0..30u64 {
             let ka = round % 10 + 1;
             let kb = round % 7 + 1;
@@ -635,7 +588,7 @@ mod tests {
                     done_b = b.step_op(&mut cpu_b, &mut body_b).is_some();
                 }
             }
-            list.check_invariants();
+            shape.check_invariants_untimed(&heap);
         }
     }
 }

@@ -39,11 +39,9 @@ use st_machine::Cpu;
 use st_reclaim::mem::{
     Atomic, Exclusive, Field, Guard, GuardPool, GuardRequirement, Mem, NodeType, Unlinked,
 };
-use st_reclaim::SchemeThread;
 use st_simheap::{Addr, Heap, Word};
 use st_simhtm::Abort;
 use stacktrack::{OpMem, Step};
-use std::sync::Arc;
 
 /// Search operation id.
 pub const OP_SEARCH: u32 = 0;
@@ -546,63 +544,12 @@ pub fn delete_body(
     }
 }
 
-/// High-level tree handle.
-#[derive(Debug)]
-pub struct RbTree {
-    shape: RbShape,
-    heap: Arc<Heap>,
-}
-
-impl RbTree {
-    /// Creates an empty tree on `heap`.
-    pub fn new(heap: Arc<Heap>) -> Self {
-        let shape = RbShape::new_untimed(&heap);
-        Self { shape, heap }
-    }
-
-    /// The copyable shape.
-    pub fn shape(&self) -> RbShape {
-        self.shape
-    }
-
-    /// The heap this tree lives on.
-    pub fn heap(&self) -> &Arc<Heap> {
-        &self.heap
-    }
-
-    /// Search through a scheme executor (Algorithm 3).
-    pub fn search(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = search_body(self.shape, key);
-        th.run_op(cpu, OP_SEARCH, RB_SLOTS, &mut body) == 1
-    }
-
-    /// Insert through a scheme executor.
-    pub fn insert(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = insert_body(self.shape, key);
-        th.run_op(cpu, OP_INSERT, RB_SLOTS, &mut body) == 1
-    }
-
-    /// Delete through a scheme executor.
-    pub fn delete(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = delete_body(self.shape, key);
-        th.run_op(cpu, OP_DELETE, RB_SLOTS, &mut body) == 1
-    }
-
-    /// Keys in order (untimed snapshot).
-    pub fn collect_keys(&self) -> Vec<u64> {
-        self.shape.collect_keys_untimed(&self.heap)
-    }
-
-    /// Red-black invariant check.
-    pub fn check_invariants(&self) {
-        self.shape.check_invariants_untimed(&self.heap);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::DsOp::{Contains, Delete, Insert};
     use crate::testutil::{all_scheme_factories, test_cpu};
+    use crate::StructureInstance;
     use st_reclaim::Scheme;
 
     #[test]
@@ -612,27 +559,29 @@ mod tests {
                 continue; // DTA is list-only by design.
             }
             let (factory, heap) = all_scheme_factories(scheme, 1);
-            let tree = RbTree::new(heap);
+            let shape = RbShape::new_untimed(&heap);
+            let tree = StructureInstance::RbTree(shape);
             let mut th = factory.thread(0);
             let mut cpu = test_cpu(0);
+            let mut run = |op| tree.run(th.as_mut(), &mut cpu, op) == 1;
 
             // Insert a shuffled sequence; check balance along the way.
             let keys = [50u64, 20, 70, 10, 30, 60, 80, 5, 15, 25, 35, 1, 90, 85, 95];
             for &k in &keys {
-                assert!(tree.insert(th.as_mut(), &mut cpu, k), "{scheme:?} {k}");
-                tree.check_invariants();
+                assert!(run(Insert(k)), "{scheme:?} {k}");
+                shape.check_invariants_untimed(&heap);
             }
-            assert!(!tree.insert(th.as_mut(), &mut cpu, 30), "{scheme:?} dup");
+            assert!(!run(Insert(30)), "{scheme:?} dup");
             for &k in &keys {
-                assert!(tree.search(th.as_mut(), &mut cpu, k), "{scheme:?} {k}");
+                assert!(run(Contains(k)), "{scheme:?} {k}");
             }
-            assert!(!tree.search(th.as_mut(), &mut cpu, 41), "{scheme:?}");
+            assert!(!run(Contains(41)), "{scheme:?}");
 
             // Delete half, checking balance after every removal.
             for &k in &[20u64, 70, 5, 95, 50, 30] {
-                assert!(tree.delete(th.as_mut(), &mut cpu, k), "{scheme:?} {k}");
-                tree.check_invariants();
-                assert!(!tree.search(th.as_mut(), &mut cpu, k), "{scheme:?} {k}");
+                assert!(run(Delete(k)), "{scheme:?} {k}");
+                shape.check_invariants_untimed(&heap);
+                assert!(!run(Contains(k)), "{scheme:?} {k}");
             }
             let mut remaining: Vec<u64> = keys
                 .iter()
@@ -640,7 +589,7 @@ mod tests {
                 .filter(|k| ![20, 70, 5, 95, 50, 30].contains(k))
                 .collect();
             remaining.sort_unstable();
-            assert_eq!(tree.collect_keys(), remaining, "{scheme:?}");
+            assert_eq!(shape.collect_keys_untimed(&heap), remaining, "{scheme:?}");
             th.teardown(&mut cpu);
         }
     }
@@ -648,21 +597,22 @@ mod tests {
     #[test]
     fn deleted_nodes_are_reclaimed() {
         let (factory, heap) = all_scheme_factories(Scheme::StackTrack, 1);
-        let tree = RbTree::new(heap.clone());
+        let shape = RbShape::new_untimed(&heap);
+        let tree = StructureInstance::RbTree(shape);
         let mut th = factory.thread(0);
         let mut cpu = test_cpu(0);
 
         let before = heap.stats().alloc.live_objects;
         for k in 1..=64u64 {
-            assert!(tree.insert(th.as_mut(), &mut cpu, k));
+            assert_eq!(tree.run(th.as_mut(), &mut cpu, Insert(k)), 1);
         }
         for k in 1..=64u64 {
-            assert!(tree.delete(th.as_mut(), &mut cpu, k));
-            tree.check_invariants();
+            assert_eq!(tree.run(th.as_mut(), &mut cpu, Delete(k)), 1);
+            shape.check_invariants_untimed(&heap);
         }
         th.teardown(&mut cpu);
         assert_eq!(heap.stats().alloc.live_objects, before);
-        assert_eq!(tree.collect_keys(), Vec::<u64>::new());
+        assert_eq!(shape.collect_keys_untimed(&heap), Vec::<u64>::new());
     }
 
     #[test]
@@ -672,16 +622,16 @@ mod tests {
         // retry on conflict, so it never misses a key that is present
         // throughout.
         let (factory, heap) = all_scheme_factories(Scheme::StackTrack, 2);
-        let tree = RbTree::new(heap);
+        let shape = RbShape::new_untimed(&heap);
+        let tree = StructureInstance::RbTree(shape);
         let mut reader = factory.thread(0);
         let mut writer = factory.thread(1);
         let mut cpu_r = test_cpu(0);
         let mut cpu_w = test_cpu(1);
 
         for k in (10..=200u64).step_by(10) {
-            assert!(tree.insert(writer.as_mut(), &mut cpu_w, k));
+            assert_eq!(tree.run(writer.as_mut(), &mut cpu_w, Insert(k)), 1);
         }
-        let shape = tree.shape();
 
         // Key 150 is present for the whole test; the writer churns other
         // keys to force rotations along the reader's path.
@@ -695,52 +645,37 @@ mod tests {
                 // Interleave writer churn between reader blocks.
                 churn += 1;
                 let k = churn % 9 + 1; // keys 1..=9, near the root paths
-                if round % 2 == 0 {
-                    let mut ins = insert_body(shape, k);
-                    st_reclaim::SchemeThread::run_op(
-                        &mut *writer,
-                        &mut cpu_w,
-                        OP_INSERT,
-                        RB_SLOTS,
-                        &mut ins,
-                    );
-                } else {
-                    let mut del = delete_body(shape, k);
-                    st_reclaim::SchemeThread::run_op(
-                        &mut *writer,
-                        &mut cpu_w,
-                        OP_DELETE,
-                        RB_SLOTS,
-                        &mut del,
-                    );
-                }
+                let op = if round % 2 == 0 { Insert(k) } else { Delete(k) };
+                tree.run(writer.as_mut(), &mut cpu_w, op);
             }
             assert_eq!(result, Some(1), "round {round}: reader must find 150");
         }
-        tree.check_invariants();
+        shape.check_invariants_untimed(&heap);
     }
 
     #[test]
     fn randomized_against_btreeset() {
         use std::collections::BTreeSet;
         let (factory, heap) = all_scheme_factories(Scheme::StackTrack, 1);
-        let tree = RbTree::new(heap);
+        let shape = RbShape::new_untimed(&heap);
+        let tree = StructureInstance::RbTree(shape);
         let mut th = factory.thread(0);
         let mut cpu = test_cpu(0);
+        let mut run = |op| tree.run(th.as_mut(), &mut cpu, op) == 1;
         let mut oracle = BTreeSet::new();
         let mut rng = st_machine::Pcg32::new(99);
 
         for _ in 0..600 {
             let k = rng.below(100) + 1;
             match rng.below(3) {
-                0 => assert_eq!(tree.insert(th.as_mut(), &mut cpu, k), oracle.insert(k)),
-                1 => assert_eq!(tree.delete(th.as_mut(), &mut cpu, k), oracle.remove(&k)),
-                _ => assert_eq!(tree.search(th.as_mut(), &mut cpu, k), oracle.contains(&k)),
+                0 => assert_eq!(run(Insert(k)), oracle.insert(k)),
+                1 => assert_eq!(run(Delete(k)), oracle.remove(&k)),
+                _ => assert_eq!(run(Contains(k)), oracle.contains(&k)),
             }
         }
-        tree.check_invariants();
+        shape.check_invariants_untimed(&heap);
         assert_eq!(
-            tree.collect_keys(),
+            shape.collect_keys_untimed(&heap),
             oracle.iter().copied().collect::<Vec<_>>()
         );
     }

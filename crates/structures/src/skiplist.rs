@@ -23,11 +23,9 @@
 
 use st_machine::{Cpu, Pcg32};
 use st_reclaim::mem::{Guard, GuardPool, GuardRequirement, Mem, NodeType, Owned, Unlinked};
-use st_reclaim::SchemeThread;
 use st_simheap::{Addr, Heap, TaggedPtr, Word};
 use st_simhtm::Abort;
 use stacktrack::{OpMem, Step};
-use std::sync::Arc;
 
 /// Maximum tower height.
 pub const MAX_LEVEL: usize = 16;
@@ -598,63 +596,12 @@ pub fn delete_body(
     }
 }
 
-/// High-level skip-list handle.
-#[derive(Debug)]
-pub struct SkipList {
-    shape: SkipShape,
-    heap: Arc<Heap>,
-}
-
-impl SkipList {
-    /// Creates an empty skip list on `heap`.
-    pub fn new(heap: Arc<Heap>) -> Self {
-        let shape = SkipShape::new_untimed(&heap);
-        Self { shape, heap }
-    }
-
-    /// The copyable shape.
-    pub fn shape(&self) -> SkipShape {
-        self.shape
-    }
-
-    /// The heap this skip list lives on.
-    pub fn heap(&self) -> &Arc<Heap> {
-        &self.heap
-    }
-
-    /// Membership test through a scheme executor.
-    pub fn contains(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = contains_body(self.shape, key);
-        th.run_op(cpu, OP_CONTAINS, SKIP_SLOTS, &mut body) == 1
-    }
-
-    /// Insert through a scheme executor.
-    pub fn insert(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = insert_body(self.shape, key);
-        th.run_op(cpu, OP_INSERT, SKIP_SLOTS, &mut body) == 1
-    }
-
-    /// Delete through a scheme executor.
-    pub fn delete(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, key: u64) -> bool {
-        let mut body = delete_body(self.shape, key);
-        th.run_op(cpu, OP_DELETE, SKIP_SLOTS, &mut body) == 1
-    }
-
-    /// Keys currently present (untimed snapshot).
-    pub fn collect_keys(&self) -> Vec<u64> {
-        self.shape.collect_keys_untimed(&self.heap)
-    }
-
-    /// Structural invariant check.
-    pub fn check_invariants(&self) {
-        self.shape.check_invariants_untimed(&self.heap);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::DsOp::{Contains, Delete, Insert};
     use crate::testutil::{all_scheme_factories, test_cpu};
+    use crate::StructureInstance;
     use st_reclaim::Scheme;
 
     #[test]
@@ -705,22 +652,28 @@ mod tests {
     fn set_semantics_under_every_scheme() {
         for scheme in Scheme::all() {
             let (factory, heap) = all_scheme_factories(scheme, 1);
-            let sl = SkipList::new(heap);
+            let shape = SkipShape::new_untimed(&heap);
+            let sl = StructureInstance::SkipList(shape);
             let mut th = factory.thread(0);
             let mut cpu = test_cpu(0);
+            let mut run = |op| sl.run(th.as_mut(), &mut cpu, op) == 1;
 
             for k in [10u64, 4, 77, 30, 55] {
-                assert!(sl.insert(th.as_mut(), &mut cpu, k), "{scheme:?} {k}");
+                assert!(run(Insert(k)), "{scheme:?} {k}");
             }
-            assert!(!sl.insert(th.as_mut(), &mut cpu, 30), "{scheme:?} dup");
+            assert!(!run(Insert(30)), "{scheme:?} dup");
             for k in [10u64, 4, 77, 30, 55] {
-                assert!(sl.contains(th.as_mut(), &mut cpu, k), "{scheme:?} {k}");
+                assert!(run(Contains(k)), "{scheme:?} {k}");
             }
-            assert!(!sl.contains(th.as_mut(), &mut cpu, 31), "{scheme:?}");
-            assert!(sl.delete(th.as_mut(), &mut cpu, 30), "{scheme:?}");
-            assert!(!sl.delete(th.as_mut(), &mut cpu, 30), "{scheme:?} gone");
-            assert_eq!(sl.collect_keys(), vec![4, 10, 55, 77], "{scheme:?}");
-            sl.check_invariants();
+            assert!(!run(Contains(31)), "{scheme:?}");
+            assert!(run(Delete(30)), "{scheme:?}");
+            assert!(!run(Delete(30)), "{scheme:?} gone");
+            assert_eq!(
+                shape.collect_keys_untimed(&heap),
+                vec![4, 10, 55, 77],
+                "{scheme:?}"
+            );
+            shape.check_invariants_untimed(&heap);
             th.teardown(&mut cpu);
         }
     }
@@ -728,18 +681,19 @@ mod tests {
     #[test]
     fn towers_are_fully_unlinked_and_reclaimed() {
         let (factory, heap) = all_scheme_factories(Scheme::StackTrack, 1);
-        let sl = SkipList::new(heap.clone());
+        let shape = SkipShape::new_untimed(&heap);
+        let sl = StructureInstance::SkipList(shape);
         let mut th = factory.thread(0);
         let mut cpu = test_cpu(0);
 
         let live_before = heap.stats().alloc.live_objects;
         for k in 1..=60u64 {
-            assert!(sl.insert(th.as_mut(), &mut cpu, k));
+            assert_eq!(sl.run(th.as_mut(), &mut cpu, Insert(k)), 1);
         }
         for k in 1..=60u64 {
-            assert!(sl.delete(th.as_mut(), &mut cpu, k));
+            assert_eq!(sl.run(th.as_mut(), &mut cpu, Delete(k)), 1);
         }
-        sl.check_invariants();
+        shape.check_invariants_untimed(&heap);
         th.teardown(&mut cpu);
         assert_eq!(
             heap.stats().alloc.live_objects,
@@ -751,12 +705,11 @@ mod tests {
     #[test]
     fn interleaved_insert_delete_stays_sound() {
         let (factory, heap) = all_scheme_factories(Scheme::StackTrack, 2);
-        let sl = SkipList::new(heap);
+        let shape = SkipShape::new_untimed(&heap);
         let mut a = factory.thread(0);
         let mut b = factory.thread(1);
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
-        let shape = sl.shape();
 
         for round in 0..25u64 {
             let ka = round % 12 + 1;
@@ -780,7 +733,7 @@ mod tests {
                     db = b.step_op(&mut cpu_b, &mut body_b).is_some();
                 }
             }
-            sl.check_invariants();
+            shape.check_invariants_untimed(&heap);
         }
     }
 }
@@ -788,23 +741,27 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
+    use crate::history::DsOp::{Contains, Delete, Insert};
     use crate::testutil::{all_scheme_factories, test_cpu};
+    use crate::StructureInstance;
     use st_reclaim::Scheme;
 
     #[test]
     fn delete_absent_and_reinsert_cycles() {
         let (factory, heap) = all_scheme_factories(Scheme::StackTrack, 1);
-        let sl = SkipList::new(heap);
+        let shape = SkipShape::new_untimed(&heap);
+        let sl = StructureInstance::SkipList(shape);
         let mut th = factory.thread(0);
         let mut cpu = test_cpu(0);
+        let mut run = |op| sl.run(th.as_mut(), &mut cpu, op) == 1;
 
-        assert!(!sl.delete(th.as_mut(), &mut cpu, 10), "absent");
+        assert!(!run(Delete(10)), "absent");
         for _ in 0..10 {
-            assert!(sl.insert(th.as_mut(), &mut cpu, 10));
-            assert!(sl.contains(th.as_mut(), &mut cpu, 10));
-            assert!(sl.delete(th.as_mut(), &mut cpu, 10));
-            assert!(!sl.contains(th.as_mut(), &mut cpu, 10));
-            sl.check_invariants();
+            assert!(run(Insert(10)));
+            assert!(run(Contains(10)));
+            assert!(run(Delete(10)));
+            assert!(!run(Contains(10)));
+            shape.check_invariants_untimed(&heap);
         }
         th.teardown(&mut cpu);
     }
@@ -812,18 +769,17 @@ mod edge_tests {
     #[test]
     fn boundary_keys() {
         let (factory, heap) = all_scheme_factories(Scheme::Epoch, 1);
-        let sl = SkipList::new(heap);
+        let shape = SkipShape::new_untimed(&heap);
+        let sl = StructureInstance::SkipList(shape);
         let mut th = factory.thread(0);
         let mut cpu = test_cpu(0);
+        let mut run = |op| sl.run(th.as_mut(), &mut cpu, op) == 1;
 
-        assert!(sl.insert(th.as_mut(), &mut cpu, 1), "minimum key");
-        assert!(
-            sl.insert(th.as_mut(), &mut cpu, u64::MAX - 1),
-            "maximum key"
-        );
-        assert!(sl.contains(th.as_mut(), &mut cpu, 1));
-        assert!(sl.contains(th.as_mut(), &mut cpu, u64::MAX - 1));
-        sl.check_invariants();
+        assert!(run(Insert(1)), "minimum key");
+        assert!(run(Insert(u64::MAX - 1)), "maximum key");
+        assert!(run(Contains(1)));
+        assert!(run(Contains(u64::MAX - 1)));
+        shape.check_invariants_untimed(&heap);
     }
 
     #[test]
@@ -844,24 +800,25 @@ mod edge_tests {
         // reachable at level l must carry height > l (checked by
         // check_invariants), and deleting them unlinks all levels.
         let (factory, heap) = all_scheme_factories(Scheme::StackTrack, 1);
-        let sl = SkipList::new(heap.clone());
+        let shape = SkipShape::new_untimed(&heap);
+        let sl = StructureInstance::SkipList(shape);
         let mut th = factory.thread(0);
         let mut cpu = test_cpu(0);
         for k in 1..=256u64 {
-            assert!(sl.insert(th.as_mut(), &mut cpu, k));
+            assert_eq!(sl.run(th.as_mut(), &mut cpu, Insert(k)), 1);
         }
-        sl.check_invariants();
+        shape.check_invariants_untimed(&heap);
         // At least one tower above level 3 exists with high probability.
         let mut tall = 0;
-        let mut cur = TaggedPtr::from_word(heap.peek(sl.shape().head, NODE_NEXT0 + 4));
-        while !cur.is_null() && cur.addr() != sl.shape().tail {
+        let mut cur = TaggedPtr::from_word(heap.peek(shape.head, NODE_NEXT0 + 4));
+        while !cur.is_null() && cur.addr() != shape.tail {
             tall += 1;
             cur = TaggedPtr::from_word(heap.peek(cur.addr(), NODE_NEXT0 + 4));
         }
         assert!(tall > 0, "expected towers above level 4");
         for k in 1..=256u64 {
-            assert!(sl.delete(th.as_mut(), &mut cpu, k));
+            assert_eq!(sl.run(th.as_mut(), &mut cpu, Delete(k)), 1);
         }
-        sl.check_invariants();
+        shape.check_invariants_untimed(&heap);
     }
 }

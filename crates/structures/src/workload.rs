@@ -9,7 +9,7 @@ use st_machine::{Cpu, Pcg32};
 use st_reclaim::none::NoReclaim;
 use st_reclaim::Frame;
 use st_reclaim::SchemeThread;
-use st_simheap::Heap;
+use st_simheap::{Heap, Word};
 use stacktrack::OpBody;
 use std::sync::Arc;
 
@@ -373,15 +373,14 @@ impl StructureInstance {
                 true
             }
             StructureInstance::Hash(s) => s.insert_untimed(heap, key),
-            StructureInstance::RbTree(s) => {
+            StructureInstance::RbTree(_) => {
                 let (cpu, writer) = writer.get_or_insert_with(|| {
                     (
                         scratch_cpu(),
                         Frame::new(heap.clone(), NoReclaim::default()),
                     )
                 });
-                let mut body = rbtree::insert_body(*s, key);
-                writer.run_op(cpu, rbtree::OP_INSERT, rbtree::RB_SLOTS, &mut body) == 1
+                self.run(writer, cpu, DsOp::Insert(key)) == 1
             }
         }
     }
@@ -471,6 +470,18 @@ impl StructureInstance {
             ),
             (_, op) => panic!("operation {op} does not fit this structure"),
         }
+    }
+
+    /// Runs `op` to completion through `th`, draining its pending idle
+    /// work first, and returns the result word: 1 or 0 for a set
+    /// operation, the value (0 when empty) for a dequeue or peek.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is not an operation of this structure.
+    pub fn run(&self, th: &mut dyn SchemeThread, cpu: &mut Cpu, op: DsOp) -> Word {
+        let (op_id, slots, mut body) = self.body_for(op);
+        th.run_op(cpu, op_id, slots, body.as_mut())
     }
 
     /// Checks the structure's invariants (untimed; panics on a broken
@@ -602,7 +613,6 @@ mod tests {
         let spec = WorkloadSpec::paper_list();
         let config = st_simheap::HeapConfig {
             capacity_words: 1 << 15,
-            ..st_simheap::HeapConfig::default()
         };
         for seed in [1, 7, 42] {
             let indexed = Arc::new(Heap::new(config.clone()));
@@ -648,7 +658,6 @@ mod tests {
         let spec = WorkloadSpec::paper_list().shrunk(100);
         let heap = Arc::new(Heap::new(st_simheap::HeapConfig {
             capacity_words: spec.heap_words(1),
-            ..st_simheap::HeapConfig::default()
         }));
         match StructureInstance::build(&spec, &heap, 1) {
             StructureInstance::List(shape) => {

@@ -29,7 +29,6 @@ impl NodeType for ArrayNode {
 fn scenario(interior_pointers: bool) -> bool {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 18,
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), 2));
     let rt = StRuntime::new(

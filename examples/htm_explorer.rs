@@ -36,7 +36,6 @@ fn main() {
     let board = Arc::new(ActivityBoard::new(topo.hw_contexts()));
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 20,
-        ..HeapConfig::default()
     }));
     let engine = HtmEngine::new(heap.clone(), HtmConfig::default(), 8);
 

@@ -11,62 +11,55 @@
 //! Run with: `cargo run --release --example queue_pipeline`
 
 use st_machine::{Cpu, SimConfig, Simulator, StepOutcome, Worker};
-use st_reclaim::{Scheme, SchemeFactory, SchemeThread};
-use st_simheap::{Heap, HeapConfig};
+use st_reclaim::{Scheme, SchemeFactory};
+use st_simheap::{Heap, HeapConfig, Word};
 use st_simhtm::{HtmConfig, HtmEngine};
+use st_structures::history::DsOp;
 use st_structures::queue::{self, QueueShape};
-use stacktrack::OpBody;
+use st_structures::{OpDriver, OpSource, StructureInstance};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
 
-struct PipelineWorker {
-    th: Box<dyn SchemeThread>,
-    shape: QueueShape,
+/// A pipeline stage: a producer enqueues its own sequence numbers, a
+/// consumer dequeues and counts the items it got.
+struct Stage {
     producer: bool,
     sequence: u64,
-    current: Option<Box<OpBody<'static>>>,
     consumed: u64,
+}
+
+impl OpSource for Stage {
+    fn next_op(&mut self, _cpu: &mut Cpu) -> Option<DsOp> {
+        if self.producer {
+            self.sequence += 1;
+            Some(DsOp::Enqueue(self.sequence))
+        } else {
+            Some(DsOp::Dequeue)
+        }
+    }
+
+    fn op_done(&mut self, result: Word) {
+        if !self.producer && result != 0 {
+            self.consumed += 1;
+        }
+    }
+}
+
+struct PipelineWorker {
+    driver: OpDriver,
+    stage: Stage,
 }
 
 impl Worker for PipelineWorker {
     fn step(&mut self, cpu: &mut Cpu) -> StepOutcome {
-        if self.th.idle_work_pending() {
-            self.th.step_idle(cpu);
-            return StepOutcome::Progress;
-        }
-        if self.current.is_none() {
-            let (op, body): (u32, Box<OpBody<'static>>) = if self.producer {
-                self.sequence += 1;
-                (
-                    queue::OP_ENQUEUE,
-                    Box::new(queue::enqueue_body(self.shape, self.sequence)),
-                )
-            } else {
-                (queue::OP_DEQUEUE, Box::new(queue::dequeue_body(self.shape)))
-            };
-            self.th.begin_op(cpu, op, queue::QUEUE_SLOTS);
-            self.current = Some(body);
-            return StepOutcome::Progress;
-        }
-        let body = self.current.as_mut().expect("active op");
-        match self.th.step_op(cpu, body.as_mut()) {
-            Some(v) => {
-                self.current = None;
-                if !self.producer && v != 0 {
-                    self.consumed += 1;
-                }
-                StepOutcome::OpDone
-            }
-            None => StepOutcome::Progress,
-        }
+        self.driver.step(cpu, &mut self.stage)
     }
 }
 
 fn run_scheme(scheme: Scheme) {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 22,
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), THREADS));
     let factory = SchemeFactory::builder(scheme)
@@ -80,22 +73,26 @@ fn run_scheme(scheme: Scheme) {
     for i in 0..64 {
         shape.enqueue_untimed(&heap, i + 1);
     }
+    let instance = Arc::new(StructureInstance::Queue(shape));
 
     let sim = Simulator::new(SimConfig::haswell_ms(2, 99));
     let workers: Vec<PipelineWorker> = (0..THREADS)
         .map(|t| PipelineWorker {
-            th: factory.thread(t),
-            shape,
-            producer: t % 2 == 0,
-            sequence: 1_000_000 * (t as u64 + 1),
-            current: None,
-            consumed: 0,
+            driver: OpDriver::new(factory.thread(t), instance.clone()),
+            stage: Stage {
+                producer: t % 2 == 0,
+                sequence: 1_000_000 * (t as u64 + 1),
+                consumed: 0,
+            },
         })
         .collect();
     let (report, workers) = sim.run(workers);
 
-    let consumed: u64 = workers.iter().map(|w| w.consumed).sum();
-    let garbage: u64 = workers.iter().map(|w| w.th.outstanding_garbage()).sum();
+    let consumed: u64 = workers.iter().map(|w| w.stage.consumed).sum();
+    let garbage: u64 = workers
+        .iter()
+        .map(|w| w.driver.executor().outstanding_garbage())
+        .sum();
     println!(
         "{:<11} {:>8.2}M ops/s   items consumed: {:>6}   garbage nodes: {:>6}   live words: {}",
         scheme.name(),

@@ -7,11 +7,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use st_reclaim::SchemeThread;
 use st_simheap::{Heap, HeapConfig};
 use st_simhtm::{HtmConfig, HtmEngine};
-use st_structures::LockFreeList;
-use stacktrack::{StConfig, StRuntime};
+use st_structures::history::DsOp::{Contains, Delete, Insert};
+use st_structures::list::ListShape;
+use st_structures::StructureInstance;
+use stacktrack::{SchemeThread, StConfig, StRuntime};
 use std::sync::Arc;
 
 fn main() {
@@ -28,28 +29,30 @@ fn main() {
     let mut cpu = rt.test_cpu(0);
 
     // 3. A Harris lock-free list whose operations run as chains of
-    //    hardware transactions with automatic reclamation.
-    let list = LockFreeList::new(heap.clone());
+    //    hardware transactions with automatic reclamation. A set
+    //    operation returns 1 for success and 0 otherwise.
+    let shape = ListShape::new_untimed(&heap);
+    let list = StructureInstance::List(shape);
 
     let live_before = heap.stats().alloc.live_objects;
     for key in [20u64, 5, 30, 10, 25] {
-        assert!(list.insert(&mut thread, &mut cpu, key));
+        assert_eq!(list.run(&mut thread, &mut cpu, Insert(key)), 1);
     }
-    println!("after inserts:  {:?}", list.collect_keys());
+    println!("after inserts:  {:?}", shape.collect_keys_untimed(&heap));
 
-    assert!(list.contains(&mut thread, &mut cpu, 10));
-    assert!(!list.contains(&mut thread, &mut cpu, 11));
+    assert_eq!(list.run(&mut thread, &mut cpu, Contains(10)), 1);
+    assert_eq!(list.run(&mut thread, &mut cpu, Contains(11)), 0);
 
     for key in [5u64, 25] {
-        assert!(list.delete(&mut thread, &mut cpu, key));
+        assert_eq!(list.run(&mut thread, &mut cpu, Delete(key)), 1);
     }
-    println!("after deletes:  {:?}", list.collect_keys());
+    println!("after deletes:  {:?}", shape.collect_keys_untimed(&heap));
 
     // 4. Reclamation: deleted nodes sit in the free set until a scan of
     //    every thread's exposed stack/registers proves them unreferenced.
     println!(
         "free set before the scan: {} node(s)",
-        thread.free_set_len()
+        thread.outstanding_garbage()
     );
     thread.teardown(&mut cpu);
     let live_now = heap.stats().alloc.live_objects - live_before;

@@ -14,17 +14,17 @@
 //!
 //! Run with: `cargo run --release --example rbtree_readers`
 
-use st_reclaim::SchemeThread;
 use st_simheap::{Heap, HeapConfig};
 use st_simhtm::{HtmConfig, HtmEngine};
-use st_structures::rbtree::{self, RbTree, RB_SLOTS};
-use stacktrack::{StConfig, StRuntime};
+use st_structures::history::DsOp::{Delete, Insert};
+use st_structures::rbtree::{self, RbShape, RB_SLOTS};
+use st_structures::StructureInstance;
+use stacktrack::{SchemeThread, StConfig, StRuntime};
 use std::sync::Arc;
 
 fn main() {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 21,
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), 2));
     let rt = StRuntime::new(
@@ -40,19 +40,19 @@ fn main() {
     let mut cpu_r = rt.test_cpu(0);
     let mut cpu_w = rt.test_cpu(1);
 
-    let tree = RbTree::new(heap.clone());
+    let shape = RbShape::new_untimed(&heap);
+    let tree = StructureInstance::RbTree(shape);
     for k in (10..=2000u64).step_by(10) {
-        assert!(tree.insert(&mut writer, &mut cpu_w, k));
+        assert_eq!(tree.run(&mut writer, &mut cpu_w, Insert(k)), 1);
     }
     println!(
         "tree loaded: {} keys, invariants hold",
-        tree.collect_keys().len()
+        shape.collect_keys_untimed(&heap).len()
     );
-    tree.check_invariants();
+    shape.check_invariants_untimed(&heap);
 
     // The anchor key stays put; the writer churns keys around it.
     let anchor_key = 1010u64;
-    let shape = tree.shape();
     let live_before = heap.stats().alloc.live_objects;
 
     let mut found = 0u64;
@@ -66,20 +66,19 @@ fn main() {
             // One writer mutation between reader blocks.
             churn += 1;
             let k = churn % 500 + 1; // odd keys: never the anchor
-            if round % 2 == 0 {
-                let mut ins = rbtree::insert_body(shape, k * 2 + 1);
-                SchemeThread::run_op(&mut writer, &mut cpu_w, 1, RB_SLOTS, &mut ins);
+            let op = if round % 2 == 0 {
+                Insert(k * 2 + 1)
             } else {
-                let mut del = rbtree::delete_body(shape, k * 2 + 1);
-                SchemeThread::run_op(&mut writer, &mut cpu_w, 2, RB_SLOTS, &mut del);
-            }
+                Delete(k * 2 + 1)
+            };
+            tree.run(&mut writer, &mut cpu_w, op);
         }
         found += result.expect("completed");
     }
     println!("reader found the anchor key in {found}/400 searches (must be 400)");
     assert_eq!(found, 400, "serializable readers never miss a stable key");
 
-    tree.check_invariants();
+    shape.check_invariants_untimed(&heap);
     let r = reader.stats();
     println!(
         "reader: {} ops, {:.1} segments/op, avg segment {:.1} blocks, {} aborts",

@@ -5,72 +5,55 @@
 //! simulated 4-core x 2-SMT machine) serve a 90/10 read/update mix against
 //! a shared skip-list index, each under StackTrack. The run reports
 //! throughput, HTM behaviour, and reclamation statistics, then verifies
-//! the index against a sequential oracle of the committed operations.
+//! the index's structure: sorted keys and the skip-list invariants.
 //!
 //! Run with: `cargo run --release --example skiplist_store`
 
 use st_machine::{Cpu, Pcg32, SimConfig, Simulator, StepOutcome, Worker};
 use st_simheap::{Heap, HeapConfig};
 use st_simhtm::{HtmConfig, HtmEngine};
-use st_structures::skiplist::{self, SkipShape};
-use stacktrack::{OpBody, StConfig, StRuntime, StThread};
+use st_structures::history::DsOp;
+use st_structures::skiplist::SkipShape;
+use st_structures::{OpDriver, OpSource, StructureInstance};
+use stacktrack::{StConfig, StRuntime};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
 const KEYSPACE: u64 = 50_000;
 const INITIAL: u64 = 25_000;
 
+/// The index's request mix: 90% lookups, the rest split evenly between
+/// inserts and deletes, over uniform keys.
+struct Requests;
+
+impl OpSource for Requests {
+    fn next_op(&mut self, cpu: &mut Cpu) -> Option<DsOp> {
+        let roll = cpu.rng.below(100);
+        let key = cpu.rng.below(KEYSPACE) + 1;
+        Some(if roll < 90 {
+            DsOp::Contains(key)
+        } else if roll % 2 == 0 {
+            DsOp::Insert(key)
+        } else {
+            DsOp::Delete(key)
+        })
+    }
+}
+
 /// One index-server thread.
 struct IndexServer {
-    th: StThread,
-    shape: SkipShape,
-    current: Option<Box<OpBody<'static>>>,
+    driver: OpDriver,
 }
 
 impl Worker for IndexServer {
     fn step(&mut self, cpu: &mut Cpu) -> StepOutcome {
-        if self.th.idle_work_pending() {
-            self.th.step_idle(cpu);
-            return StepOutcome::Progress;
-        }
-        if self.current.is_none() {
-            let roll = cpu.rng.below(100);
-            let key = cpu.rng.below(KEYSPACE) + 1;
-            let (op, body): (u32, Box<OpBody<'static>>) = if roll < 90 {
-                (
-                    skiplist::OP_CONTAINS,
-                    Box::new(skiplist::contains_body(self.shape, key)),
-                )
-            } else if roll % 2 == 0 {
-                (
-                    skiplist::OP_INSERT,
-                    Box::new(skiplist::insert_body(self.shape, key)),
-                )
-            } else {
-                (
-                    skiplist::OP_DELETE,
-                    Box::new(skiplist::delete_body(self.shape, key)),
-                )
-            };
-            self.th.begin_op(cpu, op, skiplist::SKIP_SLOTS);
-            self.current = Some(body);
-            return StepOutcome::Progress;
-        }
-        let body = self.current.as_mut().expect("active op");
-        match self.th.step_op(cpu, body.as_mut()) {
-            Some(_) => {
-                self.current = None;
-                StepOutcome::OpDone
-            }
-            None => StepOutcome::Progress,
-        }
+        self.driver.step(cpu, &mut Requests)
     }
 }
 
 fn main() {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 22,
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), THREADS));
     let rt = StRuntime::new(engine.clone(), StConfig::default(), THREADS);
@@ -86,12 +69,11 @@ fn main() {
     }
 
     // Run 5 virtual milliseconds on the simulated 8-way machine.
+    let index = Arc::new(StructureInstance::SkipList(shape));
     let sim = Simulator::new(SimConfig::haswell_ms(5, 7));
     let workers: Vec<IndexServer> = (0..THREADS)
         .map(|t| IndexServer {
-            th: rt.register_thread(t),
-            shape,
-            current: None,
+            driver: OpDriver::new(Box::new(rt.register_thread(t)), index.clone()),
         })
         .collect();
     let (report, mut workers) = sim.run(workers);
@@ -109,18 +91,13 @@ fn main() {
     );
 
     // Drain deferred reclamation and verify structural soundness. The
-    // deadline can land mid-operation (a preempted segment restarts), so
-    // finish any in-flight operation before the teardown scan.
+    // deadline can land mid-operation, so the teardown abandons any
+    // in-flight operation (its open segment rolls back) before its scan.
     let mut garbage = 0;
     for (t, w) in workers.iter_mut().enumerate() {
-        let mut cpu = rt.test_cpu(t);
-        while let Some(body) = w.current.as_mut() {
-            if w.th.step_op(&mut cpu, body.as_mut()).is_some() {
-                w.current = None;
-            }
-        }
-        garbage += w.th.free_set_len();
-        w.th.force_full_scan(&mut cpu);
+        let th = w.driver.executor_mut();
+        garbage += th.outstanding_garbage();
+        th.teardown(&mut rt.test_cpu(t));
     }
     println!("free-set entries drained at teardown: {garbage}");
     shape.check_invariants_untimed(&heap);

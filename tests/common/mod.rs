@@ -57,7 +57,6 @@ pub fn build_env_cfg(
 ) -> Env {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 21,
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), threads));
     let factory = SchemeFactory::builder(scheme)

@@ -35,7 +35,6 @@ fn allocator_soundness() {
         let steps = 1 + rng.below(199);
         let heap = Heap::new(HeapConfig {
             capacity_words: 1 << 16,
-            ..HeapConfig::default()
         });
         let mut live: Vec<(Addr, usize)> = Vec::new();
         for _ in 0..steps {
@@ -97,7 +96,6 @@ fn htm_increments_are_serializable() {
         let steps = 10 + rng.below(190);
         let heap = Arc::new(Heap::new(HeapConfig {
             capacity_words: 1 << 14,
-            ..HeapConfig::default()
         }));
         let engine = HtmEngine::new(heap.clone(), HtmConfig::default(), 3);
         let counter = heap.alloc_untimed(1).unwrap();
@@ -141,7 +139,6 @@ fn scanner_has_no_false_negatives() {
         for slot in 0usize..8 {
             let heap = Arc::new(Heap::new(HeapConfig {
                 capacity_words: 1 << 18,
-                ..HeapConfig::default()
             }));
             let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), 2));
             let rt = StRuntime::new(
@@ -209,7 +206,6 @@ fn scanner_has_no_false_negatives() {
 fn allocator_recycles_within_class() {
     let heap = Heap::new(HeapConfig {
         capacity_words: 1 << 16,
-        ..HeapConfig::default()
     });
     let mut freed_by_class: HashMap<u64, Addr> = HashMap::new();
     let mut c = cpu(0);

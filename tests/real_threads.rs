@@ -33,7 +33,6 @@ fn tl2_counter_increments_never_lose_updates() {
 
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 16,
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), THREADS));
     let board = Arc::new(ActivityBoard::new(Topology::haswell().hw_contexts()));
@@ -83,7 +82,6 @@ fn concurrent_alloc_free_stays_sound() {
     const THREADS: usize = 4;
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 18,
-        ..HeapConfig::default()
     }));
     let board = Arc::new(ActivityBoard::new(Topology::haswell().hw_contexts()));
 
@@ -131,7 +129,6 @@ fn nontx_writes_doom_real_concurrent_readers() {
     // paired words that must always match).
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 16,
-        ..HeapConfig::default()
     }));
     let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), 2));
     let board = Arc::new(ActivityBoard::new(Topology::haswell().hw_contexts()));
