@@ -35,6 +35,7 @@ use st_check::{
 use st_machine::{FaultPlan, Pcg32};
 use st_obs::{audit, Json, MetricsRegistry};
 use st_reclaim::Scheme;
+use st_simheap::LedgerKind;
 use st_structures::StructureKind;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -182,10 +183,12 @@ fn classify(v: &Violation) -> usize {
         Violation::Uaf(_) => audit::V_UAF,
         Violation::NonLinearizable(_) => audit::V_DIFFERENTIAL,
         Violation::Panic(_) => audit::V_PANIC,
-        Violation::Ledger(m) if m.starts_with("double-retire") => audit::V_DOUBLE_RETIRE,
-        Violation::Ledger(m) if m.starts_with("double-free") => audit::V_DOUBLE_FREE,
-        Violation::Ledger(m) if m.starts_with("free-before-retire") => audit::V_FREE_BEFORE_RETIRE,
-        Violation::Ledger(_) => audit::V_LEAK,
+        Violation::Ledger(v) => match v.kind {
+            LedgerKind::DoubleRetire => audit::V_DOUBLE_RETIRE,
+            LedgerKind::DoubleFree => audit::V_DOUBLE_FREE,
+            LedgerKind::FreeBeforeRetire => audit::V_FREE_BEFORE_RETIRE,
+            LedgerKind::Leak => audit::V_LEAK,
+        },
     };
     audit::VIOLATION_COUNTERS
         .iter()
@@ -343,5 +346,34 @@ pub fn run(opts: &AuditOpts) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use st_simheap::{Addr, LedgerViolation};
+
+    #[test]
+    fn each_ledger_kind_lands_in_its_own_counter() {
+        let kinds = [
+            (LedgerKind::DoubleRetire, audit::V_DOUBLE_RETIRE),
+            (LedgerKind::DoubleFree, audit::V_DOUBLE_FREE),
+            (LedgerKind::FreeBeforeRetire, audit::V_FREE_BEFORE_RETIRE),
+            (LedgerKind::Leak, audit::V_LEAK),
+        ];
+        for (kind, counter) in kinds {
+            let finding = Violation::Ledger(LedgerViolation {
+                kind,
+                thread: 1,
+                base: Addr::from_index(8),
+                cycle: 40,
+            });
+            assert_eq!(
+                audit::VIOLATION_COUNTERS[classify(&finding)],
+                counter,
+                "{kind}"
+            );
+        }
     }
 }

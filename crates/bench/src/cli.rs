@@ -11,6 +11,7 @@
 
 use crate::auditcmd::{self, AuditOpts};
 use crate::checkcmd;
+use crate::experiment::MAX_RUN_MS;
 use crate::figures::{self, BenchOpts, Figure, FAULT_RUN_MS, FIGURES};
 use st_check::{CheckConfig, ExploreConfig, ReplayToken};
 use st_reclaim::Scheme;
@@ -223,8 +224,8 @@ pub struct FigureFlags {
 /// The flags of every figure subcommand and of `all`.
 pub fn figure_flags() -> Vec<Flag<FigureFlags>> {
     vec![
-        Flag::int("--ms", POSITIVE, |o, v| o.ms = Some(v)),
-        Flag::int("--warmup", ANY, |o, v| o.bench.warmup_ms = v),
+        Flag::int("--ms", 1..=MAX_RUN_MS, |o, v| o.ms = Some(v)),
+        Flag::int("--warmup", 0..=MAX_RUN_MS, |o, v| o.bench.warmup_ms = v),
         Flag::int("--seed", ANY, |o, v| o.bench.seed = v),
         Flag::int("--scale", ANY, |o, v| o.bench.scale = v),
         Flag::int("--threads", 1..=usize::MAX as u64, |o, v| {

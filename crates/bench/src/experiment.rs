@@ -200,8 +200,12 @@ impl RunResult {
 
 /// Executes one run.
 pub fn run(config: &RunConfig) -> RunResult {
+    // The warm-up runs on the same heap, and a leaking scheme keeps its
+    // garbage, so the heap holds both runs' worth.
     let heap = Arc::new(Heap::new(HeapConfig {
-        capacity_words: config.spec.heap_words(config.duration_ms),
+        capacity_words: config
+            .spec
+            .heap_words(config.duration_ms + config.warmup_ms),
     }));
     let engine = Arc::new(HtmEngine::new(
         heap.clone(),
@@ -346,6 +350,12 @@ pub fn run(config: &RunConfig) -> RunResult {
         metrics,
     }
 }
+
+/// The longest run, and the longest warm-up, in virtual milliseconds that
+/// `--ms` and `--warmup` accept (about 11.6 virtual days). Well past it, a
+/// deadline in cycles, the multiples of it the robustness figure forms, or
+/// the heap sized for a run plus its warm-up would overflow a `u64`.
+pub const MAX_RUN_MS: u64 = 1_000_000_000;
 
 /// Virtual milliseconds to cycles.
 pub fn ms_to_cycles(ms: u64) -> u64 {

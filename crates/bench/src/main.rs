@@ -151,10 +151,17 @@ fn snapshot_lines(text: &str) -> Vec<Result<String, String>> {
         Err(e) => return vec![Err(format!("invalid snapshot: {e}"))],
     };
     let summaries = runs.iter().map(|run| {
-        let aborts: u64 = st_obs::AbortCause::ALL
+        let aborts = st_obs::AbortCause::ALL
             .iter()
-            .map(|c| run.metrics.counter(&format!("st.aborts.{c}")))
-            .sum();
+            .try_fold(0u64, |sum, c| {
+                sum.checked_add(run.metrics.counter(&format!("st.aborts.{c}")))
+            })
+            .ok_or_else(|| {
+                format!(
+                    "{}/{} x{}: st.aborts.* counters sum past u64",
+                    run.scheme, run.structure, run.threads
+                )
+            })?;
         Ok(format!(
             "{}/{} x{}: {} metrics, {aborts} aborts attributed, {} per-thread rows",
             run.scheme,

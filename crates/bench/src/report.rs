@@ -266,7 +266,11 @@ pub fn validate_per_thread(runs: &[ParsedRun]) -> Result<(), String> {
                 ));
             }
         }
-        let ops: u64 = run.per_thread.iter().map(|r| r.ops).sum();
+        let ops = run
+            .per_thread
+            .iter()
+            .try_fold(0u64, |sum, r| sum.checked_add(r.ops))
+            .ok_or_else(|| format!("{label}: per_thread ops sum past u64"))?;
         let total = run.metrics.counter("run.total_ops");
         if ops != total {
             return Err(format!(
@@ -306,7 +310,10 @@ pub fn validate_garbage_series(runs: &[ParsedRun]) -> Result<u64, String> {
                     "{run}: malformed garbage_ts index {suffix:?} (expected zero-padded digits)"
                 ));
             }
-            indices.push(suffix.parse::<u64>().expect("digits parse"));
+            let index = suffix
+                .parse::<u64>()
+                .map_err(|_| format!("{run}: garbage_ts index {suffix} is past u64"))?;
+            indices.push(index);
         }
         if indices.is_empty() {
             continue;
@@ -386,10 +393,10 @@ pub fn validate_audit(runs: &[ParsedRun]) -> Result<u64, String> {
             return Err(format!("{run}: audit.episodes is zero"));
         }
         let total = parsed.metrics.counter(audit::VIOLATIONS);
-        let by_class: u64 = audit::VIOLATION_COUNTERS
+        let by_class = audit::VIOLATION_COUNTERS
             .iter()
-            .map(|&k| parsed.metrics.counter(k))
-            .sum();
+            .try_fold(0u64, |sum, &k| sum.checked_add(parsed.metrics.counter(k)))
+            .ok_or_else(|| format!("{run}: per-class audit.violations.* counters sum past u64"))?;
         if total != by_class {
             return Err(format!(
                 "{run}: audit.violations is {total} but the per-class counters sum to {by_class}"
@@ -921,6 +928,54 @@ mod tests {
         let runs = parse_metrics_snapshot(&text).unwrap();
         let err = validate_scheme_counters(&runs).unwrap_err();
         assert!(err.contains("another scheme's family"), "{err}");
+    }
+
+    /// The committed snapshots the hostile documents below edit.
+    const FIG2_QUEUE: &str = include_str!("../../../results/fig2_queue.metrics.json");
+    const AUDIT: &str = include_str!("../../../results/audit.metrics.json");
+
+    #[test]
+    fn garbage_index_past_u64_is_an_error() {
+        let text = FIG2_QUEUE.replacen(
+            "\"metrics\": {",
+            "\"metrics\": {\"reclaim.garbage_ts.99999999999999999999\": 1,",
+            1,
+        );
+        let runs = parse_metrics_snapshot(&text).unwrap();
+        let err = validate_garbage_series(&runs).unwrap_err();
+        assert!(err.contains("99999999999999999999 is past u64"), "{err}");
+    }
+
+    #[test]
+    fn per_thread_ops_past_u64_are_an_error() {
+        // Two rows whose u64 sum wraps to exactly run.total_ops.
+        let mut runs = parse_metrics_snapshot(FIG2_QUEUE).unwrap();
+        let run = runs.iter_mut().find(|r| r.threads == 2).unwrap();
+        let total = run.metrics.counter("run.total_ops");
+        run.per_thread[0].ops = u64::MAX;
+        run.per_thread[1].ops = total + 1;
+        let err = validate_per_thread(&runs).unwrap_err();
+        assert!(err.contains("per_thread ops sum past u64"), "{err}");
+    }
+
+    #[test]
+    fn audit_counters_past_u64_are_an_error() {
+        // Per-class counts whose u64 sum wraps to audit.violations: 0.
+        let text = AUDIT
+            .replacen(
+                "\"audit.violations.double_free\": 0",
+                "\"audit.violations.double_free\": 18446744073709551615",
+                1,
+            )
+            .replacen(
+                "\"audit.violations.leak\": 0",
+                "\"audit.violations.leak\": 1",
+                1,
+            );
+        let runs = parse_metrics_snapshot(&text).unwrap();
+        assert_eq!(runs[0].metrics.counter("audit.violations"), 0);
+        let err = validate_audit(&runs).unwrap_err();
+        assert!(err.contains("counters sum past u64"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Command-line rejection paths of the `st-bench` binary: a zero run
-//! length, thread count or job count, `--schemes` on a figure other than
-//! `robustness`, a checker config past its limits, a check with no
-//! schedules or audit episodes, a deviation percentage above 100, or a
-//! random exploration that never deviates, is a usage error (exit 2) and
-//! must leave the output directory untouched; an output path that cannot
-//! be written exits 1 and names it.
+//! length, thread count or job count, a run length or warm-up past its
+//! limit, `--schemes` on a figure other than `robustness`, a checker
+//! config past its limits, a check with no schedules or audit episodes, a
+//! deviation percentage above 100, or a random exploration that never
+//! deviates, is a usage error (exit 2) and must leave the output directory
+//! untouched; an output path that cannot be written, or a snapshot whose
+//! numbers overflow, exits 1 and names it.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -104,6 +105,68 @@ fn zero_counts_are_usage_errors_that_write_nothing() {
     }
 }
 
+/// A run length or warm-up past `experiment::MAX_RUN_MS` is refused at
+/// parse, naming the limit: past it the deadline in cycles or the heap
+/// size would wrap or overflow (a wrapped `--ms 9223372036855` deadline
+/// ran about 0.22 virtual ms while recording the full length).
+#[test]
+fn run_lengths_past_the_limit_are_usage_errors_that_write_nothing() {
+    let cases: [(&str, &[&str], &str); 4] = [
+        (
+            "ms-past-limit",
+            &["fig2-queue", "--ms", "1000000001"],
+            "--ms must be at most 1000000000",
+        ),
+        (
+            "ms-wrapping-deadline",
+            &["fig2-queue", "--ms", "9223372036855"],
+            "--ms must be at most 1000000000",
+        ),
+        (
+            "ms-max",
+            &["fig2-queue", "--ms", "18446744073709551615"],
+            "--ms must be at most 1000000000",
+        ),
+        (
+            "warmup-max",
+            &["all", "--ms", "1", "--warmup", "18446744073709551615"],
+            "--warmup must be at most 1000000000",
+        ),
+    ];
+    for (case, args, message) in cases {
+        let (code, stderr, written) = run_into_empty_out(case, args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2; stderr: {stderr}");
+        assert!(
+            stderr.contains(message),
+            "{args:?} must say {message:?}; stderr: {stderr}"
+        );
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+}
+
+/// The warm-up runs on the measured run's heap, so the heap is sized for
+/// both: a leaking scheme warmed up for 100 times the run length used to
+/// exhaust a heap sized for the run alone.
+#[test]
+fn a_warm_up_longer_than_the_run_fits_the_heap() {
+    let (code, stderr, written) = run_into_empty_out(
+        "long-warmup",
+        &[
+            "fig2-queue",
+            "--ms",
+            "1",
+            "--warmup",
+            "100",
+            "--threads",
+            "1",
+            "--scale",
+            "100",
+        ],
+    );
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert_eq!(written.len(), 3, "{written:?}");
+}
+
 /// An `--out` that cannot be created fails before any config runs, and a
 /// result file that cannot be written fails after the sweep; both exit 1
 /// naming the path, without a panic.
@@ -181,6 +244,71 @@ fn audit_without_out_leaves_the_committed_snapshot_alone() {
         .collect();
     assert_eq!(files, [results], "{args:?} wrote elsewhere");
     std::fs::remove_dir_all(&root).expect("remove the temporary directory");
+}
+
+/// `check-metrics` on a snapshot whose numbers overflow a `u64` (a
+/// garbage_ts index, or counts that wrap to a consistent-looking sum)
+/// exits 1 with a message, never a panic or a pass.
+#[test]
+fn hostile_snapshots_exit_1_with_a_message() {
+    // One two-thread run: per_thread `ops`, then its metrics.
+    let snapshot = |ops: [u64; 2], metrics: &str| {
+        format!(
+            "{{\"schema_version\": 2, \"runs\": [{{\"scheme\": \"Epoch\", \
+             \"structure\": \"list\", \"threads\": 2, \"per_thread\": [\
+             {{\"thread\": 0, \"ops\": {}, \"busy_cycles\": 0, \"garbage\": 0}}, \
+             {{\"thread\": 1, \"ops\": {}, \"busy_cycles\": 0, \"garbage\": 0}}], \
+             \"metrics\": {{{metrics}}}}}]}}",
+            ops[0], ops[1]
+        )
+    };
+    let audit = "\"audit.episodes\": 1, \"audit.retires\": 0, \"audit.frees\": 0, \
+                 \"audit.violations\": 0, \"audit.violations.double_free\": 18446744073709551615, \
+                 \"audit.violations.leak\": 1";
+    let cases = [
+        (
+            "garbage-index",
+            snapshot(
+                [0, 0],
+                "\"run.total_ops\": 0, \"reclaim.garbage_ts.99999999999999999999\": 1",
+            ),
+            "is past u64",
+        ),
+        (
+            "per-thread-ops",
+            snapshot([u64::MAX, 6], "\"run.total_ops\": 5"),
+            "per_thread ops sum past u64",
+        ),
+        (
+            "audit-classes",
+            snapshot([0, 0], &format!("\"run.total_ops\": 0, {audit}")),
+            "counters sum past u64",
+        ),
+        (
+            "st-aborts",
+            snapshot(
+                [0, 0],
+                "\"run.total_ops\": 0, \"st.aborts.conflict\": 18446744073709551615, \
+                 \"st.aborts.capacity\": 1",
+            ),
+            "st.aborts.* counters sum past u64",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("st-bench-cli-{}-hostile", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the temporary directory");
+    for (case, text, message) in cases {
+        let path = dir.join(format!("{case}.metrics.json"));
+        std::fs::write(&path, text).expect("write the hostile snapshot");
+        let (code, stderr) = run(&["check-metrics", path.to_str().expect("a UTF-8 path")]);
+        assert_eq!(code, Some(1), "{case} must exit 1; stderr: {stderr}");
+        assert!(
+            stderr.contains(message),
+            "{case} must say {message:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
 }
 
 /// Runs `st-bench` with `args`; returns the exit code and stderr.

@@ -16,7 +16,7 @@ use st_machine::{
     CostModel, Cpu, Cycles, FaultPlan, Pcg32, SimConfig, StepOutcome, Topology, Worker,
 };
 use st_reclaim::{ReclaimConfig, Scheme, SchemeFactory};
-use st_simheap::{Heap, HeapConfig, LedgerStats, Word};
+use st_simheap::{Heap, HeapConfig, LedgerStats, LedgerViolation, UafViolation, Word};
 use st_simhtm::{HtmConfig, HtmEngine};
 use st_structures::history::{check_linearizable, DsOp, HistoryRecorder, MAX_HISTORY};
 use st_structures::{OpDriver, OpSource, StructureInstance, StructureKind};
@@ -130,10 +130,10 @@ impl CheckConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// The heap's use-after-free oracle fired.
-    Uaf(String),
+    Uaf(UafViolation),
     /// The heap's lifecycle ledger fired (double retire, double free,
     /// free-before-retire, or leak-at-teardown; see `docs/AUDIT.md`).
-    Ledger(String),
+    Ledger(LedgerViolation),
     /// The recorded history has no valid linearization.
     NonLinearizable(String),
     /// The run panicked (e.g. a poison dereference).
@@ -369,14 +369,10 @@ pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) 
     }
 
     let mut violations = Vec::new();
-    for v in heap.uaf_violations() {
-        violations.push(Violation::Uaf(v.to_string()));
-    }
+    violations.extend(heap.uaf_violations().into_iter().map(Violation::Uaf));
     // Event-time ledger findings (double retire/free, free-before-retire)
     // are unconditional: they are wrong whenever they happen.
-    for v in heap.ledger_violations() {
-        violations.push(Violation::Ledger(v.to_string()));
-    }
+    violations.extend(heap.ledger_violations().into_iter().map(Violation::Ledger));
     let panicked = panic_msg.is_some();
     if let Some(msg) = panic_msg {
         violations.push(Violation::Panic(msg));
@@ -397,9 +393,7 @@ pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) 
     let all_ops_completed =
         completed_ops == prepop_ops + config.threads as u64 * config.ops_per_thread as u64;
     if all_ops_completed && !panicked && config.scheme != Scheme::None {
-        for v in heap.ledger_leaks() {
-            violations.push(Violation::Ledger(v.to_string()));
-        }
+        violations.extend(heap.ledger_leaks().into_iter().map(Violation::Ledger));
     }
     if let Err(e) = check_linearizable(config.structure.spec(), &history) {
         violations.push(Violation::NonLinearizable(e.to_string()));

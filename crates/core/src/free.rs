@@ -78,27 +78,63 @@ enum State {
         insp: Option<Inspection>,
         found: bool,
     },
-    /// Section 5.2 optimization, phase 1: hash every thread's words once.
-    HashedCollect {
+    /// Single pass (section 5.2), phase 1: walk every thread once,
+    /// marking each word in the candidate index.
+    Collect {
+        index: Index,
         thread: usize,
         insp: Option<Inspection>,
     },
-    /// Section 5.2 optimization, phase 2: probe candidates.
-    HashedJudge {
-        cand: usize,
-    },
-    /// Batched lookup, phase 1: walk every thread once, binary-searching
-    /// each word against the sorted candidate index.
-    BatchedCollect {
-        thread: usize,
-        insp: Option<Inspection>,
-    },
-    /// Batched lookup, phase 2: read each candidate's verdict off the hit
-    /// bitmap.
-    BatchedJudge {
+    /// Single pass, phase 2: read each candidate's verdict off the index.
+    Judge {
+        index: Index,
         cand: usize,
     },
     Finished,
+}
+
+/// The candidate index a single-pass scan marks while it walks the frames
+/// and reads its verdicts from afterwards: the one difference between
+/// [`ScanMode::Hashed`] and [`ScanMode::Batched`].
+#[derive(Debug, Clone, Copy)]
+enum Index {
+    /// Every scanned word goes into a hash set; a probe is one compare.
+    Hashed,
+    /// The candidates, sorted up front, each with a hit flag; a probe is a
+    /// binary search.
+    Sorted,
+}
+
+impl Index {
+    /// Compares one probe of the index costs.
+    fn compares(self, bufs: &ScanBuffers) -> u64 {
+        match self {
+            Index::Hashed => 1,
+            Index::Sorted => search_compares(bufs.sorted.len()),
+        }
+    }
+
+    /// Records that a frame holds `word`.
+    fn mark(self, bufs: &mut ScanBuffers, word: Word) {
+        match self {
+            Index::Hashed => {
+                bufs.table.insert(word);
+            }
+            Index::Sorted => {
+                if let Ok(i) = bufs.sorted.binary_search(&word) {
+                    bufs.hits[i] = true;
+                }
+            }
+        }
+    }
+
+    /// Whether some frame held `addr`.
+    fn marked(self, bufs: &ScanBuffers, addr: Word) -> bool {
+        match self {
+            Index::Hashed => bufs.table.contains(&addr),
+            Index::Sorted => bufs.sorted.binary_search(&addr).is_ok_and(|i| bufs.hits[i]),
+        }
+    }
 }
 
 /// Scratch buffers a [`ScanJob`] works in, recycled across scans so the
@@ -190,6 +226,11 @@ impl ScanJob {
             table.clear();
             charge_probe(cpu, &mut probe_cycles, candidates.len() as u64);
         }
+        let collect = |index| State::Collect {
+            index,
+            thread: 0,
+            insp: None,
+        };
         let state = match rt.config.scan_mode {
             ScanMode::Linear => State::Linear {
                 cand: 0,
@@ -197,10 +238,7 @@ impl ScanJob {
                 insp: None,
                 found: false,
             },
-            ScanMode::Hashed => State::HashedCollect {
-                thread: 0,
-                insp: None,
-            },
+            ScanMode::Hashed => collect(Index::Hashed),
             ScanMode::Batched => {
                 // Build the sorted candidate index up front; sorting the
                 // batch costs n·log n compares, charged to the scanning
@@ -213,10 +251,7 @@ impl ScanJob {
                     &mut probe_cycles,
                     candidates.len() as u64 * search_compares(candidates.len()),
                 );
-                State::BatchedCollect {
-                    thread: 0,
-                    insp: None,
-                }
+                collect(Index::Sorted)
             }
         };
         Self {
@@ -305,67 +340,19 @@ impl ScanJob {
                 }
                 false
             }
-            State::HashedCollect { thread, insp } => {
+            State::Collect {
+                index,
+                thread,
+                insp,
+            } => {
+                let index = *index;
                 if *thread >= rt.max_threads() {
-                    self.state = State::HashedJudge { cand: 0 };
+                    self.state = State::Judge { index, cand: 0 };
                     return false;
                 }
                 let interior = self.interior;
-                let table = &mut self.bufs.table;
-                let probe = &mut self.probe_cycles;
-                match step_inspection(
-                    rt,
-                    cpu,
-                    stats,
-                    insp,
-                    *thread,
-                    self.slow_active,
-                    self.chunk,
-                    &mut |rt, cpu, word| {
-                        let stripped = word & !TAG_MASK;
-                        charge_probe(cpu, probe, 1);
-                        table.insert(stripped);
-                        if interior {
-                            if let Some(base) = resolve_base(rt, cpu, stripped) {
-                                charge_probe(cpu, probe, 1);
-                                table.insert(base.raw());
-                            }
-                        }
-                        false // collection never "hits"
-                    },
-                ) {
-                    InspectStep::Skip | InspectStep::ThreadDone { .. } => {
-                        *thread += 1;
-                        *insp = None;
-                    }
-                    InspectStep::InProgress => {}
-                }
-                false
-            }
-            State::HashedJudge { cand } => {
-                let Some(&target) = self.candidates.get(*cand) else {
-                    self.state = State::Finished;
-                    return true;
-                };
-                charge_probe(cpu, &mut self.probe_cycles, 1);
-                if self.bufs.table.contains(&target.addr.raw()) {
-                    self.bufs.survivors.push(target);
-                    stats.survivors += 1;
-                } else {
-                    free_candidate(rt, cpu, stats, target);
-                }
-                *cand += 1;
-                false
-            }
-            State::BatchedCollect { thread, insp } => {
-                if *thread >= rt.max_threads() {
-                    self.state = State::BatchedJudge { cand: 0 };
-                    return false;
-                }
-                let interior = self.interior;
-                let compares = search_compares(self.bufs.sorted.len());
-                let sorted = &self.bufs.sorted;
-                let hits = &mut self.bufs.hits;
+                let compares = index.compares(&self.bufs);
+                let bufs = &mut self.bufs;
                 let probe = &mut self.probe_cycles;
                 match step_inspection(
                     rt,
@@ -378,18 +365,14 @@ impl ScanJob {
                     &mut |rt, cpu, word| {
                         let stripped = word & !TAG_MASK;
                         charge_probe(cpu, probe, compares);
-                        if let Ok(i) = sorted.binary_search(&stripped) {
-                            hits[i] = true;
-                        }
+                        index.mark(bufs, stripped);
                         if interior {
                             if let Some(base) = resolve_base(rt, cpu, stripped) {
                                 charge_probe(cpu, probe, compares);
-                                if let Ok(i) = sorted.binary_search(&base.raw()) {
-                                    hits[i] = true;
-                                }
+                                index.mark(bufs, base.raw());
                             }
                         }
-                        false // the verdict is read off the bitmap later
+                        false // the verdict is read off the index later
                     },
                 ) {
                     InspectStep::Skip | InspectStep::ThreadDone { .. } => {
@@ -400,21 +383,13 @@ impl ScanJob {
                 }
                 false
             }
-            State::BatchedJudge { cand } => {
+            State::Judge { index, cand } => {
                 let Some(&target) = self.candidates.get(*cand) else {
                     self.state = State::Finished;
                     return true;
                 };
-                charge_probe(
-                    cpu,
-                    &mut self.probe_cycles,
-                    search_compares(self.bufs.sorted.len()),
-                );
-                let hit = match self.bufs.sorted.binary_search(&target.addr.raw()) {
-                    Ok(i) => self.bufs.hits[i],
-                    Err(_) => false,
-                };
-                if hit {
+                charge_probe(cpu, &mut self.probe_cycles, index.compares(&self.bufs));
+                if index.marked(&self.bufs, target.addr.raw()) {
                     self.bufs.survivors.push(target);
                     stats.survivors += 1;
                 } else {

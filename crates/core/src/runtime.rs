@@ -88,18 +88,13 @@ impl StRuntime {
             .alloc_untimed(CTX_WORDS)
             .expect("heap too small for a thread context");
         heap.poke(self.activity, thread_id as u64, ctx.raw());
-        StThread::new(self.clone(), thread_id, ctx)
+        StThread::new(self.clone(), ctx)
     }
 
     /// The context block address of thread slot `t`, if registered.
     pub(crate) fn ctx_of(&self, t: usize) -> Option<Addr> {
         let raw = self.heap().peek(self.activity, t as u64);
         Addr::try_from_raw(raw).filter(|a| !a.is_null())
-    }
-
-    /// Unpublishes a thread slot (used when a thread leaves).
-    pub(crate) fn deregister(&self, thread_id: usize) {
-        self.heap().poke(self.activity, thread_id as u64, 0);
     }
 
     /// Current value of the global slow-path counter.
@@ -160,14 +155,6 @@ mod tests {
     fn out_of_range_slot_panics() {
         let rt = runtime(1);
         let _ = rt.register_thread(1);
-    }
-
-    #[test]
-    fn deregister_unpublishes() {
-        let rt = runtime(1);
-        let _th = rt.register_thread(0);
-        rt.deregister(0);
-        assert!(rt.ctx_of(0).is_none());
     }
 
     #[test]

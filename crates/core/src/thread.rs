@@ -18,7 +18,8 @@ use st_simheap::{Addr, Word};
 use st_simhtm::{Abort, Tx};
 use std::sync::Arc;
 
-/// Executor mode.
+/// Executor mode. While a `SCAN_AND_FREE` job is pending (`job` is
+/// `Some`), steps drive the job and the mode is the one to resume after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// No operation in flight.
@@ -26,15 +27,6 @@ enum Mode {
     /// Inside an operation, on the transactional fast path.
     Fast,
     /// Inside an operation, on the software slow path (Algorithm 5).
-    Slow,
-    /// Running a `SCAN_AND_FREE` job; resume `.0` afterwards.
-    Reclaim(Resume),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resume {
-    Idle,
-    Fast,
     Slow,
 }
 
@@ -48,7 +40,6 @@ enum Resume {
 #[derive(Debug)]
 pub struct StThread {
     rt: Arc<StRuntime>,
-    thread_id: usize,
     ctx: Addr,
     predictor: SplitPredictor,
     tx: Option<Tx>,
@@ -75,6 +66,8 @@ pub struct StThread {
     /// `cpu.counters.context_switches` at `SPLIT_START`; a change while the
     /// segment is live means the scheduler preempted us mid-transaction.
     seg_switches: u64,
+    /// The pending `SCAN_AND_FREE`, if any: steps drive it before the
+    /// operation (or the next one) resumes.
     job: Option<ScanJob>,
     /// Scan scratch recycled across jobs (free-set storage, the sorted
     /// candidate index, hit flags, hash table): steady-state reclamation
@@ -84,7 +77,7 @@ pub struct StThread {
 }
 
 impl StThread {
-    pub(crate) fn new(rt: Arc<StRuntime>, thread_id: usize, ctx: Addr) -> Self {
+    pub(crate) fn new(rt: Arc<StRuntime>, ctx: Addr) -> Self {
         let c = &rt.config;
         let predictor = SplitPredictor::new(
             c.initial_split_length,
@@ -95,7 +88,6 @@ impl StThread {
         );
         Self {
             rt,
-            thread_id,
             ctx,
             predictor,
             tx: None,
@@ -131,11 +123,6 @@ impl StThread {
         self.ctx
     }
 
-    /// This thread's slot in the activity array.
-    pub fn thread_id(&self) -> usize {
-        self.thread_id
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &StThreadStats {
         &self.stats
@@ -143,12 +130,7 @@ impl StThread {
 
     /// Whether an operation is in flight.
     pub fn op_active(&self) -> bool {
-        !matches!(self.mode, Mode::Idle | Mode::Reclaim(Resume::Idle))
-    }
-
-    /// Unregisters the thread from the activity array.
-    pub fn deregister(self) {
-        self.rt.deregister(self.thread_id);
+        self.mode != Mode::Idle
     }
 }
 
@@ -168,9 +150,10 @@ impl SchemeThread for StThread {
     /// `slots > STACK_SLOTS`.
     fn begin_op(&mut self, cpu: &mut Cpu, op_id: u32, slots: usize) {
         assert!(
-            matches!(self.mode, Mode::Idle),
-            "begin_op while busy (mode {:?})",
-            self.mode
+            self.mode == Mode::Idle && self.job.is_none(),
+            "begin_op while busy (mode {:?}, scan pending: {})",
+            self.mode,
+            self.job.is_some()
         );
         assert!(slots <= STACK_SLOTS, "operation needs too many slots");
         let heap = self.rt.heap();
@@ -218,7 +201,7 @@ impl SchemeThread for StThread {
     fn step_op(&mut self, cpu: &mut Cpu, body: &mut OpBody<'_>) -> Option<Word> {
         match self.mode {
             Mode::Idle => panic!("step_op without an active operation"),
-            Mode::Reclaim(_) => {
+            _ if self.job.is_some() => {
                 self.step_reclaim(cpu);
                 None
             }
@@ -229,7 +212,7 @@ impl SchemeThread for StThread {
 
     /// Whether a scan must be drained before the next operation.
     fn idle_work_pending(&self) -> bool {
-        matches!(self.mode, Mode::Reclaim(Resume::Idle))
+        self.mode == Mode::Idle && self.job.is_some()
     }
 
     /// Advances a pending scan while no operation is active.
@@ -284,7 +267,11 @@ impl StThread {
     /// it never completed.
     pub fn abandon_op(&mut self, cpu: &mut Cpu) {
         match self.mode {
-            Mode::Idle | Mode::Reclaim(Resume::Idle) => return,
+            Mode::Idle => return,
+            // Between segments: the previous segment committed (and
+            // drained its staged retires) before the scan started, so
+            // there is no speculative state to roll back.
+            Mode::Fast if self.job.is_some() => {}
             Mode::Fast => {
                 let tx = self.tx.as_mut().expect("fast path without a transaction");
                 self.rt.engine.tx_abort(cpu, tx);
@@ -296,23 +283,14 @@ impl StThread {
                 }
                 self.staged.clear();
             }
-            Mode::Reclaim(Resume::Fast) => {
-                // Between segments: the previous segment committed (and
-                // drained its staged retires) before the scan started, so
-                // there is no speculative state to roll back.
-            }
-            Mode::Slow | Mode::Reclaim(Resume::Slow) => self.slow_commit(cpu),
+            Mode::Slow => self.slow_commit(cpu),
         }
         self.force_commit = false;
         self.user_region = false;
         let heap = self.rt.heap();
         heap.store(cpu, self.ctx, OFF_ACTIVE, 0);
         heap.fence(cpu);
-        self.mode = if self.job.is_some() {
-            Mode::Reclaim(Resume::Idle)
-        } else {
-            Mode::Idle
-        };
+        self.mode = Mode::Idle;
     }
 
     /// Forces a full scan of the free set, draining pending reclaim work
@@ -330,7 +308,6 @@ impl StThread {
             return;
         }
         self.start_scan(cpu);
-        self.mode = Mode::Reclaim(Resume::Idle);
         while self.idle_work_pending() {
             self.step_idle(cpu);
         }
@@ -371,7 +348,7 @@ impl StThread {
 
         match result {
             Err(abort) => {
-                self.on_segment_abort(cpu, abort.code().cause());
+                self.on_segment_abort(cpu, abort.cause());
                 None
             }
             Ok(Step::Continue) => {
@@ -382,14 +359,11 @@ impl StThread {
                 {
                     self.force_commit = false;
                     match self.split_commit(cpu, false) {
-                        Ok(()) => {
-                            if self.job.is_some() {
-                                self.mode = Mode::Reclaim(Resume::Fast);
-                            } else {
-                                self.split_start(cpu);
-                            }
-                        }
-                        Err(abort) => self.on_segment_abort(cpu, abort.code().cause()),
+                        // A scan the commit started runs first; the next
+                        // segment opens when it finishes.
+                        Ok(()) if self.job.is_some() => {}
+                        Ok(()) => self.split_start(cpu),
+                        Err(abort) => self.on_segment_abort(cpu, abort.cause()),
                     }
                 }
                 None
@@ -397,15 +371,11 @@ impl StThread {
             Ok(Step::Done(v)) => match self.split_commit(cpu, true) {
                 Ok(()) => {
                     self.finish_op(cpu);
-                    self.mode = if self.job.is_some() {
-                        Mode::Reclaim(Resume::Idle)
-                    } else {
-                        Mode::Idle
-                    };
+                    self.mode = Mode::Idle;
                     Some(v)
                 }
                 Err(abort) => {
-                    self.on_segment_abort(cpu, abort.code().cause());
+                    self.on_segment_abort(cpu, abort.cause());
                     None
                 }
             },
@@ -552,20 +522,11 @@ impl StThread {
             // The slow path has no transactions; bodies cannot observe
             // aborts here.
             Err(abort) => unreachable!("abort on the slow path: {abort}"),
-            Ok(Step::Continue) => {
-                if self.job.is_some() {
-                    self.mode = Mode::Reclaim(Resume::Slow);
-                }
-                None
-            }
+            Ok(Step::Continue) => None,
             Ok(Step::Done(v)) => {
                 self.slow_commit(cpu);
                 self.finish_op(cpu);
-                self.mode = if self.job.is_some() {
-                    Mode::Reclaim(Resume::Idle)
-                } else {
-                    Mode::Idle
-                };
+                self.mode = Mode::Idle;
                 Some(v)
             }
         }
@@ -674,20 +635,16 @@ impl StThread {
         self.job = Some(ScanJob::new(&self.rt, cpu, candidates, bufs));
     }
 
+    /// Advances the pending scan by one chunk; when it finishes, the
+    /// fast path opens the segment the scan deferred.
     fn step_reclaim(&mut self, cpu: &mut Cpu) {
-        let job = self.job.as_mut().expect("reclaim mode without a job");
+        let job = self.job.as_mut().expect("step_reclaim without a job");
         if job.advance(&self.rt, cpu, &mut self.stats) {
             let job = self.job.take().expect("job present");
             self.scan_bufs = job.finish_into(&mut self.free_set);
             self.stats.scans += 1;
-            match self.mode {
-                Mode::Reclaim(Resume::Idle) => self.mode = Mode::Idle,
-                Mode::Reclaim(Resume::Fast) => {
-                    self.mode = Mode::Fast;
-                    self.split_start(cpu);
-                }
-                Mode::Reclaim(Resume::Slow) => self.mode = Mode::Slow,
-                other => unreachable!("reclaim finished in mode {other:?}"),
+            if self.mode == Mode::Fast {
+                self.split_start(cpu);
             }
         }
     }

@@ -352,7 +352,6 @@ fn hopeless_segments_fall_back_to_the_slow_path() {
         heap,
         HtmConfig {
             spurious_abort_per_access: 1.0,
-            ..HtmConfig::default()
         },
         1,
     ));

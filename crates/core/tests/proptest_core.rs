@@ -82,7 +82,6 @@ fn executor_survives_arbitrary_abort_rates() {
             heap.clone(),
             HtmConfig {
                 spurious_abort_per_access: abort_prob,
-                ..HtmConfig::default()
             },
             1,
         ));

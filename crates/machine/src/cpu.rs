@@ -6,6 +6,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Counters of simulated machine events, kept per thread.
+///
+/// Transactions and heap blocks are counted where they happen instead:
+/// the HTM engine's per-thread `HtmStats` and the heap allocator's
+/// `AllocStats`.
 #[derive(Debug, Default, Clone)]
 pub struct EventCounters {
     /// Plain loads issued.
@@ -20,16 +24,6 @@ pub struct EventCounters {
     pub tx_loads: u64,
     /// Transactional stores issued.
     pub tx_stores: u64,
-    /// Hardware transactions started.
-    pub tx_begun: u64,
-    /// Hardware transactions committed.
-    pub tx_committed: u64,
-    /// Hardware transactions aborted.
-    pub tx_aborted: u64,
-    /// Heap allocations.
-    pub allocs: u64,
-    /// Heap frees.
-    pub frees: u64,
     /// Context switches suffered.
     pub context_switches: u64,
 }

@@ -2,15 +2,15 @@
 //!
 //! Every layer that can kill a transactional segment reports through this
 //! enum so the bench harness can answer the paper's central question — *why*
-//! do segments abort — uniformly across schemes:
+//! do segments abort — uniformly across schemes. It is the only abort
+//! taxonomy in the workspace:
 //!
-//! - `simhtm::engine` maps its `AbortCode` onto [`AbortCause`] when a
-//!   hardware-level abort fires (read/write conflict, capacity overflow,
-//!   spurious abort).
-//! - `stacktrack::thread` adds the software-level causes: explicit poison
-//!   (a scanner invalidated the split counter) and scheduler preemption
-//!   (the OS descheduled the thread mid-segment, which on real HTM always
-//!   aborts the transaction).
+//! - `simhtm`'s `Abort` carries an [`AbortCause`], and the engine counts
+//!   each abort under it: data conflicts, capacity overflow, spurious
+//!   aborts, explicit `tx_abort`, and preemption (`tx_abort_preempted`,
+//!   which StackTrack's split engine calls when the scheduler descheduled
+//!   the thread mid-segment, as real HTM always aborts then).
+//! - `stacktrack::thread` counts the same cause per aborted segment.
 //!
 //! [`CauseCounts`] is the fixed-size counter block used by per-thread stats;
 //! it merges element-wise and reports into a [`MetricsRegistry`]
@@ -25,11 +25,11 @@ pub enum AbortCause {
     Conflict,
     /// The read or write set overflowed the simulated HTM capacity.
     Capacity,
-    /// Explicitly poisoned: a scanner bumped the split counter (StackTrack's
-    /// consistency protocol) or user code called `tx_abort`.
+    /// The program requested the abort (`XABORT`, the engine's `tx_abort`).
     Explicit,
-    /// Spurious abort injected by the simulator (models cache-line evictions
-    /// and other unexplained HTM failures on real hardware).
+    /// Spurious abort injected by the simulator (models interrupts,
+    /// unsupported instructions and other unexplained HTM failures on real
+    /// hardware).
     Spurious,
     /// The scheduler preempted the thread while a segment was live; real
     /// HTM aborts on any context switch.
@@ -57,14 +57,9 @@ impl AbortCause {
         }
     }
 
-    fn index(self) -> usize {
-        match self {
-            AbortCause::Conflict => 0,
-            AbortCause::Capacity => 1,
-            AbortCause::Explicit => 2,
-            AbortCause::Spurious => 3,
-            AbortCause::Preempted => 4,
-        }
+    /// The cause's position in [`AbortCause::ALL`], for per-cause arrays.
+    pub const fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -135,6 +130,13 @@ mod tests {
             keys,
             ["conflict", "capacity", "explicit", "spurious", "preempted"]
         );
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, cause) in AbortCause::ALL.into_iter().enumerate() {
+            assert_eq!(cause.index(), i, "{cause}");
+        }
     }
 
     #[test]

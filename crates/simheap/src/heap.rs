@@ -353,7 +353,6 @@ impl Heap {
     /// Allocates `words` zeroed words.
     pub fn alloc(&self, cpu: &mut Cpu, words: usize) -> Result<Addr, AllocError> {
         cpu.charge(cpu.costs.alloc);
-        cpu.counters.allocs += 1;
         let block = self.carve(words)?;
         self.uaf_check_reexposure(cpu.thread_id, block.addr, block.words);
         self.ledger_on_alloc(block.addr);
@@ -426,7 +425,6 @@ impl Heap {
 
     fn free_inner(&self, cpu: &mut Cpu, addr: Addr) {
         cpu.charge(cpu.costs.free);
-        cpu.counters.frees += 1;
         // Poison under the lock: once the block is on its free list another
         // OS thread may take it, and must find it zeroed, not poisoned.
         let mut a = self

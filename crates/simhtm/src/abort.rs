@@ -1,39 +1,10 @@
-//! Abort taxonomy, mirroring Intel TSX abort status.
+//! The abort signal of a simulated hardware transaction.
 //!
-//! Each [`AbortCode`] maps onto the workspace-wide
-//! [`AbortCause`] taxonomy via [`AbortCode::cause`], so
-//! every layer above the engine attributes aborts through one schema.
+//! An abort names its reason in the workspace-wide [`AbortCause`]
+//! taxonomy, the one the engine's counters, StackTrack's split engine and
+//! every metrics snapshot use, so a cause has one name from the engine up.
 
 use st_obs::AbortCause;
-
-/// Why a hardware transaction aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AbortCode {
-    /// Data conflict with another thread (transactional or not).
-    Conflict,
-    /// The data set outgrew the (simulated) L1 budget.
-    Capacity,
-    /// The program requested the abort (XABORT).
-    Explicit,
-    /// The scheduler preempted the thread mid-transaction; real HTM aborts
-    /// on any context switch, and the simulator models the same.
-    Preempted,
-    /// Spurious hardware abort (interrupts, unsupported instructions, ...).
-    Other,
-}
-
-impl AbortCode {
-    /// Maps the hardware-level code onto the canonical abort-cause taxonomy.
-    pub fn cause(self) -> AbortCause {
-        match self {
-            AbortCode::Conflict => AbortCause::Conflict,
-            AbortCode::Capacity => AbortCause::Capacity,
-            AbortCode::Explicit => AbortCause::Explicit,
-            AbortCode::Preempted => AbortCause::Preempted,
-            AbortCode::Other => AbortCause::Spurious,
-        }
-    }
-}
 
 /// An aborted transaction, propagated as an error.
 ///
@@ -43,11 +14,11 @@ impl AbortCode {
 /// state — the same control flow the hardware provides by restoring the
 /// register checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Abort(pub AbortCode);
+pub struct Abort(pub AbortCause);
 
 impl Abort {
-    /// The abort reason.
-    pub fn code(self) -> AbortCode {
+    /// Why the transaction aborted.
+    pub fn cause(self) -> AbortCause {
         self.0
     }
 }
@@ -63,29 +34,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_names_the_code() {
-        assert!(Abort(AbortCode::Capacity).to_string().contains("Capacity"));
+    fn display_names_the_cause() {
+        assert!(Abort(AbortCause::Capacity).to_string().contains("Capacity"));
     }
 
     #[test]
-    fn code_roundtrip() {
-        for code in [
-            AbortCode::Conflict,
-            AbortCode::Capacity,
-            AbortCode::Explicit,
-            AbortCode::Preempted,
-            AbortCode::Other,
-        ] {
-            assert_eq!(Abort(code).code(), code);
+    fn cause_roundtrip() {
+        for cause in AbortCause::ALL {
+            assert_eq!(Abort(cause).cause(), cause);
         }
-    }
-
-    #[test]
-    fn every_code_maps_to_a_cause() {
-        assert_eq!(AbortCode::Conflict.cause(), AbortCause::Conflict);
-        assert_eq!(AbortCode::Capacity.cause(), AbortCause::Capacity);
-        assert_eq!(AbortCode::Explicit.cause(), AbortCause::Explicit);
-        assert_eq!(AbortCode::Preempted.cause(), AbortCause::Preempted);
-        assert_eq!(AbortCode::Other.cause(), AbortCause::Spurious);
     }
 }

@@ -17,57 +17,40 @@
 
 use st_machine::Cpu;
 
-/// Capacity-model parameters.
-#[derive(Debug, Clone)]
-pub struct CapacityModel {
-    /// Nominal private L1 budget, in cache lines.
-    pub l1_lines: u64,
-    /// Budget divisor while the SMT sibling is active.
-    pub smt_divisor: u64,
-    /// Scale of the occupancy-driven eviction probability (at 100 %
-    /// occupancy of the effective budget, each new line faces this chance).
-    pub evict_at_full: f64,
-    /// Extra eviction probability per new line, scaled by the sibling's
-    /// footprint fraction of the L1.
-    pub smt_evict_scale: f64,
-}
+/// Nominal private L1 budget, in cache lines.
+pub const L1_LINES: u64 = 448;
+/// Budget divisor while the SMT sibling is active.
+pub const SMT_DIVISOR: u64 = 2;
+/// Scale of the occupancy-driven eviction probability (at 100 % occupancy
+/// of the effective budget, each new line faces this chance).
+pub const EVICT_AT_FULL: f64 = 0.5;
+/// Extra eviction probability per new line, scaled by the sibling's
+/// footprint fraction of the L1.
+pub const SMT_EVICT_SCALE: f64 = 0.8;
 
-impl Default for CapacityModel {
-    fn default() -> Self {
-        Self {
-            l1_lines: 448,
-            smt_divisor: 2,
-            evict_at_full: 0.5,
-            smt_evict_scale: 0.8,
-        }
+/// Effective line budget for `cpu` right now.
+pub(crate) fn budget(cpu: &Cpu) -> u64 {
+    if cpu.smt_pressure() > 0.0 {
+        (L1_LINES / SMT_DIVISOR).max(1)
+    } else {
+        L1_LINES
     }
 }
 
-impl CapacityModel {
-    /// Effective line budget for `cpu` right now.
-    pub fn budget(&self, cpu: &Cpu) -> u64 {
-        if cpu.smt_pressure() > 0.0 {
-            (self.l1_lines / self.smt_divisor).max(1)
-        } else {
-            self.l1_lines
-        }
+/// Decides whether admitting one more distinct line (bringing the
+/// footprint to `lines`) overflows or suffers an eviction.
+///
+/// Deterministic given the thread's PRNG stream.
+pub(crate) fn admits(cpu: &mut Cpu, lines: u64) -> bool {
+    let budget = budget(cpu);
+    if lines > budget {
+        return false;
     }
-
-    /// Decides whether admitting one more distinct line (bringing the
-    /// footprint to `lines`) overflows or suffers an eviction.
-    ///
-    /// Deterministic given the thread's PRNG stream.
-    pub fn admits(&self, cpu: &mut Cpu, lines: u64) -> bool {
-        let budget = self.budget(cpu);
-        if lines > budget {
-            return false;
-        }
-        let occupancy = lines as f64 / budget as f64;
-        let mut p = self.evict_at_full * occupancy * occupancy * occupancy;
-        let sibling = cpu.sibling_footprint() as f64 / self.l1_lines as f64;
-        p += self.smt_evict_scale * sibling * cpu.smt_pressure() * occupancy;
-        !cpu.rng.chance(p)
-    }
+    let occupancy = lines as f64 / budget as f64;
+    let mut p = EVICT_AT_FULL * occupancy * occupancy * occupancy;
+    let sibling = cpu.sibling_footprint() as f64 / L1_LINES as f64;
+    p += SMT_EVICT_SCALE * sibling * cpu.smt_pressure() * occupancy;
+    !cpu.rng.chance(p)
 }
 
 #[cfg(test)]
@@ -92,43 +75,37 @@ mod tests {
     #[test]
     fn hard_budget_enforced() {
         let (mut cpu, _) = cpu_with_board();
-        let m = CapacityModel::default();
-        assert!(!m.admits(&mut cpu, m.l1_lines + 1));
+        assert!(!admits(&mut cpu, L1_LINES + 1));
     }
 
     #[test]
     fn tiny_footprints_always_admitted() {
         let (mut cpu, _) = cpu_with_board();
-        let m = CapacityModel::default();
         for _ in 0..1000 {
-            assert!(m.admits(&mut cpu, 4));
+            assert!(admits(&mut cpu, 4));
         }
     }
 
     #[test]
     fn smt_halves_the_budget() {
         let (cpu, board) = cpu_with_board();
-        let m = CapacityModel::default();
-        assert_eq!(m.budget(&cpu), m.l1_lines);
+        assert_eq!(budget(&cpu), L1_LINES);
         board.set_running(cpu.hw.sibling.unwrap(), true);
-        assert_eq!(m.budget(&cpu), m.l1_lines / 2);
+        assert_eq!(budget(&cpu), L1_LINES / 2);
     }
 
     #[test]
     fn smt_pressure_raises_eviction_rate() {
-        let m = CapacityModel::default();
         let lines = 100;
 
         let (mut solo, _) = cpu_with_board();
-        let solo_evictions = (0..20_000).filter(|_| !m.admits(&mut solo, lines)).count();
+        let solo_evictions = (0..20_000).filter(|_| !admits(&mut solo, lines)).count();
 
         let (mut shared, board) = cpu_with_board();
         let sib = shared.hw.sibling.unwrap();
         board.set_running(sib, true);
         board.set_footprint(sib, 200);
-        let shared_evictions = (0..20_000)
-            .filter(|_| !m.admits(&mut shared, lines))
-            .count();
+        let shared_evictions = (0..20_000).filter(|_| !admits(&mut shared, lines)).count();
 
         assert!(
             shared_evictions > solo_evictions * 5,
@@ -138,10 +115,9 @@ mod tests {
 
     #[test]
     fn occupancy_raises_eviction_rate() {
-        let m = CapacityModel::default();
         let (mut cpu, _) = cpu_with_board();
-        let low = (0..20_000).filter(|_| !m.admits(&mut cpu, 50)).count();
-        let high = (0..20_000).filter(|_| !m.admits(&mut cpu, 400)).count();
+        let low = (0..20_000).filter(|_| !admits(&mut cpu, 50)).count();
+        let high = (0..20_000).filter(|_| !admits(&mut cpu, 400)).count();
         assert!(
             high > low,
             "fuller transactions must abort more (low {low}, high {high})"

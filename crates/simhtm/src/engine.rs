@@ -1,11 +1,12 @@
 //! The TL2-style best-effort transaction engine.
 
-use crate::abort::{Abort, AbortCode};
-use crate::capacity::CapacityModel;
+use crate::abort::Abort;
+use crate::capacity;
 use crate::stats::{HtmStats, HtmThreadStats};
 use crate::stripes::StripeTable;
 use crate::tx::Tx;
 use st_machine::Cpu;
+use st_obs::AbortCause;
 use st_simheap::{Addr, Heap, Word};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,24 +14,14 @@ use std::sync::Arc;
 /// Stripes in the version-lock table.
 const STRIPES: usize = 1 << 16;
 
-/// Engine parameters.
-#[derive(Debug, Clone)]
+/// Engine parameters. The L1 capacity model's parameters are constants
+/// of [`capacity`].
+#[derive(Debug, Clone, Default)]
 pub struct HtmConfig {
-    /// Capacity model.
-    pub capacity: CapacityModel,
     /// Probability that any single transactional access aborts spuriously
-    /// (`AbortCode::Other`) — interrupts, unsupported instructions. The
-    /// paper treats these as rare; default 0 keeps unit tests exact.
+    /// ([`AbortCause::Spurious`]) — interrupts, unsupported instructions.
+    /// The paper treats these as rare; default 0 keeps unit tests exact.
     pub spurious_abort_per_access: f64,
-}
-
-impl Default for HtmConfig {
-    fn default() -> Self {
-        Self {
-            capacity: CapacityModel::default(),
-            spurious_abort_per_access: 0.0,
-        }
-    }
 }
 
 /// The best-effort HTM engine.
@@ -97,7 +88,6 @@ impl HtmEngine {
     /// Starts a transaction (XBEGIN).
     pub fn begin(&self, cpu: &mut Cpu) -> Tx {
         cpu.charge(cpu.costs.htm_begin);
-        cpu.counters.tx_begun += 1;
         self.stats[cpu.thread_id].on_begin();
         Tx::new(self.clock.load(Ordering::Relaxed))
     }
@@ -107,24 +97,22 @@ impl HtmEngine {
     /// transactions per operation).
     pub fn begin_reuse(&self, cpu: &mut Cpu, tx: &mut Tx) {
         cpu.charge(cpu.costs.htm_begin);
-        cpu.counters.tx_begun += 1;
         self.stats[cpu.thread_id].on_begin();
         tx.reset(self.clock.load(Ordering::Relaxed));
     }
 
-    fn fail(&self, cpu: &mut Cpu, tx: &mut Tx, code: AbortCode) -> Abort {
+    fn fail(&self, cpu: &mut Cpu, tx: &mut Tx, cause: AbortCause) -> Abort {
         debug_assert!(!tx.dead, "aborting a dead transaction");
         tx.dead = true;
         cpu.charge(cpu.costs.htm_abort);
-        cpu.counters.tx_aborted += 1;
         cpu.publish_footprint(0);
-        self.stats[cpu.thread_id].on_abort(code);
-        Abort(code)
+        self.stats[cpu.thread_id].on_abort(cause);
+        Abort(cause)
     }
 
     /// Explicitly aborts the transaction (XABORT).
     pub fn tx_abort(&self, cpu: &mut Cpu, tx: &mut Tx) -> Abort {
-        self.fail(cpu, tx, AbortCode::Explicit)
+        self.fail(cpu, tx, AbortCause::Explicit)
     }
 
     /// Aborts the transaction because the scheduler preempted its thread
@@ -133,7 +121,7 @@ impl HtmEngine {
     /// calls this when it observes a context switch during a live segment,
     /// so preemption is attributed separately from data conflicts.
     pub fn tx_abort_preempted(&self, cpu: &mut Cpu, tx: &mut Tx) -> Abort {
-        self.fail(cpu, tx, AbortCode::Preempted)
+        self.fail(cpu, tx, AbortCause::Preempted)
     }
 
     fn admit_line(&self, cpu: &mut Cpu, tx: &mut Tx, line: u64) -> Result<(), Abort> {
@@ -146,8 +134,8 @@ impl HtmEngine {
         }
         if tx.lines.insert(line) {
             let lines = tx.footprint_lines();
-            if !self.config.capacity.admits(cpu, lines) {
-                return Err(self.fail(cpu, tx, AbortCode::Capacity));
+            if !capacity::admits(cpu, lines) {
+                return Err(self.fail(cpu, tx, AbortCause::Capacity));
             }
             cpu.publish_footprint(lines);
         }
@@ -158,7 +146,7 @@ impl HtmEngine {
     fn maybe_spurious(&self, cpu: &mut Cpu, tx: &mut Tx) -> Result<(), Abort> {
         let p = self.config.spurious_abort_per_access;
         if p > 0.0 && cpu.rng.chance(p) {
-            return Err(self.fail(cpu, tx, AbortCode::Other));
+            return Err(self.fail(cpu, tx, AbortCause::Spurious));
         }
         Ok(())
     }
@@ -185,12 +173,12 @@ impl HtmEngine {
         let stripe = self.stripes.index_of_line(line);
         let s1 = self.stripes.read(stripe);
         if s1.locked() || s1.version() > tx.rv {
-            return Err(self.fail(cpu, tx, AbortCode::Conflict));
+            return Err(self.fail(cpu, tx, AbortCause::Conflict));
         }
         let value = self.heap.peek(addr, off);
         let s2 = self.stripes.read(stripe);
         if s2 != s1 {
-            return Err(self.fail(cpu, tx, AbortCode::Conflict));
+            return Err(self.fail(cpu, tx, AbortCause::Conflict));
         }
         // Validated read of a freed block: the transaction began after the
         // free (doomed readers abort above), so this is a real
@@ -289,7 +277,7 @@ impl HtmEngine {
                     let v = self.stripes.read(l).version();
                     self.stripes.release(l, v);
                 }
-                return Err(self.fail(cpu, tx, AbortCode::Conflict));
+                return Err(self.fail(cpu, tx, AbortCause::Conflict));
             }
             locked += 1;
         }
@@ -308,7 +296,7 @@ impl HtmEngine {
                         let ver = self.stripes.read(l).version();
                         self.stripes.release(l, ver);
                     }
-                    return Err(self.fail(cpu, tx, AbortCode::Conflict));
+                    return Err(self.fail(cpu, tx, AbortCause::Conflict));
                 }
             }
         }
@@ -328,7 +316,6 @@ impl HtmEngine {
 
     fn finish_commit(&self, cpu: &mut Cpu, tx: &mut Tx) {
         tx.dead = true;
-        cpu.counters.tx_committed += 1;
         cpu.publish_footprint(0);
         self.stats[cpu.thread_id]
             .on_commit(tx.read_stripes.len() as u64, tx.write_map.len() as u64);
@@ -540,7 +527,7 @@ mod tests {
         let b = e.heap().alloc(c, 1).unwrap();
         e.tx_write(c, &mut rtx, b, 0, 9).unwrap();
         let err = e.commit(c, &mut rtx).unwrap_err();
-        assert_eq!(err.code(), AbortCode::Conflict);
+        assert_eq!(err.cause(), AbortCause::Conflict);
         assert_eq!(e.heap().peek(b, 0), 0, "aborted writes must not leak");
     }
 
@@ -566,7 +553,7 @@ mod tests {
         // before the stale mix is observable.
         let c = &mut cpus[0];
         let err = e.tx_read(c, &mut rtx, a, 7).unwrap_err();
-        assert_eq!(err.code(), AbortCode::Conflict);
+        assert_eq!(err.cause(), AbortCause::Conflict);
     }
 
     #[test]
@@ -591,8 +578,8 @@ mod tests {
         let b = e.heap().alloc(c, 1).unwrap();
         e.tx_write(c, &mut rtx, b, 0, 1).unwrap();
         assert_eq!(
-            e.commit(c, &mut rtx).unwrap_err().code(),
-            AbortCode::Conflict
+            e.commit(c, &mut rtx).unwrap_err().cause(),
+            AbortCause::Conflict
         );
         assert!(!e.heap().is_live(a));
     }
@@ -602,10 +589,7 @@ mod tests {
         let heap = Arc::new(Heap::new(HeapConfig {
             capacity_words: 1 << 18,
         }));
-        let mut config = HtmConfig::default();
-        config.capacity.l1_lines = 8;
-        config.capacity.evict_at_full = 0.0;
-        let e = HtmEngine::new(heap, config, 1);
+        let e = HtmEngine::new(heap, HtmConfig::default(), 1);
         let topo = Topology::haswell();
         let mut c = Cpu::new(
             0,
@@ -614,16 +598,22 @@ mod tests {
             Arc::new(ActivityBoard::new(topo.hw_contexts())),
             5,
         );
-        let a = e.heap().alloc(&mut c, 128).unwrap(); // 16 lines
+        // One word per line across more lines than the L1 budget: an
+        // eviction or the hard budget ends the transaction by line 449.
+        let lines = capacity::L1_LINES + 8;
+        let a = e.heap().alloc(&mut c, (lines * 8) as usize).unwrap();
         let mut tx = e.begin(&mut c);
         let mut failed = None;
-        for off in (0..128).step_by(8) {
-            if let Err(ab) = e.tx_read(&mut c, &mut tx, a, off) {
-                failed = Some(ab);
+        for line in 0..lines {
+            if let Err(ab) = e.tx_read(&mut c, &mut tx, a, line * 8) {
+                failed = Some((line, ab));
                 break;
             }
         }
-        assert_eq!(failed.unwrap().code(), AbortCode::Capacity);
+        let (line, ab) = failed.expect("the budget overflows");
+        assert!(line <= capacity::L1_LINES, "admitted {line} lines");
+        assert_eq!(ab.cause(), AbortCause::Capacity);
+        assert_eq!(e.thread_stats(0).aborts_capacity, 1);
     }
 
     #[test]
@@ -632,7 +622,7 @@ mod tests {
         let c = &mut cpus[0];
         let mut tx = e.begin(c);
         let ab = e.tx_abort(c, &mut tx);
-        assert_eq!(ab.code(), AbortCode::Explicit);
+        assert_eq!(ab.cause(), AbortCause::Explicit);
         assert_eq!(e.thread_stats(0).aborts_explicit, 1);
     }
 
@@ -674,7 +664,6 @@ mod tests {
             heap,
             HtmConfig {
                 spurious_abort_per_access: 1.0,
-                ..HtmConfig::default()
             },
             1,
         );
@@ -689,8 +678,8 @@ mod tests {
         let a = e.heap().alloc(&mut c, 1).unwrap();
         let mut tx = e.begin(&mut c);
         assert_eq!(
-            e.tx_read(&mut c, &mut tx, a, 0).unwrap_err().code(),
-            AbortCode::Other
+            e.tx_read(&mut c, &mut tx, a, 0).unwrap_err().cause(),
+            AbortCause::Spurious
         );
     }
 

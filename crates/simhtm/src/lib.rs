@@ -17,11 +17,13 @@
 //!    the paper's "HTM aborts immediately on conflict with non-speculative
 //!    code".
 //!
-//! On top of that sits an **abort taxonomy** matching TSX ([`AbortCode`]:
-//! conflict, capacity, explicit, other) and an **L1 capacity model** that
-//! shrinks the line budget and adds probabilistic evictions when the SMT
-//! sibling context is active — the mechanism behind the paper's
-//! capacity-abort explosion once threads outnumber cores (Figure 3).
+//! Every [`Abort`] names its cause in the workspace's one abort taxonomy,
+//! [`st_obs::AbortCause`] (conflict, capacity, explicit, spurious,
+//! preempted), and an **L1 capacity model** ([`capacity`], whose parameters
+//! are constants) shrinks the line budget and adds probabilistic evictions
+//! when the SMT sibling context is active — the mechanism behind the
+//! paper's capacity-abort explosion once threads outnumber cores
+//! (Figure 3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +36,7 @@ pub mod stripes;
 pub mod tx;
 pub mod util;
 
-pub use abort::{Abort, AbortCode};
-pub use capacity::CapacityModel;
+pub use abort::Abort;
 pub use engine::{HtmConfig, HtmEngine};
 pub use stats::HtmStats;
 pub use tx::Tx;

@@ -4,7 +4,6 @@
 //! is the plain snapshot the bench harness aggregates and reports into a
 //! [`MetricsRegistry`] via [`HtmStats::report`].
 
-use crate::abort::AbortCode;
 use st_obs::{AbortCause, CauseCounts, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,11 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct HtmThreadStats {
     begun: AtomicU64,
     committed: AtomicU64,
-    aborts_conflict: AtomicU64,
-    aborts_capacity: AtomicU64,
-    aborts_explicit: AtomicU64,
-    aborts_preempted: AtomicU64,
-    aborts_other: AtomicU64,
+    /// Aborts, one counter per cause in [`AbortCause::ALL`] order.
+    aborts: [AtomicU64; AbortCause::ALL.len()],
     committed_reads: AtomicU64,
     committed_writes: AtomicU64,
 }
@@ -33,40 +29,34 @@ impl HtmThreadStats {
         self.committed_writes.fetch_add(writes, Ordering::Relaxed);
     }
 
-    pub(crate) fn on_abort(&self, code: AbortCode) {
-        let ctr = match code {
-            AbortCode::Conflict => &self.aborts_conflict,
-            AbortCode::Capacity => &self.aborts_capacity,
-            AbortCode::Explicit => &self.aborts_explicit,
-            AbortCode::Preempted => &self.aborts_preempted,
-            AbortCode::Other => &self.aborts_other,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn on_abort(&self, cause: AbortCause) {
+        self.aborts[cause.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Zeroes the counters (benchmark warm-up support).
     pub fn reset(&self) {
-        self.begun.store(0, Ordering::Relaxed);
-        self.committed.store(0, Ordering::Relaxed);
-        self.aborts_conflict.store(0, Ordering::Relaxed);
-        self.aborts_capacity.store(0, Ordering::Relaxed);
-        self.aborts_explicit.store(0, Ordering::Relaxed);
-        self.aborts_preempted.store(0, Ordering::Relaxed);
-        self.aborts_other.store(0, Ordering::Relaxed);
-        self.committed_reads.store(0, Ordering::Relaxed);
-        self.committed_writes.store(0, Ordering::Relaxed);
+        let counters = [
+            &self.begun,
+            &self.committed,
+            &self.committed_reads,
+            &self.committed_writes,
+        ];
+        for c in counters.into_iter().chain(&self.aborts) {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Snapshots the counters.
     pub fn snapshot(&self) -> HtmStats {
+        let aborts = |cause: AbortCause| self.aborts[cause.index()].load(Ordering::Relaxed);
         HtmStats {
             begun: self.begun.load(Ordering::Relaxed),
             committed: self.committed.load(Ordering::Relaxed),
-            aborts_conflict: self.aborts_conflict.load(Ordering::Relaxed),
-            aborts_capacity: self.aborts_capacity.load(Ordering::Relaxed),
-            aborts_explicit: self.aborts_explicit.load(Ordering::Relaxed),
-            aborts_preempted: self.aborts_preempted.load(Ordering::Relaxed),
-            aborts_other: self.aborts_other.load(Ordering::Relaxed),
+            aborts_conflict: aborts(AbortCause::Conflict),
+            aborts_capacity: aborts(AbortCause::Capacity),
+            aborts_explicit: aborts(AbortCause::Explicit),
+            aborts_preempted: aborts(AbortCause::Preempted),
+            aborts_other: aborts(AbortCause::Spurious),
             committed_reads: self.committed_reads.load(Ordering::Relaxed),
             committed_writes: self.committed_writes.load(Ordering::Relaxed),
         }
@@ -88,7 +78,7 @@ pub struct HtmStats {
     pub aborts_explicit: u64,
     /// Aborts caused by scheduler preemption mid-transaction.
     pub aborts_preempted: u64,
-    /// Spurious aborts.
+    /// Spurious aborts ([`AbortCause::Spurious`]).
     pub aborts_other: u64,
     /// Transactional reads in committed transactions.
     pub committed_reads: u64,
@@ -152,7 +142,7 @@ mod tests {
         s.on_begin();
         s.on_begin();
         s.on_commit(10, 3);
-        s.on_abort(AbortCode::Capacity);
+        s.on_abort(AbortCause::Capacity);
         let snap = s.snapshot();
         assert_eq!(snap.begun, 2);
         assert_eq!(snap.committed, 1);
@@ -160,6 +150,19 @@ mod tests {
         assert_eq!(snap.committed_reads, 10);
         assert_eq!(snap.committed_writes, 3);
         assert_eq!(snap.total_aborts(), 1);
+    }
+
+    #[test]
+    fn each_cause_lands_in_its_own_field() {
+        for cause in AbortCause::ALL {
+            let s = HtmThreadStats::default();
+            s.on_abort(cause);
+            let snap = s.snapshot();
+            assert_eq!(snap.cause_counts().get(cause), 1, "{cause}");
+            assert_eq!(snap.total_aborts(), 1, "{cause}");
+            s.reset();
+            assert_eq!(s.snapshot(), HtmStats::default(), "{cause}");
+        }
     }
 
     #[test]
@@ -186,7 +189,7 @@ mod tests {
     fn preempted_aborts_are_counted_and_reported() {
         let s = HtmThreadStats::default();
         s.on_begin();
-        s.on_abort(AbortCode::Preempted);
+        s.on_abort(AbortCause::Preempted);
         let snap = s.snapshot();
         assert_eq!(snap.aborts_preempted, 1);
         assert_eq!(snap.total_aborts(), 1);

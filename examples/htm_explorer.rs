@@ -11,8 +11,9 @@
 //! Run with: `cargo run --release --example htm_explorer`
 
 use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
+use st_obs::AbortCause;
 use st_simheap::{Heap, HeapConfig};
-use st_simhtm::{AbortCode, HtmConfig, HtmEngine};
+use st_simhtm::{HtmConfig, HtmEngine};
 use std::sync::Arc;
 
 fn make_cpu(
@@ -58,8 +59,8 @@ fn main() {
         .tx_write(&mut a, &mut reader, scratch, 0, 1)
         .expect("buffered");
     let abort = engine.commit(&mut a, &mut reader).expect_err("doomed");
-    println!("   reader abort: {:?}\n", abort.code());
-    assert_eq!(abort.code(), AbortCode::Conflict);
+    println!("   reader abort: {:?}\n", abort.cause());
+    assert_eq!(abort.cause(), AbortCause::Conflict);
 
     // ---------------------------------------------------------------
     println!("2) capacity aborts vs footprint (1000 transactions each)");
@@ -107,10 +108,10 @@ fn main() {
         .expect_err("doomed");
     println!(
         "   reader sees {:?}; node live = {} (poisoned, recycled safely)",
-        err.code(),
+        err.cause(),
         heap.is_live(node)
     );
-    assert_eq!(err.code(), AbortCode::Conflict);
+    assert_eq!(err.cause(), AbortCause::Conflict);
 
     let totals = engine.total_stats();
     println!(

@@ -19,6 +19,7 @@ use st_bench::report;
 use st_check::{replay, CheckConfig, Mutation, Violation};
 use st_obs::audit;
 use st_reclaim::Scheme;
+use st_simheap::LedgerKind;
 use st_structures::StructureKind as Structure;
 
 /// The PR-smoke budget: enough episodes to flush each seeded defect
@@ -50,11 +51,11 @@ fn sole_failure(combos: &[ComboSummary]) -> &(Vec<Violation>, st_check::ReplayTo
         .expect("the seeded defect must be caught within the smoke budget")
 }
 
-fn ledger_text(violations: &[Violation]) -> Vec<String> {
+fn ledger_kinds(violations: &[Violation]) -> Vec<LedgerKind> {
     violations
         .iter()
         .filter_map(|v| match v {
-            Violation::Ledger(m) => Some(m.clone()),
+            Violation::Ledger(l) => Some(l.kind),
             _ => None,
         })
         .collect()
@@ -68,9 +69,9 @@ fn skipped_free_is_caught_as_a_leak_at_teardown() {
         Mutation::SkipFree,
     ));
     let (violations, token) = sole_failure(&combos);
-    let ledger = ledger_text(violations);
+    let ledger = ledger_kinds(violations);
     assert!(
-        ledger.iter().any(|m| m.starts_with("leak-at-teardown")),
+        ledger.contains(&LedgerKind::Leak),
         "a swallowed free verdict must surface as a leak, got {violations:?}"
     );
 
@@ -80,9 +81,7 @@ fn skipped_free_is_caught_as_a_leak_at_teardown() {
     assert_eq!(reparsed.to_string(), token.to_string());
     let outcome = replay(&reparsed);
     assert!(
-        ledger_text(&outcome.violations)
-            .iter()
-            .any(|m| m.starts_with("leak-at-teardown")),
+        ledger_kinds(&outcome.violations).contains(&LedgerKind::Leak),
         "replay must reproduce the leak, got {:?}",
         outcome.violations
     );
@@ -96,13 +95,13 @@ fn double_retire_is_caught_and_absorbed_by_the_ledger() {
         Mutation::DoubleRetire,
     ));
     let (violations, token) = sole_failure(&combos);
-    let ledger = ledger_text(violations);
+    let ledger = ledger_kinds(violations);
     assert!(
-        ledger.iter().any(|m| m.starts_with("double-retire")),
+        ledger.contains(&LedgerKind::DoubleRetire),
         "the duplicated retire must be caught at the cycle it happens, got {violations:?}"
     );
     assert!(
-        ledger.iter().any(|m| m.starts_with("double-free")),
+        ledger.contains(&LedgerKind::DoubleFree),
         "the duplicated limbo entry must drain into a recorded double free, got {violations:?}"
     );
     // The heap absorbs a ledgered double free instead of crashing the
@@ -114,9 +113,7 @@ fn double_retire_is_caught_and_absorbed_by_the_ledger() {
 
     let outcome = replay(token);
     assert!(
-        ledger_text(&outcome.violations)
-            .iter()
-            .any(|m| m.starts_with("double-retire")),
+        ledger_kinds(&outcome.violations).contains(&LedgerKind::DoubleRetire),
         "replay must reproduce the double retire, got {:?}",
         outcome.violations
     );

@@ -10,6 +10,7 @@
 //! round-trips.
 
 use st_bench::cli::{self, Command, Flag};
+use st_bench::experiment::MAX_RUN_MS;
 use st_bench::figures::FIGURES;
 use st_bench::{auditcmd, checkcmd};
 use st_check::{CheckConfig, Mutation, ReplayToken};
@@ -112,6 +113,7 @@ fn check_parse(args: &[String]) -> bool {
         (_, Ok(Command::Figures { opts, figures, .. })) => {
             assert!(!figures.is_empty(), "{args:?}");
             assert!(opts.duration_ms >= 1 && opts.max_threads >= 1 && opts.jobs >= 1);
+            assert!(opts.duration_ms <= MAX_RUN_MS && opts.warmup_ms <= MAX_RUN_MS);
         }
         (_, Ok(other)) => panic!("{args:?} parsed to {other:?}"),
     }
