@@ -29,6 +29,7 @@
 use crate::cli::{checker_flags, parse_flags, CheckerFlags, Flag, ANY, POSITIVE};
 use crate::experiment::PerThread;
 use crate::report::{self, SnapshotRun};
+use crate::{err, out};
 use st_check::{
     run_schedule, shrink_failure, CheckConfig, RecordingController, ReplayToken, Violation,
 };
@@ -302,24 +303,29 @@ pub fn run(opts: &AuditOpts) -> ExitCode {
     for c in &combos {
         match &c.failure {
             None => {
-                println!(
-                    "audit {}/{}: {} episodes, {} ops, {} retires / {} frees: clean",
-                    c.structure, c.scheme, c.episodes, c.ops, c.retires, c.frees
+                out!(
+                    "audit {}/{}: {} episodes, {} ops, {} retires / {} frees: clean\n",
+                    c.structure,
+                    c.scheme,
+                    c.episodes,
+                    c.ops,
+                    c.retires,
+                    c.frees
                 );
             }
             Some((violations, token)) => {
                 failed = true;
-                println!(
-                    "audit {}/{}: FAILED on episode {} ({} finding(s))",
+                out!(
+                    "audit {}/{}: FAILED on episode {} ({} finding(s))\n",
                     c.structure,
                     c.scheme,
                     c.episodes,
                     violations.len()
                 );
                 for v in violations {
-                    println!("  violation: {v}");
+                    out!("  violation: {v}\n");
                 }
-                println!("  replay with: st-bench check --replay {token}");
+                out!("  replay with: st-bench check --replay {token}\n");
             }
         }
     }
@@ -330,18 +336,18 @@ pub fn run(opts: &AuditOpts) -> ExitCode {
     );
     if let Some(out) = &opts.out {
         if let Err(e) = std::fs::create_dir_all(out) {
-            eprintln!("{}: {e}", out.display());
+            err!("{}: {e}\n", out.display());
             return ExitCode::FAILURE;
         }
         let path = out.join("audit.metrics.json");
         let doc = audit_snapshot("audit", opts.budget_ms, &combos);
         if let Err(e) = std::fs::write(&path, doc.to_pretty_string() + "\n") {
-            eprintln!("{}: {e}", path.display());
+            err!("{}: {e}\n", path.display());
             return ExitCode::FAILURE;
         }
         summary += &format!(", snapshot {}", path.display());
     }
-    println!("{summary}");
+    out!("{summary}\n");
     if failed {
         ExitCode::FAILURE
     } else {

@@ -15,6 +15,7 @@
 //! non-zero if any schedule violates an oracle.
 
 use crate::cli::{checker_flags, parse_flags, CheckerFlags, Command, Flag, ANY, COUNT, POSITIVE};
+use crate::out;
 use st_check::{check, replay, CheckConfig, ExploreConfig, ExploreMode, ReplayToken};
 use st_obs::MetricsRegistry;
 use st_reclaim::Scheme;
@@ -123,16 +124,18 @@ pub(crate) fn parse(args: &[String]) -> Result<Command, String> {
 /// Runs the one schedule of `token` and reports what the oracles saw.
 pub fn run_replay(token: &ReplayToken) -> ExitCode {
     let outcome = replay(token);
-    println!(
-        "replay {token}: {} decisions, {} scans ({} consistency restarts)",
-        outcome.decisions, outcome.scans, outcome.scan_retries
+    out!(
+        "replay {token}: {} decisions, {} scans ({} consistency restarts)\n",
+        outcome.decisions,
+        outcome.scans,
+        outcome.scan_retries
     );
     if outcome.violations.is_empty() {
-        println!("replay: no violations");
+        out!("replay: no violations\n");
         ExitCode::SUCCESS
     } else {
         for v in &outcome.violations {
-            println!("violation: {v}");
+            out!("violation: {v}\n");
         }
         ExitCode::FAILURE
     }
@@ -149,28 +152,30 @@ pub fn explore(configs: &[CheckConfig], explore: &ExploreConfig) -> ExitCode {
         metrics.add("check.decisions", report.total_decisions);
         match &report.failure {
             None => {
-                println!(
-                    "check {structure}/{scheme}: {} schedules, {} decisions: pass",
-                    report.schedules_run, report.total_decisions
+                out!(
+                    "check {structure}/{scheme}: {} schedules, {} decisions: pass\n",
+                    report.schedules_run,
+                    report.total_decisions
                 );
             }
             Some(f) => {
                 failed = true;
                 metrics.add("check.failures", 1);
-                println!(
+                out!(
                     "check {structure}/{scheme}: FAILED after {} schedules \
-                     ({} deviations before shrinking)",
-                    report.schedules_run, f.original_deviations
+                     ({} deviations before shrinking)\n",
+                    report.schedules_run,
+                    f.original_deviations
                 );
                 for v in &f.violations {
-                    println!("  violation: {v}");
+                    out!("  violation: {v}\n");
                 }
-                println!("  replay with: st-bench check --replay {}", f.token);
+                out!("  replay with: st-bench check --replay {}\n", f.token);
             }
         }
     }
-    println!(
-        "check: {} schedules / {} decisions explored, {} failing config(s)",
+    out!(
+        "check: {} schedules / {} decisions explored, {} failing config(s)\n",
         metrics.counter("check.schedules"),
         metrics.counter("check.decisions"),
         metrics.counter("check.failures"),

@@ -128,6 +128,7 @@ pub fn usage() -> String {
         usage_line("audit", &auditcmd::flags()),
         "st-bench check-metrics FILE...".to_string(),
         "st-bench check-timing FILE...".to_string(),
+        "st-bench refresh-experiments".to_string(),
     ];
     format!("usage: {}", lines.join("\n       "))
 }
@@ -292,6 +293,8 @@ pub enum Command {
     CheckMetrics(Vec<String>),
     /// `check-timing FILE...`.
     CheckTiming(Vec<String>),
+    /// `refresh-experiments`.
+    RefreshExperiments,
 }
 
 /// Reads a whole argument vector, without the program name. An error is
@@ -315,6 +318,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "check-metrics" => Ok(Command::CheckMetrics(args.to_vec())),
         "check-timing" => Ok(Command::CheckTiming(args.to_vec())),
+        "refresh-experiments" if args.is_empty() => Ok(Command::RefreshExperiments),
+        "refresh-experiments" => Err("usage: st-bench refresh-experiments".into()),
         _ if figure.is_some() || command == "all" => {
             parse_figures(command, figure, args).map_err(with_usage(figure_usage()))
         }

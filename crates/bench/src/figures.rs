@@ -7,7 +7,8 @@
 //! build their own configs and tables. Every figure runs the same way
 //! ([`Figure::run`]): build the full list of configs in table order, hand
 //! it to the parallel sweep scheduler ([`crate::sweep::run_batch`]), then
-//! build, print and persist the tables from the ordered results. Config
+//! build the tables from the ordered results and print the markdown it
+//! persists. Config
 //! construction is pure and results come back in config order, so the
 //! persisted artifacts do not depend on `--jobs` (see `docs/PERF.md` for
 //! the serial-equivalence guarantee).
@@ -16,6 +17,7 @@ use crate::experiment::{ms_to_cycles, RunConfig, RunResult};
 use crate::report::{fmt_f, fmt_ops, naming, persist, Table};
 use crate::sweep::{self, TimingSink};
 use crate::workload::WorkloadSpec;
+use crate::{err, out};
 use st_machine::FaultPlan;
 use st_reclaim::Scheme;
 use stacktrack::{ScanMode, StConfig};
@@ -407,8 +409,9 @@ pub fn find(command: &str) -> Option<&'static Figure> {
 
 impl Figure {
     /// Runs the figure: creates `opts.out`, runs every config through the
-    /// sweep scheduler, then prints the tables and persists them with the
-    /// results. An error names the directory or file it could not write.
+    /// sweep scheduler, then prints its tables as the markdown it persists
+    /// with the results. An error names the directory or file it could not
+    /// write.
     pub fn run(&self, opts: &BenchOpts) -> io::Result<Vec<RunResult>> {
         std::fs::create_dir_all(&opts.out).map_err(naming(&opts.out))?;
         let configs = match &self.build {
@@ -416,15 +419,14 @@ impl Figure {
             Build::Custom { configs, .. } => configs(opts),
         };
         let results = sweep::run_batch(&configs, opts.jobs, self.stem, opts.timing.as_deref());
-        eprintln!();
+        err!("\n");
         let tables = match &self.build {
             Build::Grid(grid) => vec![grid.table(&results)],
             Build::Custom { tables, .. } => tables(opts, &results),
         };
-        for table in &tables {
-            table.print();
-        }
-        persist(&opts.out, self.stem, &results, &tables)?;
+        let markdown: String = tables.iter().map(Table::to_markdown).collect();
+        out!("{markdown}");
+        persist(&opts.out, self.stem, &results, &markdown)?;
         Ok(results)
     }
 }

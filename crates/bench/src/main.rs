@@ -14,6 +14,7 @@
 //!                [--budget-ms N] [--episodes N] [--faults on|off] [--out DIR]
 //! st-bench check-metrics FILE...
 //! st-bench check-timing FILE...
+//! st-bench refresh-experiments
 //!
 //! Figures:
 //!   fig1-list fig1-skiplist fig2-queue fig2-hash
@@ -31,6 +32,10 @@
 //! validates existing snapshot files against the current schema;
 //! `check-timing` does the same for `--timing-out` reports. `audit`
 //! writes its snapshot only under an explicit `--out`.
+//! `refresh-experiments` rewrites the measured tables of the working
+//! directory's EXPERIMENTS.md from its `results/`
+//! (`st_bench::experiments`), or exits 1 naming the file or table it
+//! could not use and writes nothing.
 //! `--jobs N` fans the sweep across N worker threads without changing any
 //! artifact byte (docs/PERF.md); `--timing-out FILE` writes a host
 //! wall-clock report per configuration. See EXPERIMENTS.md for the
@@ -41,10 +46,10 @@
 
 use st_bench::cli::{self, Command};
 use st_bench::figures::{BenchOpts, Figure};
-use st_bench::{auditcmd, checkcmd, report, sweep};
+use st_bench::{auditcmd, checkcmd, err, experiments, out, report, sweep};
 use st_obs::Json;
 use std::ffi::OsString;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,8 +75,9 @@ fn main() -> ExitCode {
         Ok(Command::Audit(opts)) => auditcmd::run(&opts),
         Ok(Command::CheckMetrics(paths)) => check_files(&paths, snapshot_lines),
         Ok(Command::CheckTiming(paths)) => check_files(&paths, timing_lines),
+        Ok(Command::RefreshExperiments) => refresh_experiments(),
         Err(usage) => {
-            eprintln!("{usage}");
+            err!("{usage}\n");
             ExitCode::from(2)
         }
     }
@@ -91,10 +97,10 @@ fn run_figures(
 
     for figure in figures {
         if command == "all" {
-            eprintln!("{}", figure.commands[0]);
+            err!("{}\n", figure.commands[0]);
         }
         if let Err(e) = figure.run(&opts) {
-            eprintln!("{e}");
+            err!("{e}\n");
             return ExitCode::FAILURE;
         }
     }
@@ -103,11 +109,11 @@ fn run_figures(
         let total_ms = started.elapsed().as_secs_f64() * 1e3;
         let doc = sweep::timing_report(command, opts.jobs, total_ms, &sink.rows());
         if let Err(e) = std::fs::write(&path, format!("{}\n", doc.to_pretty_string())) {
-            eprintln!("{}: {e}", path.display());
+            err!("{}: {e}\n", path.display());
             return ExitCode::FAILURE;
         }
-        eprintln!(
-            "timing report: {} ({} configs, {:.0} ms total, {} jobs)",
+        err!(
+            "timing report: {} ({} configs, {:.0} ms total, {} jobs)\n",
             path.display(),
             sink.rows().len(),
             total_ms,
@@ -115,6 +121,21 @@ fn run_figures(
         );
     }
     ExitCode::SUCCESS
+}
+
+/// `refresh-experiments`: EXPERIMENTS.md refreshed, or left alone on an error.
+fn refresh_experiments() -> ExitCode {
+    let path = Path::new("EXPERIMENTS.md");
+    let named = |e: std::io::Error| format!("{}: {e}", path.display());
+    let doc = std::fs::read_to_string(path).map_err(named);
+    let refreshed = doc.and_then(|doc| experiments::refresh(&doc, Path::new("results")));
+    match refreshed.and_then(|doc| std::fs::write(path, doc).map_err(named)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            err!("{e}\n");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Reads each file and checks its text with `check`, which returns the
@@ -129,9 +150,9 @@ fn check_files(paths: &[String], check: fn(&str) -> Vec<Result<String, String>>)
         };
         for line in lines {
             match line {
-                Ok(line) => println!("{path}: {line}"),
+                Ok(line) => out!("{path}: {line}\n"),
                 Err(e) => {
-                    eprintln!("{path}: {e}");
+                    err!("{path}: {e}\n");
                     failed = true;
                 }
             }

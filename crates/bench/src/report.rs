@@ -2,9 +2,9 @@
 //!
 //! Every figure persists two JSON artifacts per run set: a flat
 //! JSON-lines summary (`<name>.json`, one object per run — the format
-//! `tools/update_experiments.py` consumes) and a versioned full snapshot
-//! (`<name>.metrics.json`) carrying the complete [`MetricsRegistry`] of each
-//! run, schema documented in `docs/METRICS.md`.
+//! `st-bench refresh-experiments` reads, see [`crate::experiments`]) and a
+//! versioned full snapshot (`<name>.metrics.json`) carrying the complete
+//! [`MetricsRegistry`] of each run, schema documented in `docs/METRICS.md`.
 
 use crate::experiment::{PerThread, RunResult};
 use st_obs::{Json, MetricsRegistry, SCHEMA_VERSION};
@@ -12,7 +12,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// A printable/markdown-able table.
+/// A table of formatted cells, rendered as markdown.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Table title.
@@ -37,33 +37,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.columns.len(), "row arity");
         self.rows.push(cells);
-    }
-
-    /// Prints an aligned text table to stdout.
-    pub fn print(&self) {
-        println!("\n## {}\n", self.title);
-        let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let header: Vec<String> = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-            .collect();
-        println!("{}", header.join("  "));
-        println!("{}", "-".repeat(header.join("  ").len()));
-        for row in &self.rows {
-            let line: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-                .collect();
-            println!("{}", line.join("  "));
-        }
     }
 
     /// Renders the table as GitHub markdown.
@@ -525,13 +498,13 @@ pub fn validate_scheme_counters(runs: &[ParsedRun]) -> Result<u64, String> {
 
 /// Persists raw results as JSON lines under `out_dir/name.json`, the full
 /// metrics snapshot under `out_dir/name.metrics.json`, and the rendered
-/// table as markdown under `out_dir/name.md`. `out_dir` must exist; an
-/// error names the file it could not write.
+/// tables under `out_dir/name.md`. `out_dir` must exist; an error names
+/// the file it could not write.
 pub fn persist(
     out_dir: &Path,
     name: &str,
     results: &[RunResult],
-    tables: &[Table],
+    markdown: &str,
 ) -> io::Result<()> {
     let json: Vec<String> = results.iter().map(|r| r.to_json().to_string()).collect();
     let files = [
@@ -540,10 +513,7 @@ pub fn persist(
             format!("{name}.metrics.json"),
             metrics_snapshot(name, results).to_pretty_string() + "\n",
         ),
-        (
-            format!("{name}.md"),
-            tables.iter().map(Table::to_markdown).collect(),
-        ),
+        (format!("{name}.md"), markdown.to_string()),
     ];
     for (file, text) in files {
         let path = out_dir.join(file);
@@ -979,25 +949,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_summary_keeps_tool_facing_field_names() {
-        // tools/update_experiments.py keys on these exact names.
-        let json = sample_result().to_json().to_string();
-        for key in [
-            "ops_per_sec",
-            "threads",
-            "scheme",
-            "tx_committed",
-            "aborts_conflict",
-            "aborts_capacity",
-            "aborts_preempted",
-            "avg_splits_per_op",
-            "avg_split_length",
-            "scan_penalty_pct",
-            "avg_scan_depth",
-            "scans",
-            "scan_retries",
-        ] {
-            assert!(json.contains(&format!("\"{key}\":")), "missing {key}");
+    fn flat_summary_keeps_the_fields_experiments_reads() {
+        let json = sample_result().to_json();
+        for key in crate::experiments::FLAT_FIELDS {
+            assert!(json.get(key).is_some(), "missing {key}");
         }
     }
 }

@@ -15,6 +15,7 @@
 //! (`--timing-out`), the repo's perf trajectory record (see
 //! `docs/PERF.md` and the committed `BENCH_sweep.json`).
 
+use crate::err;
 use crate::experiment::{run, RunConfig, RunResult};
 use st_obs::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -186,7 +187,7 @@ pub fn run_configs(configs: &[RunConfig], jobs: usize) -> (Vec<RunResult>, Vec<f
                 let result = run(config);
                 let host_ms = started.elapsed().as_secs_f64() * 1e3;
                 *slots[i].lock().expect("result slot") = Some((result, host_ms));
-                eprint!(".");
+                err!(".");
             });
         }
     });

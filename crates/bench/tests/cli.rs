@@ -5,9 +5,11 @@
 //! deviation percentage above 100, or a random exploration that never
 //! deviates, is a usage error (exit 2) and must leave the output directory
 //! untouched; an output path that cannot be written, or a snapshot whose
-//! numbers overflow, exits 1 and names it.
+//! numbers overflow, exits 1 and names it. Output to a closed pipe changes
+//! neither an exit code nor the files written, and `refresh-experiments`
+//! refuses bad input without touching EXPERIMENTS.md.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Runs `st-bench` with `args` plus `--out` set to a fresh, empty
@@ -437,4 +439,210 @@ fn non_utf8_arguments_are_usage_errors() {
     let stderr = String::from_utf8_lossy(&result.stderr);
     assert_eq!(result.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("is not UTF-8"), "{stderr}");
+}
+
+/// Runs `st-bench` with stdout, and stderr too when `both`, on a pipe whose
+/// reader was closed before the spawn, so every write fails with EPIPE.
+/// Returns the exit code and, when stderr stays open, what it printed.
+fn run_on_closed_pipe(args: &[&str], both: bool) -> (Option<i32>, String) {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let mut command = Command::new(env!("CARGO_BIN_EXE_st-bench"));
+    command
+        .args(args)
+        .stdout(writer.try_clone().expect("clone the pipe writer"));
+    if both {
+        command.stderr(writer);
+    }
+    let result = command.output().expect("spawn st-bench");
+    let stderr = String::from_utf8_lossy(&result.stderr).into_owned();
+    (result.status.code(), stderr)
+}
+
+/// A usage error whose message goes to a closed pipe still exits 2.
+#[test]
+fn usage_errors_exit_2_on_a_closed_pipe() {
+    let out =
+        std::env::temp_dir().join(format!("st-bench-cli-{}-closed-usage", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let out = out.to_str().expect("a UTF-8 temporary path");
+    let figure = ["fig2-queue", "--ms", "18446744073709551615", "--out", out];
+    assert_eq!(run_on_closed_pipe(&figure, true).0, Some(2));
+    assert!(!Path::new(out).exists(), "{figure:?} created {out}");
+    assert_eq!(run_on_closed_pipe(&[], true).0, Some(2), "bare st-bench");
+}
+
+/// `check-metrics` on a valid snapshot exits 0 whether its report can be
+/// read or not.
+#[test]
+fn check_metrics_exits_0_on_a_closed_pipe() {
+    let snapshot = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/fig2_queue.metrics.json"
+    );
+    for both in [true, false] {
+        let (code, stderr) = run_on_closed_pipe(&["check-metrics", snapshot], both);
+        assert_eq!(code, Some(0), "stderr closed too: {both}; stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+/// A figure whose table goes to a closed pipe exits 0 and writes the same
+/// three files as a run whose output is read.
+#[test]
+fn a_figure_writes_its_files_on_a_closed_pipe() {
+    let base =
+        std::env::temp_dir().join(format!("st-bench-cli-{}-closed-figure", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    // `closed`: `None` reads the output, `Some(both)` closes stdout (and
+    // stderr when `both`).
+    let run_into = |case: &str, closed: Option<bool>| {
+        let dir = base.join(case);
+        let out = dir.to_str().expect("a UTF-8 temporary path");
+        let args = [
+            "fig2-hash",
+            "--ms",
+            "1",
+            "--threads",
+            "2",
+            "--scale",
+            "20",
+            "--out",
+            out,
+        ];
+        let (code, stderr) = match closed {
+            None => run(&args),
+            Some(both) => run_on_closed_pipe(&args, both),
+        };
+        assert_eq!(code, Some(0), "{case}; stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("read the --out directory")
+            .map(|entry| {
+                let path = entry.expect("directory entry").path();
+                let bytes = std::fs::read(&path).expect("read a written file");
+                (path.file_name().expect("a file name").into(), bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let expected = run_into("read", None);
+    assert_eq!(expected.len(), 3, "{expected:?}");
+    for (case, both) in [("closed-both", true), ("closed-stdout", false)] {
+        assert!(
+            run_into(case, Some(both)) == expected,
+            "{case} wrote other files"
+        );
+    }
+    std::fs::remove_dir_all(&base).expect("remove the temporary directory");
+}
+
+/// A fresh working directory holding a copy of the committed `results/`
+/// and of the committed EXPERIMENTS.md, whose Figure 4 table carries one
+/// stale row that a refresh removes.
+fn experiments_copy(case: &str) -> PathBuf {
+    fn copy_dir(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).expect("create a directory");
+        for entry in std::fs::read_dir(from).expect("read a directory") {
+            let path = entry.expect("directory entry").path();
+            let target = to.join(path.file_name().expect("a file name"));
+            if path.is_dir() {
+                copy_dir(&path, &target);
+            } else {
+                std::fs::copy(&path, &target).expect("copy a file");
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = std::env::temp_dir().join(format!("st-bench-cli-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    copy_dir(&root.join("results"), &dir.join("results"));
+    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
+    let table = "| threads | avg splits/op | avg split length |\n|---|---|---|\n";
+    assert!(
+        doc.contains(table),
+        "EXPERIMENTS.md lost its Figure 4 table"
+    );
+    let stale = doc.replacen(table, &format!("{table}| 0 | stale | stale |\n"), 1);
+    std::fs::write(dir.join("EXPERIMENTS.md"), stale).expect("write EXPERIMENTS.md");
+    dir
+}
+
+/// Runs `refresh-experiments` with `args` in `dir`; returns the exit code
+/// and stderr, which must not report a panic.
+fn refresh_in(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let result = Command::new(env!("CARGO_BIN_EXE_st-bench"))
+        .arg("refresh-experiments")
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn st-bench");
+    let stderr = String::from_utf8_lossy(&result.stderr).into_owned();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    (result.status.code(), stderr)
+}
+
+/// In a fresh copy edited by `edit`, `refresh-experiments` with `args`
+/// must exit `exit`, say `message` and leave EXPERIMENTS.md as it was.
+fn assert_refused(case: &str, args: &[&str], edit: impl Fn(&Path), exit: i32, message: &str) {
+    let dir = experiments_copy(case);
+    edit(&dir);
+    let before = std::fs::read(dir.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
+    let (code, stderr) = refresh_in(&dir, args);
+    assert_eq!(code, Some(exit), "{case}; stderr: {stderr}");
+    assert!(
+        stderr.contains(message),
+        "{case} must say {message:?}: {stderr}"
+    );
+    let after = std::fs::read(dir.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
+    assert!(after == before, "{case} rewrote EXPERIMENTS.md");
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+}
+
+/// `refresh-experiments` refuses bad input and writes nothing: an argument
+/// exits 2 with the usage line; a missing results file, a table header
+/// missing from EXPERIMENTS.md, or a results file without a row a table
+/// needs exits 1 naming the file or the header. On the whole copy it
+/// restores the committed EXPERIMENTS.md.
+#[test]
+fn refresh_experiments_refuses_bad_input_and_writes_nothing() {
+    let usage = "usage: st-bench refresh-experiments";
+    assert_refused("refresh-argument", &["now"], |_| {}, 2, usage);
+    let warmed = "results/warmed/fig3_fig4.json";
+    let remove = |dir: &Path| std::fs::remove_file(dir.join(warmed)).expect("remove a file");
+    assert_refused("refresh-missing-file", &[], remove, 1, warmed);
+    let bounds = "| scheme | peak backlog (nodes) | backlog at deadline |";
+    let rename = |dir: &Path| {
+        let path = dir.join("EXPERIMENTS.md");
+        let text = std::fs::read_to_string(&path).expect("read EXPERIMENTS.md");
+        assert!(text.contains(bounds), "EXPERIMENTS.md lost {bounds}");
+        let renamed = text.replace(bounds, "| scheme | peak | last |");
+        std::fs::write(&path, renamed).expect("write EXPERIMENTS.md");
+    };
+    assert_refused("refresh-missing-header", &[], rename, 1, bounds);
+    let drop_8_threads = |dir: &Path| {
+        let path = dir.join("results/fig1_list.json");
+        let text = std::fs::read_to_string(&path).expect("read fig1_list.json");
+        let kept: String = text
+            .split_inclusive('\n')
+            .filter(|row| !row.contains("\"threads\":8,"))
+            .collect();
+        assert_ne!(kept, text, "fig1_list.json has no 8-thread rows");
+        std::fs::write(&path, kept).expect("write fig1_list.json");
+    };
+    let no_row = "fig1_list.json: no row for 8 threads";
+    assert_refused("refresh-missing-row", &[], drop_8_threads, 1, no_row);
+
+    let dir = experiments_copy("refresh-whole");
+    let (code, stderr) = refresh_in(&dir, &[]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let committed = include_str!("../../../EXPERIMENTS.md");
+    let refreshed =
+        std::fs::read_to_string(dir.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
+    assert!(
+        refreshed == committed,
+        "the stale row survived, or more changed"
+    );
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
 }

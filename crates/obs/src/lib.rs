@@ -59,8 +59,9 @@ pub use registry::{Metric, MetricsRegistry};
 /// Version stamped into every serialized metrics snapshot.
 ///
 /// Bump when a key is renamed, a unit changes, or the snapshot envelope
-/// gains/loses required fields; consumers (`tools/update_experiments.py`,
-/// external dashboards) key their parsing off this number. History:
+/// gains/loses required fields; consumers (`st-bench check-metrics` and
+/// `refresh-experiments`, external dashboards) key their parsing off this
+/// number. History:
 /// v1 — initial envelope; v2 — runs carry a required `per_thread` array
 /// (thread, ops, busy_cycles, garbage per simulated thread).
 pub const SCHEMA_VERSION: u64 = 2;

@@ -17,8 +17,10 @@ use crate::json::{Json, JsonError};
 pub enum Metric {
     /// A monotonic `u64` counter.
     Counter(u64),
-    /// A log-scale histogram of samples.
-    Histogram(LogHistogram),
+    /// A log-scale histogram of samples, boxed so that a counter entry
+    /// does not take a histogram's size (registries are built at report
+    /// time only).
+    Histogram(Box<LogHistogram>),
 }
 
 /// An ordered map from metric name to [`Metric`].
@@ -81,7 +83,7 @@ impl MetricsRegistry {
                 panic!("metric '{key}' is a counter, not a histogram")
             }
             None => {
-                let mut h = LogHistogram::new();
+                let mut h = Box::new(LogHistogram::new());
                 h.record_n(value, n);
                 self.insert_owned(key, Metric::Histogram(h));
             }
@@ -96,7 +98,7 @@ impl MetricsRegistry {
                 panic!("metric '{key}' is a counter, not a histogram")
             }
             None => {
-                let mut h = LogHistogram::new();
+                let mut h = Box::new(LogHistogram::new());
                 h.merge(hist);
                 self.insert_owned(key, Metric::Histogram(h));
             }
@@ -177,7 +179,7 @@ impl MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         for (key, value) in fields {
             let metric = match value {
-                Json::Obj(_) => Metric::Histogram(LogHistogram::from_json(value)?),
+                Json::Obj(_) => Metric::Histogram(Box::new(LogHistogram::from_json(value)?)),
                 _ => Metric::Counter(
                     value
                         .as_u64()

@@ -223,13 +223,13 @@ pub fn check_linearizable(
             .map(|i| history[i].respond)
             .min()
             .unwrap_or(u64::MAX);
-        for i in 0..n {
-            if mask & (1 << i) != 0 || history[i].invoke > min_respond {
+        for (i, record) in history.iter().enumerate() {
+            if mask & (1 << i) != 0 || record.invoke > min_respond {
                 continue;
             }
             let mut next = spec.clone();
-            let expected = next.apply(history[i].op);
-            if let Some(actual) = history[i].result {
+            let expected = next.apply(record.op);
+            if let Some(actual) = record.result {
                 if actual != expected {
                     continue;
                 }

@@ -172,10 +172,10 @@ impl SkipShape {
             .expect("heap too small for initial population");
         heap.poke(node, NODE_KEY, key);
         heap.poke(node, NODE_LEVEL, h as u64);
-        for l in 0..h {
-            let succ = heap.peek(preds[l], NODE_NEXT0 + l as u64);
+        for (l, &pred) in preds.iter().enumerate().take(h) {
+            let succ = heap.peek(pred, NODE_NEXT0 + l as u64);
             heap.poke(node, NODE_NEXT0 + l as u64, succ);
-            heap.poke(preds[l], NODE_NEXT0 + l as u64, node.raw());
+            heap.poke(pred, NODE_NEXT0 + l as u64, node.raw());
         }
         true
     }

@@ -32,7 +32,7 @@ impl OpSource for Requests {
         let key = cpu.rng.below(KEYSPACE) + 1;
         Some(if roll < 90 {
             DsOp::Contains(key)
-        } else if roll % 2 == 0 {
+        } else if roll.is_multiple_of(2) {
             DsOp::Insert(key)
         } else {
             DsOp::Delete(key)

@@ -110,6 +110,9 @@ fn check_parse(args: &[String]) -> bool {
         | ("check-timing", Ok(Command::CheckTiming(paths))) => {
             assert_eq!(paths, args[1..]);
         }
+        ("refresh-experiments", Ok(Command::RefreshExperiments)) => {
+            assert_eq!(args.len(), 1, "{args:?}");
+        }
         (_, Ok(Command::Figures { opts, figures, .. })) => {
             assert!(!figures.is_empty(), "{args:?}");
             assert!(opts.duration_ms >= 1 && opts.max_threads >= 1 && opts.jobs >= 1);
@@ -128,12 +131,13 @@ fn every_argument_vector_parses_or_is_refused() {
         .chain(["all"])
         .collect();
     let files = ["results/fig2_hash.metrics.json", "--ms", "-", ""];
-    let subcommands: [(&str, Vec<&str>); 5] = [
+    let subcommands: [(&str, Vec<&str>); 6] = [
         ("figure", names(&cli::figure_flags())),
         ("check", names(&checkcmd::flags())),
         ("audit", names(&auditcmd::flags())),
         ("check-metrics", files.to_vec()),
         ("check-timing", files.to_vec()),
+        ("refresh-experiments", files.to_vec()),
     ];
     for (i, (subcommand, flags)) in subcommands.iter().enumerate() {
         let mut rng = Pcg32::new_stream(0xc11f, i as u64);

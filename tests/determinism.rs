@@ -39,6 +39,9 @@ fn different_seeds_diverge() {
     );
 }
 
+/// A named fault plan of the matrix below.
+type FaultKind = (&'static str, fn() -> FaultPlan);
+
 /// The full matrix: every reclamation scheme crossed with every fault
 /// event kind the plan language offers (stall, kill, preemption storm,
 /// and their combination). Each cell runs twice and the complete metric
@@ -48,7 +51,7 @@ fn different_seeds_diverge() {
 /// plan perturbs the execution, never the determinism.
 #[test]
 fn every_scheme_times_every_fault_kind_is_byte_identical() {
-    let kinds: [(&str, fn() -> FaultPlan); 4] = [
+    let kinds: [FaultKind; 4] = [
         ("stall", || FaultPlan::default().stall(2, MS / 2, MS / 2)),
         ("kill", || FaultPlan::default().kill(1, MS / 2)),
         ("storm", || FaultPlan::default().storm(0, MS / 4, MS / 2)),

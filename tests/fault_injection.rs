@@ -101,10 +101,12 @@ fn killed_thread_leaves_structure_sound() {
 fn epoch_garbage_drains_after_a_stall_resumes() {
     // Guard slots come from the structures' declared requirements, via
     // `guard_requirement` in `build_env_cfg`.
-    let mut rc = ReclaimConfig::default();
     // A quarter-millisecond budget: cheap to burn during the stall, and
     // several re-arm opportunities fit in the post-resume window.
-    rc.epoch_wait_budget = MS / 4;
+    let rc = ReclaimConfig {
+        epoch_wait_budget: MS / 4,
+        ..ReclaimConfig::default()
+    };
     let plan = |stall_for| FaultPlan::default().stall(0, MS / 2, stall_for);
     let garbage = |workers: &[BenchWorker]| -> u64 {
         workers
