@@ -50,7 +50,6 @@ struct Inspection {
     depth: u64,
     refset_len: u64,
     cursor: u64,
-    found: bool,
 }
 
 impl Inspection {
@@ -480,7 +479,6 @@ fn step_inspection(
                 depth,
                 refset_len,
                 cursor: 0,
-                found: false,
             })
         }
     };
@@ -493,7 +491,6 @@ fn step_inspection(
         stats.scan_words += 1;
         current.cursor += 1;
         if visit(rt, cpu, word) {
-            current.found = true;
             // A hit is conservative regardless of concurrent commits; no
             // need to finish or revalidate this thread.
             return InspectStep::ThreadDone { hit: true };
@@ -507,7 +504,7 @@ fn step_inspection(
     // another segment while we scanned — and is still in the same
     // operation — the snapshot may be torn; restart the inspection.
     if rt.config.mutation == Mutation::SkipSplitsRecheck {
-        return InspectStep::ThreadDone { hit: current.found };
+        return InspectStep::ThreadDone { hit: false };
     }
     let htm_post = heap.load(cpu, current.ctx, OFF_SPLITS);
     let oper_post = heap.load(cpu, current.ctx, OFF_OPER_COUNTER);

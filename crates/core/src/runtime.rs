@@ -3,7 +3,7 @@
 use crate::config::{Mutation, StConfig};
 use crate::layout::CTX_WORDS;
 use crate::thread::StThread;
-use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
+use st_machine::Cpu;
 use st_simheap::{Addr, Heap};
 use st_simhtm::HtmEngine;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,14 +105,7 @@ impl StRuntime {
     /// Builds a standalone [`Cpu`] for tests, examples, and doc tests that
     /// drive a thread without the full discrete-event simulator.
     pub fn test_cpu(&self, thread_id: usize) -> Cpu {
-        let topo = Topology::haswell();
-        Cpu::new(
-            thread_id,
-            HwContext::new(&topo, topo.place(thread_id)),
-            Arc::new(CostModel::default()),
-            Arc::new(ActivityBoard::new(topo.hw_contexts())),
-            0x5eed + thread_id as u64,
-        )
+        Cpu::standalone(thread_id, 0x5eed + thread_id as u64)
     }
 }
 

@@ -96,32 +96,6 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// A cost model with every charge set to `c` (useful in unit tests).
-    pub fn uniform(c: Cycles) -> Self {
-        Self {
-            load: c,
-            store: c,
-            coherence_miss: c,
-            mem_miss: c,
-            fence: c,
-            cas: c,
-            cas_contention: c,
-            htm_begin: c,
-            htm_commit: c,
-            htm_abort: c,
-            tx_load: c,
-            tx_store: c,
-            alloc: c,
-            free: c,
-            local_op: c,
-            signal_deliver: c,
-            context_switch: c,
-            quantum: 1_000_000,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,13 +112,5 @@ mod tests {
         // between broadcasts) but cheaper than a full context switch.
         assert!(m.signal_deliver > m.fence * 10);
         assert!(m.signal_deliver < m.context_switch);
-    }
-
-    #[test]
-    fn uniform_sets_all_fields() {
-        let m = CostModel::uniform(3);
-        assert_eq!(m.load, 3);
-        assert_eq!(m.context_switch, 3);
-        assert_eq!(m.htm_abort, 3);
     }
 }

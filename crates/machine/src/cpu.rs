@@ -1,6 +1,6 @@
 //! Per-simulated-thread execution context.
 
-use crate::{CostModel, Cycles, HwContext, Pcg32};
+use crate::{CostModel, Cycles, HwContext, Pcg32, Topology};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -202,6 +202,21 @@ impl Cpu {
         }
     }
 
+    /// A context for `thread_id` outside any simulator: placed on the
+    /// Haswell topology as a run would place it, with the default cost
+    /// model and an activity board of its own. For set-up work and for
+    /// tests and examples that drive a thread by hand.
+    pub fn standalone(thread_id: usize, seed: u64) -> Self {
+        let topo = Topology::haswell();
+        Self::new(
+            thread_id,
+            HwContext::new(&topo, topo.place(thread_id)),
+            Arc::new(CostModel::default()),
+            Arc::new(ActivityBoard::new(topo.hw_contexts())),
+            seed,
+        )
+    }
+
     /// Attaches the shared signal board of the run. The simulator calls
     /// this for every thread it hosts; contexts built directly (scratch
     /// CPUs, teardown helpers) keep the default inert board.
@@ -274,18 +289,9 @@ impl Cpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Topology;
 
     fn cpu(thread: usize) -> Cpu {
-        let topo = Topology::haswell();
-        let hw = HwContext::new(&topo, topo.place(thread));
-        Cpu::new(
-            thread,
-            hw,
-            Arc::new(CostModel::default()),
-            Arc::new(ActivityBoard::new(topo.hw_contexts())),
-            1,
-        )
+        Cpu::standalone(thread, 1)
     }
 
     #[test]
@@ -370,17 +376,9 @@ mod tests {
 #[cfg(test)]
 mod cache_tests {
     use super::*;
-    use crate::Topology;
 
     fn cpu() -> Cpu {
-        let topo = Topology::haswell();
-        Cpu::new(
-            0,
-            HwContext::new(&topo, 0),
-            Arc::new(CostModel::default()),
-            Arc::new(ActivityBoard::new(topo.hw_contexts())),
-            3,
-        )
+        Cpu::standalone(0, 3)
     }
 
     #[test]

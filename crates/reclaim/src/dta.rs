@@ -33,6 +33,7 @@
 //! not-yet-linked allocation (bounded by `scheme.dta.recoveries`).
 
 use crate::frame::Protocol;
+use crate::slots::ThreadSlots;
 use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::{Addr, Heap, Word};
@@ -45,44 +46,33 @@ use std::sync::Arc;
 /// healthy thread shows.
 pub const FREEZE_LAG: u64 = 128;
 
-/// Words per thread in the shared DTA region.
-const SLOT_WORDS: u64 = 8;
-const OFF_ACTIVE: u64 = 0;
-const OFF_LAST_TS: u64 = 1;
-const OFF_PREV_TS: u64 = 2;
-const OFF_ANCHOR_VAL: u64 = 3;
+/// Words of a thread's anchor record, at the `OFF_*` offsets below.
+const RECORD_WORDS: usize = 5;
+const OFF_ACTIVE: usize = 0;
+const OFF_LAST_TS: usize = 1;
+const OFF_PREV_TS: usize = 2;
+const OFF_ANCHOR_VAL: usize = 3;
 /// Set by a sweeping peer when this thread's anchors lag the era clock too
 /// far; the owner must restart its operation before touching any pointer.
-const OFF_FROZEN: u64 = 4;
+const OFF_FROZEN: usize = 4;
 
 /// Shared DTA state: per-thread anchor records and the era clock.
 #[derive(Debug)]
 pub struct DtaGlobals {
-    region: Addr,
+    records: ThreadSlots,
     era: Addr,
-    max_threads: usize,
 }
 
 impl DtaGlobals {
     /// Allocates anchor records for `max_threads` threads.
     pub fn new(heap: &Arc<Heap>, max_threads: usize) -> Self {
-        let region = heap
-            .alloc_untimed((max_threads as u64 * SLOT_WORDS).max(1) as usize)
-            .expect("heap too small for DTA anchors");
+        let records = ThreadSlots::new(heap, max_threads, RECORD_WORDS);
         let era = heap
             .alloc_untimed(1)
             .expect("heap too small for the DTA era clock");
         // Eras start at 1 so "never anchored" (0) is distinguishable.
         heap.poke(era, 0, 1);
-        Self {
-            region,
-            era,
-            max_threads,
-        }
-    }
-
-    fn slot(&self, thread: usize, off: u64) -> u64 {
-        thread as u64 * SLOT_WORDS + off
+        Self { records, era }
     }
 }
 
@@ -145,11 +135,11 @@ impl Dta {
     fn post_anchor(&mut self, heap: &Heap, cpu: &mut Cpu, value: Word) {
         self.anchors += 1;
         let (g, me) = (&self.globals, self.thread_id);
-        let last = heap.load(cpu, g.region, g.slot(me, OFF_LAST_TS));
+        let last = g.records.load(heap, cpu, me, OFF_LAST_TS);
         let now = heap.load(cpu, g.era, 0);
-        heap.store(cpu, g.region, g.slot(me, OFF_PREV_TS), last);
-        heap.store(cpu, g.region, g.slot(me, OFF_LAST_TS), now);
-        heap.store(cpu, g.region, g.slot(me, OFF_ANCHOR_VAL), value);
+        g.records.store(heap, cpu, me, OFF_PREV_TS, last);
+        g.records.store(heap, cpu, me, OFF_LAST_TS, now);
+        g.records.store(heap, cpu, me, OFF_ANCHOR_VAL, value);
         heap.fence(cpu);
     }
 
@@ -163,23 +153,23 @@ impl Dta {
         // are frozen (flagged to restart) and dropped from the horizon, so
         // a stalled or dead thread cannot block reclamation forever.
         let mut horizon = Word::MAX;
-        for t in 0..g.max_threads {
-            if heap.load(cpu, g.region, g.slot(t, OFF_ACTIVE)) == 0 {
+        for t in 0..g.records.threads() {
+            if g.records.load(heap, cpu, t, OFF_ACTIVE) == 0 {
                 continue;
             }
-            if heap.load(cpu, g.region, g.slot(t, OFF_FROZEN)) != 0 {
+            if g.records.load(heap, cpu, t, OFF_FROZEN) != 0 {
                 continue;
             }
             if t != self.thread_id {
-                let last = heap.load(cpu, g.region, g.slot(t, OFF_LAST_TS));
+                let last = g.records.load(heap, cpu, t, OFF_LAST_TS);
                 if era_now.saturating_sub(last) > self.freeze_lag {
-                    heap.store(cpu, g.region, g.slot(t, OFF_FROZEN), 1);
+                    g.records.store(heap, cpu, t, OFF_FROZEN, 1);
                     heap.fence(cpu);
                     self.freezes += 1;
                     continue;
                 }
             }
-            let prev = heap.load(cpu, g.region, g.slot(t, OFF_PREV_TS));
+            let prev = g.records.load(heap, cpu, t, OFF_PREV_TS);
             horizon = horizon.min(prev);
         }
         let limbo = std::mem::take(&mut self.limbo);
@@ -217,7 +207,6 @@ impl Protocol for Dta {
         // Stamp with the *new* era: an anchor ordered after this retire
         // reads at least this value.
         let stamp = heap.fetch_add(cpu, self.globals.era, 0, 1) + 1;
-        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.limbo.push((addr, stamp));
         if self.limbo.len() >= self.threshold {
             self.sweep(heap, cpu);
@@ -226,8 +215,8 @@ impl Protocol for Dta {
 
     fn begin(&mut self, heap: &Heap, cpu: &mut Cpu) {
         self.hops = 0;
-        let g = &self.globals;
-        heap.store(cpu, g.region, g.slot(self.thread_id, OFF_ACTIVE), 1);
+        let records = &self.globals.records;
+        records.store(heap, cpu, self.thread_id, OFF_ACTIVE, 1);
         // The operation-start anchor keeps short operations from pinning
         // the horizon.
         self.post_anchor(heap, cpu, 0);
@@ -237,12 +226,11 @@ impl Protocol for Dta {
     /// frame discards the locals (which may reference freed nodes), and
     /// the re-anchored next step reruns the operation from scratch.
     fn before_block(&mut self, heap: &Heap, cpu: &mut Cpu) -> bool {
-        let g = &self.globals;
-        let frozen = g.slot(self.thread_id, OFF_FROZEN);
-        if heap.load(cpu, g.region, frozen) == 0 {
+        let (records, me) = (&self.globals.records, self.thread_id);
+        if records.load(heap, cpu, me, OFF_FROZEN) == 0 {
             return false;
         }
-        heap.store(cpu, g.region, frozen, 0);
+        records.store(heap, cpu, me, OFF_FROZEN, 0);
         self.hops = 0;
         self.recoveries += 1;
         self.post_anchor(heap, cpu, 0);
@@ -250,8 +238,8 @@ impl Protocol for Dta {
     }
 
     fn end(&mut self, heap: &Heap, cpu: &mut Cpu) {
-        let g = &self.globals;
-        heap.store(cpu, g.region, g.slot(self.thread_id, OFF_ACTIVE), 0);
+        let records = &self.globals.records;
+        records.store(heap, cpu, self.thread_id, OFF_ACTIVE, 0);
         heap.fence(cpu);
     }
 

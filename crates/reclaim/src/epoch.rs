@@ -21,39 +21,11 @@
 //! failure the `st-bench robustness` experiment measures.
 
 use crate::frame::Protocol;
+use crate::slots::ThreadSlots;
 use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::{Addr, Heap, Word};
 use std::sync::Arc;
-
-/// Words between per-thread timestamps (one cache line each, as real
-/// implementations pad to avoid false sharing).
-const TS_STRIDE: u64 = 8;
-
-/// Shared epoch state: the timestamp array.
-#[derive(Debug)]
-pub struct EpochGlobals {
-    timestamps: Addr,
-    max_threads: usize,
-}
-
-impl EpochGlobals {
-    /// Allocates the timestamp array for `max_threads` threads.
-    pub fn new(heap: &Arc<Heap>, max_threads: usize) -> Self {
-        let timestamps = heap
-            .alloc_untimed((max_threads.max(1)) * TS_STRIDE as usize)
-            .expect("heap too small for epoch timestamps");
-        Self {
-            timestamps,
-            max_threads,
-        }
-    }
-
-    /// Loads thread `t`'s timestamp (one simulated load).
-    fn stamp(&self, heap: &Heap, cpu: &mut Cpu, t: usize) -> Word {
-        heap.load(cpu, self.timestamps, t as u64 * TS_STRIDE)
-    }
-}
 
 /// A pending quiescence wait.
 #[derive(Debug)]
@@ -67,7 +39,8 @@ struct Wait {
 
 /// Per-thread epoch state.
 pub struct Epoch {
-    globals: Arc<EpochGlobals>,
+    /// The timestamps, one word per thread.
+    stamps: Arc<ThreadSlots>,
     thread_id: usize,
     /// Limbo size that arms a quiescence wait at operation end.
     threshold: usize,
@@ -87,13 +60,13 @@ impl Epoch {
     /// The state of thread slot `thread_id`, arming a quiescence wait at
     /// the end of an operation once `threshold` retired nodes wait.
     pub fn new(
-        globals: Arc<EpochGlobals>,
+        stamps: Arc<ThreadSlots>,
         thread_id: usize,
         threshold: usize,
         wait_budget: u64,
     ) -> Self {
         Self {
-            globals,
+            stamps,
             thread_id,
             threshold,
             wait_budget,
@@ -107,8 +80,8 @@ impl Epoch {
 
     fn bump_timestamp(&mut self, heap: &Heap, cpu: &mut Cpu) {
         self.timestamp += 1;
-        let (stamps, off) = (self.globals.timestamps, self.thread_id as u64 * TS_STRIDE);
-        heap.store(cpu, stamps, off, self.timestamp);
+        self.stamps
+            .store(heap, cpu, self.thread_id, 0, self.timestamp);
         heap.fence(cpu);
     }
 
@@ -121,9 +94,9 @@ impl Epoch {
         };
         // Progress, or quiescence, clears a thread: its stamp was odd at
         // the snapshot, so anything but that same stamp clears it.
-        let globals = &self.globals;
+        let stamps = &self.stamps;
         wait.pending
-            .retain(|&(t, stamp)| globals.stamp(heap, cpu, t) == stamp);
+            .retain(|&(t, stamp)| stamps.load(heap, cpu, t, 0) == stamp);
         if wait.pending.is_empty() {
             self.wait = None;
             self.pinned_by.clear();
@@ -147,8 +120,8 @@ impl Epoch {
     /// the stamp it was abandoned at (one load per straggler, stopping at
     /// the first that moved).
     fn stragglers_unmoved(&mut self, heap: &Heap, cpu: &mut Cpu) -> bool {
-        let globals = &self.globals;
-        let moved = |&(t, stamp): &(usize, Word)| globals.stamp(heap, cpu, t) != stamp;
+        let stamps = &self.stamps;
+        let moved = |&(t, stamp): &(usize, Word)| stamps.load(heap, cpu, t, 0) != stamp;
         if self.pinned_by.is_empty() || self.pinned_by.iter().any(moved) {
             self.pinned_by.clear();
             return false;
@@ -160,8 +133,8 @@ impl Epoch {
     /// waits on the threads caught inside an operation, except itself.
     fn arm_wait(&mut self, heap: &Heap, cpu: &mut Cpu) {
         let mut pending = Vec::new();
-        for t in 0..self.globals.max_threads {
-            let stamp = self.globals.stamp(heap, cpu, t);
+        for t in 0..self.stamps.threads() {
+            let stamp = self.stamps.load(heap, cpu, t, 0);
             if t != self.thread_id && stamp % 2 == 1 {
                 pending.push((t, stamp));
             }
@@ -176,8 +149,7 @@ impl Epoch {
 impl Protocol for Epoch {
     const NAME: &'static str = "Epoch";
 
-    fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
-        heap.note_retire(cpu.thread_id, cpu.now(), addr);
+    fn retire(&mut self, _heap: &Heap, _cpu: &mut Cpu, addr: Addr) {
         self.limbo.push(addr);
     }
 
@@ -241,10 +213,10 @@ mod tests {
     use crate::SchemeThread;
     use stacktrack::{OpMem, Step};
 
-    fn setup(threads: usize) -> (Arc<EpochGlobals>, Arc<Heap>) {
+    fn setup(threads: usize) -> (Arc<ThreadSlots>, Arc<Heap>) {
         let (heap, _) = test_env();
-        let globals = Arc::new(EpochGlobals::new(&heap, threads));
-        (globals, heap)
+        let stamps = Arc::new(ThreadSlots::new(&heap, threads, 1));
+        (stamps, heap)
     }
 
     /// Small spin budget so give-up paths are cheap to reach in tests.
@@ -265,9 +237,9 @@ mod tests {
 
     #[test]
     fn frees_after_quiescence() {
-        let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 1, BUDGET));
-        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 1, BUDGET));
+        let (stamps, heap) = setup(2);
+        let mut a = Frame::new(heap.clone(), Epoch::new(stamps.clone(), 0, 1, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(stamps, 1, 1, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -287,9 +259,9 @@ mod tests {
 
     #[test]
     fn in_operation_thread_makes_limbo_hoard() {
-        let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 1, BUDGET));
-        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 1, BUDGET));
+        let (stamps, heap) = setup(2);
+        let mut a = Frame::new(heap.clone(), Epoch::new(stamps.clone(), 0, 1, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(stamps, 1, 1, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -320,9 +292,9 @@ mod tests {
 
     #[test]
     fn a_poll_reloads_only_the_straggler() {
-        let (globals, heap) = setup(16);
-        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 1, BUDGET));
-        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 9, 1, BUDGET));
+        let (stamps, heap) = setup(16);
+        let mut a = Frame::new(heap.clone(), Epoch::new(stamps.clone(), 0, 1, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(stamps, 9, 1, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(9);
 
@@ -348,9 +320,9 @@ mod tests {
 
     #[test]
     fn reclaimers_do_not_deadlock_each_other() {
-        let (globals, heap) = setup(2);
-        let mut a = Frame::new(heap.clone(), Epoch::new(globals.clone(), 0, 1, BUDGET));
-        let mut b = Frame::new(heap.clone(), Epoch::new(globals, 1, 1, BUDGET));
+        let (stamps, heap) = setup(2);
+        let mut a = Frame::new(heap.clone(), Epoch::new(stamps.clone(), 0, 1, BUDGET));
+        let mut b = Frame::new(heap.clone(), Epoch::new(stamps, 1, 1, BUDGET));
         let mut cpu_a = test_cpu(0);
         let mut cpu_b = test_cpu(1);
 
@@ -368,8 +340,8 @@ mod tests {
 
     #[test]
     fn teardown_drains_when_everyone_is_idle() {
-        let (globals, heap) = setup(1);
-        let mut a = Frame::new(heap.clone(), Epoch::new(globals, 0, 100, BUDGET));
+        let (stamps, heap) = setup(1);
+        let mut a = Frame::new(heap.clone(), Epoch::new(stamps, 0, 100, BUDGET));
         let mut cpu = test_cpu(0);
         let node = heap.alloc_untimed(2).unwrap();
         retire_op(&mut a, &mut cpu, node);

@@ -52,8 +52,10 @@ pub trait Protocol {
     /// ([`OpMem::protect_slot`]).
     fn protect(&mut self, _heap: &Heap, _cpu: &mut Cpu, _guard: usize, _value: Word) {}
 
-    /// Accepts an unlinked node ([`OpMem::retire_unlinked`]), reporting
-    /// it to the heap's ledger with [`Heap::note_retire`].
+    /// Accepts an unlinked node ([`OpMem::retire_unlinked`]). The frame
+    /// has already reported it to the heap's ledger with
+    /// [`Heap::note_retire`], so a scheme that frees it at once still
+    /// shows the ledger retire before free.
     fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr);
 
     /// Runs at operation start, once the frame has cleared the locals.
@@ -177,6 +179,7 @@ impl<P: Protocol> OpMem for Frame<P> {
     }
 
     fn retire_unlinked(&mut self, cpu: &mut Cpu, addr: Addr) -> Result<(), Abort> {
+        self.heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.scheme.retire(&self.heap, cpu, addr);
         Ok(())
     }

@@ -9,57 +9,18 @@
 //! hazard slots and frees the unprotected nodes.
 
 use crate::frame::Protocol;
+use crate::slots::ThreadSlots;
 use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::tagged::TAG_MASK;
 use st_simheap::{Addr, Heap, Word};
 use stacktrack::Mutation;
-use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Shared hazard state: the hazard-slot matrix.
-#[derive(Debug)]
-pub struct HazardGlobals {
-    slots: Addr,
-    max_threads: usize,
-    slots_per_thread: usize,
-    stride: usize,
-}
-
-impl HazardGlobals {
-    /// Allocates `max_threads * slots_per_thread` hazard words, padding
-    /// each thread's block to a cache-line multiple (as Michael's
-    /// implementation does, avoiding false sharing between publishers).
-    pub fn new(heap: &Arc<Heap>, max_threads: usize, slots_per_thread: usize) -> Self {
-        let stride = slots_per_thread.next_multiple_of(8);
-        let slots = heap
-            .alloc_untimed((max_threads * stride).max(1))
-            .expect("heap too small for hazard slots");
-        Self {
-            slots,
-            max_threads,
-            slots_per_thread,
-            stride,
-        }
-    }
-
-    /// Michael's scan threshold: comfortably above the total hazard count
-    /// so each scan amortizes over many retires.
-    pub fn scan_threshold(&self) -> usize {
-        2 * self.max_threads * self.slots_per_thread
-    }
-
-    /// The hazard-slot matrix as a `(base, words)` region — the precise
-    /// set of published protections, suitable as a re-exposure root for
-    /// the heap's use-after-free oracle.
-    pub fn region(&self) -> (Addr, u64) {
-        (self.slots, (self.max_threads * self.stride) as u64)
-    }
-}
 
 /// Per-thread hazard-pointer state.
 pub struct Hazard {
-    globals: Arc<HazardGlobals>,
+    /// The hazard-slot matrix, one word per guard.
+    slots: Arc<ThreadSlots>,
     thread_id: usize,
     used_guards: u64,
     rlist: Vec<Addr>,
@@ -71,8 +32,8 @@ pub struct Hazard {
     /// is unprotected across a scheduling point — the bug class the
     /// protocol exists to prevent.
     defer_publish: bool,
-    /// Publications deferred by the mutation: `(slot index, value)`.
-    pending_publish: Vec<(u64, Word)>,
+    /// Publications deferred by the mutation: `(guard, value)`.
+    pending_publish: Vec<(usize, Word)>,
     /// **Mutation knob for the audit harness.** One-shot: the first
     /// retire is issued twice, planting a double-retire the heap ledger
     /// must catch (and, once both copies drain, a double free).
@@ -84,17 +45,17 @@ pub struct Hazard {
 impl Hazard {
     /// The state of thread slot `thread_id`, scanning once `threshold`
     /// retired nodes wait (the factory's default is
-    /// [`HazardGlobals::scan_threshold`]). `mutation` seeds
+    /// [`ThreadSlots::scan_threshold`]). `mutation` seeds
     /// [`Mutation::DeferHazardPublish`] or [`Mutation::DoubleRetire`]
     /// (checker/audit use only) and is ignored otherwise.
     pub fn new(
-        globals: Arc<HazardGlobals>,
+        slots: Arc<ThreadSlots>,
         thread_id: usize,
         threshold: usize,
         mutation: Mutation,
     ) -> Self {
         Self {
-            globals,
+            slots,
             thread_id,
             used_guards: 0,
             rlist: Vec::new(),
@@ -106,36 +67,10 @@ impl Hazard {
         }
     }
 
-    fn guard_index(&self, guard: usize) -> u64 {
-        assert!(
-            guard < self.globals.slots_per_thread,
-            "hazard guard {guard} out of range"
-        );
-        (self.thread_id * self.globals.stride + guard) as u64
-    }
-
     /// Scans all hazard slots and frees unprotected retired nodes.
     fn scan(&mut self, heap: &Heap, cpu: &mut Cpu) {
         self.scans += 1;
-        let mut protected: HashSet<Word> =
-            HashSet::with_capacity(self.globals.max_threads * self.globals.slots_per_thread);
-        for t in 0..self.globals.max_threads {
-            for g in 0..self.globals.slots_per_thread {
-                let i = (t * self.globals.stride + g) as u64;
-                let h = heap.load(cpu, self.globals.slots, i);
-                if h != 0 {
-                    protected.insert(h);
-                }
-            }
-        }
-        let retired = std::mem::take(&mut self.rlist);
-        for node in retired {
-            if protected.contains(&node.raw()) {
-                self.rlist.push(node);
-            } else {
-                heap.free(cpu, node);
-            }
-        }
+        self.slots.free_unprotected(heap, cpu, &mut self.rlist);
     }
 }
 
@@ -145,7 +80,6 @@ impl Protocol for Hazard {
     /// The hazard protocol: publish, fence, revalidate (and retry until
     /// the source is stable).
     fn load_ptr(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr, off: u64, guard: usize) -> Word {
-        let slot = self.guard_index(guard);
         loop {
             let v = heap.load(cpu, addr, off);
             if v & !TAG_MASK == 0 {
@@ -154,11 +88,12 @@ impl Protocol for Hazard {
             if self.defer_publish {
                 // Mutation: no publish, no fence, no revalidation — the
                 // hazard write is queued for the next step boundary.
-                self.pending_publish.push((slot, v & !TAG_MASK));
+                self.pending_publish.push((guard, v & !TAG_MASK));
                 self.used_guards |= 1 << guard;
                 return v;
             }
-            heap.store(cpu, self.globals.slots, slot, v & !TAG_MASK);
+            self.slots
+                .store(heap, cpu, self.thread_id, guard, v & !TAG_MASK);
             self.used_guards |= 1 << guard;
             heap.fence(cpu);
             if heap.load(cpu, addr, off) == v {
@@ -171,13 +106,12 @@ impl Protocol for Hazard {
     /// Copies an already-protected pointer into another hazard slot; no
     /// fence needed (see [`stacktrack::OpMem::protect_slot`]).
     fn protect(&mut self, heap: &Heap, cpu: &mut Cpu, guard: usize, value: Word) {
-        let slot = self.guard_index(guard);
-        heap.store(cpu, self.globals.slots, slot, value & !TAG_MASK);
+        self.slots
+            .store(heap, cpu, self.thread_id, guard, value & !TAG_MASK);
         self.used_guards |= 1 << guard;
     }
 
     fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
-        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.rlist.push(addr);
         if std::mem::take(&mut self.double_retire) {
             // Seeded defect: the same node enters the retired list twice.
@@ -196,8 +130,8 @@ impl Protocol for Hazard {
     /// Mutation mode: publications deferred by `load_ptr` land here, one
     /// scheduling point too late.
     fn before_block(&mut self, heap: &Heap, cpu: &mut Cpu) -> bool {
-        for (slot, value) in std::mem::take(&mut self.pending_publish) {
-            heap.store(cpu, self.globals.slots, slot, value);
+        for (guard, value) in std::mem::take(&mut self.pending_publish) {
+            self.slots.store(heap, cpu, self.thread_id, guard, value);
         }
         false
     }
@@ -206,13 +140,8 @@ impl Protocol for Hazard {
         // Publications still pending at op end are dead.
         self.pending_publish.clear();
         // Release the guards this operation touched.
-        let mut used = self.used_guards;
-        while used != 0 {
-            let g = used.trailing_zeros() as usize;
-            used &= used - 1;
-            let slot = self.guard_index(g);
-            heap.store(cpu, self.globals.slots, slot, 0);
-        }
+        self.slots
+            .clear(heap, cpu, self.thread_id, self.used_guards);
     }
 
     fn garbage(&self) -> u64 {
@@ -240,18 +169,18 @@ mod tests {
     use crate::SchemeThread;
     use stacktrack::{OpMem, Step};
 
-    fn setup(threads: usize) -> (Arc<HazardGlobals>, Arc<Heap>) {
+    fn setup(threads: usize) -> (Arc<ThreadSlots>, Arc<Heap>) {
         let (heap, _) = test_env();
-        let globals = Arc::new(HazardGlobals::new(&heap, threads, 4));
-        (globals, heap)
+        let slots = Arc::new(ThreadSlots::new(&heap, threads, 4));
+        (slots, heap)
     }
 
     #[test]
     fn protected_load_publishes_hazard_and_fences() {
-        let (globals, heap) = setup(1);
+        let (slots, heap) = setup(1);
         let mut th = Frame::new(
             heap.clone(),
-            Hazard::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+            Hazard::new(slots.clone(), 0, slots.scan_threshold(), Mutation::None),
         );
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
@@ -268,19 +197,19 @@ mod tests {
         assert_eq!(v, x.raw() | 1, "tag bits pass through");
         assert!(cpu.counters.fences > fences_before, "hazard costs a fence");
         // Slot cleared at op end.
-        assert_eq!(heap.peek(globals.slots, 2), 0);
+        assert_eq!(heap.peek(slots.region().0, 2), 0);
     }
 
     #[test]
     fn hazarded_node_survives_scan() {
-        let (globals, heap) = setup(2);
+        let (slots, heap) = setup(2);
         let mut holder = Frame::new(
             heap.clone(),
-            Hazard::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+            Hazard::new(slots.clone(), 0, slots.scan_threshold(), Mutation::None),
         );
         let mut reclaimer = Frame::new(
             heap.clone(),
-            Hazard::new(globals.clone(), 1, globals.scan_threshold(), Mutation::None),
+            Hazard::new(slots.clone(), 1, slots.scan_threshold(), Mutation::None),
         );
         let mut cpu_h = test_cpu(0);
         let mut cpu_r = test_cpu(1);
@@ -314,11 +243,11 @@ mod tests {
 
     #[test]
     fn scan_triggers_at_threshold() {
-        let (globals, heap) = setup(1);
-        let threshold = globals.scan_threshold();
+        let (slots, heap) = setup(1);
+        let threshold = slots.scan_threshold();
         let mut th = Frame::new(
             heap.clone(),
-            Hazard::new(globals, 0, threshold, Mutation::None),
+            Hazard::new(slots, 0, threshold, Mutation::None),
         );
         let mut cpu = test_cpu(0);
 
@@ -338,10 +267,10 @@ mod tests {
 
     #[test]
     fn teardown_frees_everything() {
-        let (globals, heap) = setup(1);
+        let (slots, heap) = setup(1);
         let mut th = Frame::new(
             heap.clone(),
-            Hazard::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+            Hazard::new(slots.clone(), 0, slots.scan_threshold(), Mutation::None),
         );
         let mut cpu = test_cpu(0);
         let n = heap.alloc_untimed(2).unwrap();
@@ -355,10 +284,10 @@ mod tests {
 
     #[test]
     fn null_loads_skip_the_protocol() {
-        let (globals, heap) = setup(1);
+        let (slots, heap) = setup(1);
         let mut th = Frame::new(
             heap.clone(),
-            Hazard::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+            Hazard::new(slots.clone(), 0, slots.scan_threshold(), Mutation::None),
         );
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();

@@ -30,6 +30,7 @@
 //! accompany every transfer.
 
 use crate::frame::Protocol;
+use crate::slots::ThreadSlots;
 use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::{Addr, Heap, Word};
@@ -43,12 +44,12 @@ use std::sync::{Arc, Mutex};
 /// hand off) more often.
 pub const BATCH: usize = 8;
 
-/// Words between per-thread slot records (cache-line padding).
-const SLOT_STRIDE: u64 = 8;
+/// Words of a thread's slot record.
+const RECORD_WORDS: usize = 2;
 /// Slot word: 1 while the thread is inside an operation.
-const SLOT_ACTIVE: u64 = 0;
+const SLOT_ACTIVE: usize = 0;
 /// Slot word: the newest global era the thread has observed.
-const SLOT_ERA: u64 = 1;
+const SLOT_ERA: usize = 1;
 
 /// A dispatched batch: a shared heap word holding the reference count and
 /// the retired nodes it guards.
@@ -65,9 +66,9 @@ struct Batch {
 
 /// Shared Hyaline state.
 pub struct HyalineGlobals {
-    heap_slots: Addr,
+    /// Per-thread activity and published-era words.
+    slots: ThreadSlots,
     era: Addr,
-    max_threads: usize,
     /// Per-thread handoff lists (the lock-free lists of the real
     /// implementation; a mutex here models the same transfer, with the
     /// costs charged through the accompanying heap operations).
@@ -84,7 +85,7 @@ pub struct HyalineGlobals {
 impl std::fmt::Debug for HyalineGlobals {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HyalineGlobals")
-            .field("max_threads", &self.max_threads)
+            .field("max_threads", &self.slots.threads())
             .finish_non_exhaustive()
     }
 }
@@ -92,25 +93,18 @@ impl std::fmt::Debug for HyalineGlobals {
 impl HyalineGlobals {
     /// Allocates the per-thread slot records and the global era word.
     pub fn new(heap: &Arc<Heap>, max_threads: usize) -> Self {
-        let heap_slots = heap
-            .alloc_untimed((max_threads.max(1)) * SLOT_STRIDE as usize)
-            .expect("heap too small for hyaline slots");
+        let slots = ThreadSlots::new(heap, max_threads, RECORD_WORDS);
         let era = heap
             .alloc_untimed(1)
             .expect("heap too small for hyaline era");
         heap.poke(era, 0, 1); // era 0 is reserved for pre-scheme nodes
         Self {
-            heap_slots,
+            slots,
             era,
-            max_threads,
             mailboxes: (0..max_threads).map(|_| Mutex::new(Vec::new())).collect(),
             births: Mutex::new(HashMap::new()),
             outstanding: (0..max_threads).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    fn slot(&self, thread: usize) -> u64 {
-        thread as u64 * SLOT_STRIDE
     }
 
     fn birth_of(&self, addr: Addr) -> u64 {
@@ -177,16 +171,16 @@ impl Hyaline {
     fn refresh_era(&mut self, heap: &Heap, cpu: &mut Cpu) {
         let e = heap.load(cpu, self.globals.era, 0);
         if e != self.published_era {
-            let slot = self.globals.slot(self.thread_id);
-            heap.store(cpu, self.globals.heap_slots, slot + SLOT_ERA, e);
+            let slots = &self.globals.slots;
+            slots.store(heap, cpu, self.thread_id, SLOT_ERA, e);
             self.published_era = e;
         }
     }
 
     /// Marks this thread outside any operation in its shared slot.
     fn deactivate(&self, heap: &Heap, cpu: &mut Cpu) {
-        let slot = self.globals.slot(self.thread_id);
-        heap.store(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE, 0);
+        let slots = &self.globals.slots;
+        slots.store(heap, cpu, self.thread_id, SLOT_ACTIVE, 0);
     }
 
     /// Drops one reference from `batch`, freeing its nodes if this was the
@@ -228,16 +222,15 @@ impl Hyaline {
         heap.fetch_add(cpu, self.globals.era, 0, 1);
 
         let mut recipients = Vec::new();
-        for t in 0..self.globals.max_threads {
+        let slots = &self.globals.slots;
+        for t in 0..slots.threads() {
             if t == self.thread_id {
                 continue;
             }
-            let slot = self.globals.slot(t);
-            let active = heap.load(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE);
-            if active == 0 {
+            if slots.load(heap, cpu, t, SLOT_ACTIVE) == 0 {
                 continue;
             }
-            let reader_era = heap.load(cpu, self.globals.heap_slots, slot + SLOT_ERA);
+            let reader_era = slots.load(heap, cpu, t, SLOT_ERA);
             // Robustness bound: a reader whose published era predates every
             // node in the batch cannot be holding any of them — skip it.
             if reader_era < min_birth {
@@ -307,7 +300,6 @@ impl Protocol for Hyaline {
     }
 
     fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
-        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.globals.outstanding[self.thread_id].fetch_add(1, Ordering::Relaxed);
         self.pending.push(addr);
         if self.pending.len() >= self.batch_size {
@@ -316,10 +308,10 @@ impl Protocol for Hyaline {
     }
 
     fn begin(&mut self, heap: &Heap, cpu: &mut Cpu) {
-        let slot = self.globals.slot(self.thread_id);
+        let (slots, me) = (&self.globals.slots, self.thread_id);
         let e = heap.load(cpu, self.globals.era, 0);
-        heap.store(cpu, self.globals.heap_slots, slot + SLOT_ACTIVE, 1);
-        heap.store(cpu, self.globals.heap_slots, slot + SLOT_ERA, e);
+        slots.store(heap, cpu, me, SLOT_ACTIVE, 1);
+        slots.store(heap, cpu, me, SLOT_ERA, e);
         self.published_era = e;
         heap.fence(cpu);
     }

@@ -39,6 +39,13 @@
 //! - [`hyaline`]: snapshot-free per-retire reference batching with
 //!   handoff lists and a birth-era robustness bound.
 //!
+//! The baselines share their machinery once. [`Frame`] reports every
+//! retire to the heap's lifecycle ledger before the scheme's
+//! [`Protocol::retire`] hook runs, and the per-thread heap words the
+//! schemes publish (hazard slots, NBR reservations, epoch timestamps, DTA
+//! anchor records, Hyaline's era words) are one [`ThreadSlots`] type,
+//! whose snapshot-and-free pass Hazards and NBR share.
+//!
 //! Pick a scheme with [`Scheme`] and build per-thread executors with
 //! [`SchemeFactory::builder`]. Every executor, each baseline's [`Frame`]
 //! and [`stacktrack::StThread`] alike, implements [`SchemeThread`], which
@@ -57,13 +64,15 @@ pub mod mem;
 pub mod nbr;
 pub mod none;
 pub mod refcount;
+pub mod slots;
 
 pub use frame::{Frame, Protocol};
+pub use slots::ThreadSlots;
 pub use stacktrack::SchemeThread;
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
+    use st_machine::Cpu;
     use st_simheap::{Heap, HeapConfig};
     use std::sync::Arc;
 
@@ -74,14 +83,7 @@ pub(crate) mod test_support {
 
     /// A standalone CPU on thread slot `id`.
     pub(crate) fn test_cpu(id: usize) -> Cpu {
-        let topo = Topology::haswell();
-        Cpu::new(
-            id,
-            HwContext::new(&topo, topo.place(id)),
-            Arc::new(CostModel::default()),
-            Arc::new(ActivityBoard::new(topo.hw_contexts())),
-            0xbeef + id as u64,
-        )
+        Cpu::standalone(id, 0xbeef + id as u64)
     }
 }
 
@@ -221,18 +223,18 @@ const DEFAULT_GUARDS: usize = 8;
 enum SchemeGlobals {
     /// No reclamation: no shared state.
     None,
-    /// Epoch timestamps.
-    Epoch(Arc<epoch::EpochGlobals>),
-    /// Hazard-pointer slots.
-    Hazard(Arc<hazard::HazardGlobals>),
+    /// Epoch timestamps, one word per thread.
+    Epoch(Arc<ThreadSlots>),
+    /// Hazard-pointer slots, one word per guard.
+    Hazard(Arc<ThreadSlots>),
     /// DTA anchor records and era clock.
     Dta(Arc<dta::DtaGlobals>),
     /// Reference-count bias table.
     RefCount(Arc<refcount::RcGlobals>),
     /// The StackTrack runtime.
     StackTrack(Arc<StRuntime>),
-    /// NBR reservation slots.
-    Nbr(Arc<nbr::NbrGlobals>),
+    /// NBR reservation slots, one word per guard.
+    Nbr(Arc<ThreadSlots>),
     /// Hyaline eras, slots, and handoff lists.
     Hyaline(Arc<hyaline::HyalineGlobals>),
 }
@@ -303,17 +305,11 @@ impl SchemeFactoryBuilder {
         let guards = self
             .guard_requirement
             .map_or(DEFAULT_GUARDS, mem::GuardRequirement::guards);
+        let slots = |words| Arc::new(ThreadSlots::new(engine.heap(), self.max_threads, words));
         let globals = match self.scheme {
             Scheme::None => SchemeGlobals::None,
-            Scheme::Epoch => SchemeGlobals::Epoch(Arc::new(epoch::EpochGlobals::new(
-                engine.heap(),
-                self.max_threads,
-            ))),
-            Scheme::Hazard => SchemeGlobals::Hazard(Arc::new(hazard::HazardGlobals::new(
-                engine.heap(),
-                self.max_threads,
-                guards,
-            ))),
+            Scheme::Epoch => SchemeGlobals::Epoch(slots(1)),
+            Scheme::Hazard => SchemeGlobals::Hazard(slots(guards)),
             Scheme::Dta => SchemeGlobals::Dta(Arc::new(dta::DtaGlobals::new(
                 engine.heap(),
                 self.max_threads,
@@ -326,11 +322,7 @@ impl SchemeFactoryBuilder {
                 self.st_config,
                 self.max_threads,
             )),
-            Scheme::Nbr => SchemeGlobals::Nbr(Arc::new(nbr::NbrGlobals::new(
-                engine.heap(),
-                self.max_threads,
-                guards,
-            ))),
+            Scheme::Nbr => SchemeGlobals::Nbr(slots(guards)),
             Scheme::Hyaline => SchemeGlobals::Hyaline(Arc::new(hyaline::HyalineGlobals::new(
                 engine.heap(),
                 self.max_threads,
@@ -382,8 +374,7 @@ impl SchemeFactory {
     /// contexts, which legitimately hold stale values.
     pub fn protection_roots(&self) -> Vec<(st_simheap::Addr, u64)> {
         match &self.globals {
-            SchemeGlobals::Hazard(globals) => vec![globals.region()],
-            SchemeGlobals::Nbr(globals) => vec![globals.region()],
+            SchemeGlobals::Hazard(slots) | SchemeGlobals::Nbr(slots) => vec![slots.region()],
             _ => Vec::new(),
         }
     }
@@ -396,21 +387,21 @@ impl SchemeFactory {
         let threshold = |own: usize| config.retire_batch.unwrap_or(own).max(1);
         match &self.globals {
             SchemeGlobals::None => Box::new(Frame::new(heap, none::NoReclaim::default())),
-            SchemeGlobals::Epoch(globals) => Box::new(Frame::new(
+            SchemeGlobals::Epoch(stamps) => Box::new(Frame::new(
                 heap,
                 epoch::Epoch::new(
-                    globals.clone(),
+                    stamps.clone(),
                     thread_id,
                     threshold(1),
                     config.epoch_wait_budget,
                 ),
             )),
-            SchemeGlobals::Hazard(globals) => Box::new(Frame::new(
+            SchemeGlobals::Hazard(slots) => Box::new(Frame::new(
                 heap,
                 hazard::Hazard::new(
-                    globals.clone(),
+                    slots.clone(),
                     thread_id,
-                    threshold(globals.scan_threshold()),
+                    threshold(slots.scan_threshold()),
                     config.mutation,
                 ),
             )),
@@ -429,12 +420,12 @@ impl SchemeFactory {
                 refcount::RefCount::new(globals.clone(), self.guards),
             )),
             SchemeGlobals::StackTrack(rt) => Box::new(rt.register_thread(thread_id)),
-            SchemeGlobals::Nbr(globals) => Box::new(Frame::new(
+            SchemeGlobals::Nbr(slots) => Box::new(Frame::new(
                 heap,
                 nbr::Nbr::new(
-                    globals.clone(),
+                    slots.clone(),
                     thread_id,
-                    threshold(globals.scan_threshold()),
+                    threshold(slots.scan_threshold()),
                     config.mutation,
                 ),
             )),

@@ -29,62 +29,22 @@
 //! pins at most its reservation slots' worth of nodes — in its read phase,
 //! nothing at all) while the common-case read path costs the same as
 //! epoch-based reclamation. The price is the signal broadcast, amortized
-//! by batching retires ([`NbrGlobals::scan_threshold`]).
+//! by batching retires ([`ThreadSlots::scan_threshold`]).
 
 use crate::frame::Protocol;
+use crate::slots::ThreadSlots;
 use st_machine::Cpu;
 use st_obs::MetricsRegistry;
 use st_simheap::tagged::TAG_MASK;
 use st_simheap::{Addr, Heap, Word};
 use stacktrack::Mutation;
-use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Shared NBR state: the reservation-slot matrix, one block of
-/// `slots_per_thread` words per thread (padded against false sharing).
-#[derive(Debug)]
-pub struct NbrGlobals {
-    slots: Addr,
-    max_threads: usize,
-    slots_per_thread: usize,
-    stride: usize,
-}
-
-impl NbrGlobals {
-    /// Allocates the reservation matrix for `max_threads` threads with
-    /// `slots_per_thread` reservations each (sized like hazard slots: one
-    /// per guard the deepest operation body declares).
-    pub fn new(heap: &Arc<Heap>, max_threads: usize, slots_per_thread: usize) -> Self {
-        let stride = slots_per_thread.next_multiple_of(8);
-        let slots = heap
-            .alloc_untimed((max_threads * stride).max(1))
-            .expect("heap too small for NBR reservations");
-        Self {
-            slots,
-            max_threads,
-            slots_per_thread,
-            stride,
-        }
-    }
-
-    /// Retires between signal broadcasts: the same amortization shape as
-    /// Michael's scan threshold, which also bounds the garbage a stalled
-    /// peer can pin.
-    pub fn scan_threshold(&self) -> usize {
-        2 * self.max_threads * self.slots_per_thread
-    }
-
-    /// The reservation matrix as a `(base, words)` region for the heap's
-    /// ABA re-exposure oracle: while a reservation holds a pointer, the
-    /// block it names must not be recycled.
-    pub fn region(&self) -> (Addr, u64) {
-        (self.slots, (self.max_threads * self.stride) as u64)
-    }
-}
 
 /// Per-thread NBR state.
 pub struct Nbr {
-    globals: Arc<NbrGlobals>,
+    /// The reservation-slot matrix, one word per guard (sized like hazard
+    /// slots: one per guard the deepest operation body declares).
+    slots: Arc<ThreadSlots>,
     thread_id: usize,
     /// `true` once the current operation crossed into its write phase
     /// (reservations published, restarts refused).
@@ -116,17 +76,17 @@ pub struct Nbr {
 impl Nbr {
     /// The state of thread slot `thread_id`, broadcasting once
     /// `threshold` retired nodes wait (the factory's default is
-    /// [`NbrGlobals::scan_threshold`]). `mutation` seeds
+    /// [`ThreadSlots::scan_threshold`]). `mutation` seeds
     /// [`Mutation::NbrSkipRestart`] (checker use only) and is ignored
     /// otherwise.
     pub fn new(
-        globals: Arc<NbrGlobals>,
+        slots: Arc<ThreadSlots>,
         thread_id: usize,
         threshold: usize,
         mutation: Mutation,
     ) -> Self {
         Self {
-            globals,
+            slots,
             thread_id,
             in_write_phase: false,
             guard_vals: [0; 64],
@@ -141,14 +101,6 @@ impl Nbr {
         }
     }
 
-    fn slot_index(&self, guard: usize) -> u64 {
-        assert!(
-            guard < self.globals.slots_per_thread,
-            "NBR guard {guard} out of range"
-        );
-        (self.thread_id * self.globals.stride + guard) as u64
-    }
-
     /// The read-to-write transition: publish every pointer the read phase
     /// collected into this thread's reservation slots, with one fence.
     /// From here on the operation refuses neutralization.
@@ -160,26 +112,11 @@ impl Nbr {
         while used != 0 {
             let g = used.trailing_zeros() as usize;
             used &= used - 1;
-            let slot = self.slot_index(g);
-            heap.store(cpu, self.globals.slots, slot, self.guard_vals[g]);
+            self.slots
+                .store(heap, cpu, self.thread_id, g, self.guard_vals[g]);
         }
         heap.fence(cpu);
         self.in_write_phase = true;
-    }
-
-    /// Clears this thread's published reservations (cheap stores; the
-    /// slots only carry values while an operation is in its write phase).
-    fn clear_reservations(&mut self, heap: &Heap, cpu: &mut Cpu) {
-        if !self.in_write_phase {
-            return;
-        }
-        let mut used = self.used_guards;
-        while used != 0 {
-            let g = used.trailing_zeros() as usize;
-            used &= used - 1;
-            let slot = self.slot_index(g);
-            heap.store(cpu, self.globals.slots, slot, 0);
-        }
     }
 
     /// The reclaimer path: broadcast the neutralization signal to every
@@ -187,7 +124,7 @@ impl Nbr {
     /// covers — no waiting, no acknowledgment.
     fn broadcast_and_reclaim(&mut self, heap: &Heap, cpu: &mut Cpu) {
         let syscall = cpu.costs.signal_deliver;
-        for t in 0..self.globals.max_threads {
+        for t in 0..self.slots.threads() {
             if t == self.thread_id {
                 continue;
             }
@@ -195,26 +132,7 @@ impl Nbr {
             cpu.charge(syscall);
             self.signals_sent += 1;
         }
-        let mut reserved: HashSet<Word> =
-            HashSet::with_capacity(self.globals.max_threads * self.globals.slots_per_thread);
-        for t in 0..self.globals.max_threads {
-            for g in 0..self.globals.slots_per_thread {
-                let i = (t * self.globals.stride + g) as u64;
-                let r = heap.load(cpu, self.globals.slots, i);
-                if r != 0 {
-                    reserved.insert(r);
-                }
-            }
-        }
-        let retired = std::mem::take(&mut self.limbo);
-        for node in retired {
-            if reserved.contains(&node.raw()) {
-                self.limbo.push(node);
-            } else {
-                heap.free(cpu, node);
-                self.freed += 1;
-            }
-        }
+        self.freed += self.slots.free_unprotected(heap, cpu, &mut self.limbo);
     }
 }
 
@@ -232,8 +150,8 @@ impl Protocol for Nbr {
         self.guard_vals[guard] = v & !TAG_MASK;
         self.used_guards |= 1 << guard;
         if self.in_write_phase {
-            let slot = self.slot_index(guard);
-            heap.store(cpu, self.globals.slots, slot, v & !TAG_MASK);
+            self.slots
+                .store(heap, cpu, self.thread_id, guard, v & !TAG_MASK);
             heap.fence(cpu);
         }
         v
@@ -243,8 +161,8 @@ impl Protocol for Nbr {
         self.guard_vals[guard] = value & !TAG_MASK;
         self.used_guards |= 1 << guard;
         if self.in_write_phase {
-            let slot = self.slot_index(guard);
-            heap.store(cpu, self.globals.slots, slot, value & !TAG_MASK);
+            self.slots
+                .store(heap, cpu, self.thread_id, guard, value & !TAG_MASK);
         }
     }
 
@@ -253,7 +171,6 @@ impl Protocol for Nbr {
         // certainly was); entering the write phase here keeps the
         // retire-then-restart double-retire impossible by construction.
         self.enter_write_phase(heap, cpu);
-        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         self.limbo.push(addr);
         if self.limbo.len() >= self.threshold {
             self.broadcast_and_reclaim(heap, cpu);
@@ -280,7 +197,12 @@ impl Protocol for Nbr {
     }
 
     fn end(&mut self, heap: &Heap, cpu: &mut Cpu) {
-        self.clear_reservations(heap, cpu);
+        // The slots only carry values once the operation published them
+        // at its write-phase transition.
+        if self.in_write_phase {
+            self.slots
+                .clear(heap, cpu, self.thread_id, self.used_guards);
+        }
         self.used_guards = 0;
         self.in_write_phase = false;
         self.fresh.clear();
@@ -337,18 +259,18 @@ mod tests {
     use st_machine::SignalBoard;
     use stacktrack::{OpMem, Step};
 
-    fn setup(threads: usize) -> (Arc<NbrGlobals>, Arc<Heap>) {
+    fn setup(threads: usize) -> (Arc<ThreadSlots>, Arc<Heap>) {
         let (heap, _) = test_env();
-        let globals = Arc::new(NbrGlobals::new(&heap, threads, 4));
-        (globals, heap)
+        let slots = Arc::new(ThreadSlots::new(&heap, threads, 4));
+        (slots, heap)
     }
 
     #[test]
     fn read_phase_loads_pay_no_fence() {
-        let (globals, heap) = setup(1);
+        let (slots, heap) = setup(1);
         let mut th = Frame::new(
             heap.clone(),
-            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+            Nbr::new(slots.clone(), 0, slots.scan_threshold(), Mutation::None),
         );
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
@@ -367,10 +289,10 @@ mod tests {
 
     #[test]
     fn first_shared_store_publishes_reservations() {
-        let (globals, heap) = setup(1);
+        let (slots, heap) = setup(1);
         let mut th = Frame::new(
             heap.clone(),
-            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+            Nbr::new(slots.clone(), 0, slots.scan_threshold(), Mutation::None),
         );
         let mut cpu = test_cpu(0);
         let cell = heap.alloc_untimed(1).unwrap();
@@ -388,24 +310,21 @@ mod tests {
         th.step_op(&mut cpu, &mut body);
         assert!(th.scheme.in_write_phase);
         assert!(cpu.counters.fences > fences, "transition costs one fence");
-        assert_eq!(heap.peek(globals.slots, 1), x.raw(), "reservation live");
+        assert_eq!(heap.peek(slots.region().0, 1), x.raw(), "reservation live");
 
         let mut fin = |_: &mut dyn OpMem, _: &mut Cpu| Ok(Step::Done(0));
         th.step_op(&mut cpu, &mut fin);
-        assert_eq!(heap.peek(globals.slots, 1), 0, "cleared at op end");
+        assert_eq!(heap.peek(slots.region().0, 1), 0, "cleared at op end");
     }
 
     #[test]
     fn reclaimer_frees_immediately_and_respects_reservations() {
-        let (globals, heap) = setup(2);
+        let (slots, heap) = setup(2);
         let mut writer = Frame::new(
             heap.clone(),
-            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+            Nbr::new(slots.clone(), 0, slots.scan_threshold(), Mutation::None),
         );
-        let mut reclaimer = Frame::new(
-            heap.clone(),
-            Nbr::new(globals.clone(), 1, 1, Mutation::None),
-        );
+        let mut reclaimer = Frame::new(heap.clone(), Nbr::new(slots.clone(), 1, 1, Mutation::None));
         let mut cpu_w = test_cpu(0);
         let mut cpu_r = test_cpu(1);
 
@@ -447,10 +366,10 @@ mod tests {
 
     #[test]
     fn neutralize_restarts_a_read_phase_attempt() {
-        let (globals, heap) = setup(1);
+        let (slots, heap) = setup(1);
         let mut th = Frame::new(
             heap.clone(),
-            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+            Nbr::new(slots.clone(), 0, slots.scan_threshold(), Mutation::None),
         );
         let mut cpu = test_cpu(0);
 
@@ -480,10 +399,10 @@ mod tests {
 
     #[test]
     fn neutralize_is_refused_in_the_write_phase_and_when_idle() {
-        let (globals, heap) = setup(1);
+        let (slots, heap) = setup(1);
         let mut th = Frame::new(
             heap.clone(),
-            Nbr::new(globals.clone(), 0, globals.scan_threshold(), Mutation::None),
+            Nbr::new(slots.clone(), 0, slots.scan_threshold(), Mutation::None),
         );
         let mut cpu = test_cpu(0);
 
@@ -507,9 +426,9 @@ mod tests {
 
     #[test]
     fn broadcast_raises_signals_against_every_peer() {
-        let (globals, heap) = setup(3);
+        let (slots, heap) = setup(3);
         let board = Arc::new(SignalBoard::new(3));
-        let mut th = Frame::new(heap.clone(), Nbr::new(globals, 0, 1, Mutation::None));
+        let mut th = Frame::new(heap.clone(), Nbr::new(slots, 0, 1, Mutation::None));
         let mut cpu = test_cpu(0);
         cpu.attach_signals(board.clone());
 
@@ -527,13 +446,13 @@ mod tests {
 
     #[test]
     fn skip_restart_mutation_keeps_stale_locals() {
-        let (globals, heap) = setup(1);
+        let (slots, heap) = setup(1);
         let mut th = Frame::new(
             heap.clone(),
             Nbr::new(
-                globals.clone(),
+                slots.clone(),
                 0,
-                globals.scan_threshold(),
+                slots.scan_threshold(),
                 Mutation::NbrSkipRestart,
             ),
         );

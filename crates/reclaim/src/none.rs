@@ -19,10 +19,9 @@ pub struct NoReclaim {
 impl Protocol for NoReclaim {
     const NAME: &'static str = "Original";
 
-    fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
-        // The ledger still sees the retire: the audit harness uses this
-        // scheme as its positive leak reference.
-        heap.note_retire(cpu.thread_id, cpu.now(), addr);
+    fn retire(&mut self, _heap: &Heap, _cpu: &mut Cpu, _addr: Addr) {
+        // The frame reported the retire to the ledger, which the audit
+        // harness uses as its positive leak reference; the node stays.
         self.leaked += 1;
     }
 

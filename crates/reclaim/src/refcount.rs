@@ -150,9 +150,6 @@ impl Protocol for RefCount {
 
     fn retire(&mut self, heap: &Heap, cpu: &mut Cpu, addr: Addr) {
         self.charge_rmw(cpu);
-        // Before the possible immediate free below, so the ledger sees
-        // retire → free in order.
-        heap.note_retire(cpu.thread_id, cpu.now(), addr);
         let free_now = {
             let mut counts = self.globals.counts.lock().unwrap();
             let e = counts.entry(addr.raw()).or_default();

@@ -759,14 +759,7 @@ mod tests {
     use std::sync::Arc;
 
     fn cpu() -> Cpu {
-        let topo = Topology::haswell();
-        Cpu::new(
-            0,
-            HwContext::new(&topo, 0),
-            Arc::new(CostModel::default()),
-            Arc::new(ActivityBoard::new(topo.hw_contexts())),
-            7,
-        )
+        Cpu::standalone(0, 7)
     }
 
     #[test]

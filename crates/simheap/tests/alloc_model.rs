@@ -8,12 +8,11 @@
 //! out zeroed blocks.
 
 use st_machine::rng::Pcg32;
-use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
+use st_machine::Cpu;
 use st_simheap::alloc::{AllocError, AllocStats, Allocator, ObjInfo, MAX_ALLOC_WORDS, NUM_CLASSES};
 use st_simheap::{Addr, Heap, HeapConfig};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 /// A StackTrack thread context's request (its class is the largest).
 const CONTEXT_WORDS: usize = 16_456;
@@ -91,14 +90,7 @@ impl Model {
 }
 
 fn cpu() -> Cpu {
-    let topo = Topology::haswell();
-    Cpu::new(
-        0,
-        HwContext::new(&topo, 0),
-        Arc::new(CostModel::default()),
-        Arc::new(ActivityBoard::new(topo.hw_contexts())),
-        7,
-    )
+    Cpu::standalone(0, 7)
 }
 
 /// A request size: mostly the small classes nodes use, sometimes any class

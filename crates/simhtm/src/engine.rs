@@ -325,11 +325,6 @@ impl HtmEngine {
     // Non-transactional interface.
     // ------------------------------------------------------------------
 
-    /// Plain load; never conflicts (reads committed state).
-    pub fn nontx_read(&self, cpu: &mut Cpu, addr: Addr, off: u64) -> Word {
-        self.heap.load(cpu, addr, off)
-    }
-
     /// Non-transactional store that **dooms** every in-flight transaction
     /// holding the line in its read set (advances the stripe version).
     pub fn nontx_write(&self, cpu: &mut Cpu, addr: Addr, off: u64, value: Word) {
@@ -590,14 +585,7 @@ mod tests {
             capacity_words: 1 << 18,
         }));
         let e = HtmEngine::new(heap, HtmConfig::default(), 1);
-        let topo = Topology::haswell();
-        let mut c = Cpu::new(
-            0,
-            HwContext::new(&topo, 0),
-            Arc::new(CostModel::default()),
-            Arc::new(ActivityBoard::new(topo.hw_contexts())),
-            5,
-        );
+        let mut c = Cpu::standalone(0, 5);
         // One word per line across more lines than the L1 budget: an
         // eviction or the hard budget ends the transaction by line 449.
         let lines = capacity::L1_LINES + 8;
@@ -667,14 +655,7 @@ mod tests {
             },
             1,
         );
-        let topo = Topology::haswell();
-        let mut c = Cpu::new(
-            0,
-            HwContext::new(&topo, 0),
-            Arc::new(CostModel::default()),
-            Arc::new(ActivityBoard::new(topo.hw_contexts())),
-            5,
-        );
+        let mut c = Cpu::standalone(0, 5);
         let a = e.heap().alloc(&mut c, 1).unwrap();
         let mut tx = e.begin(&mut c);
         assert_eq!(
@@ -689,7 +670,7 @@ mod tests {
         let c = &mut cpus[0];
         let a = e.heap().alloc(c, 1).unwrap();
         e.nontx_write(c, a, 0, 123);
-        assert_eq!(e.nontx_read(c, a, 0), 123);
+        assert_eq!(e.heap().load(c, a, 0), 123);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl Tx {
         self.writes.is_empty()
     }
 
-    /// Whether the transaction has aborted and awaits a reset.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     pub(crate) fn record_read_stripe(&mut self, stripe: u32) {
         if self.read_seen.insert(u64::from(stripe)) {
             self.read_stripes.push(stripe);
@@ -176,7 +171,7 @@ mod tests {
         assert_eq!(tx.read_set_len(), 0);
         assert_eq!(tx.pending_writes(), 0);
         assert_eq!(tx.footprint_lines(), 0);
-        assert!(!tx.is_dead());
+        assert!(!tx.dead);
         assert_eq!(tx.buffered(3), None);
     }
 }

@@ -78,7 +78,7 @@ pub const fn max_guard_requirement() -> st_reclaim::mem::GuardRequirement {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
+    use st_machine::Cpu;
     use st_reclaim::{ReclaimConfig, Scheme, SchemeFactory};
     use st_simheap::{Heap, HeapConfig};
     use st_simhtm::{HtmConfig, HtmEngine};
@@ -110,13 +110,6 @@ pub(crate) mod testutil {
 
     /// A standalone CPU on thread slot `id`.
     pub(crate) fn test_cpu(id: usize) -> Cpu {
-        let topo = Topology::haswell();
-        Cpu::new(
-            id,
-            HwContext::new(&topo, topo.place(id)),
-            Arc::new(CostModel::default()),
-            Arc::new(ActivityBoard::new(topo.hw_contexts())),
-            0xfeed + id as u64,
-        )
+        Cpu::standalone(id, 0xfeed + id as u64)
     }
 }

@@ -502,15 +502,7 @@ impl StructureInstance {
 /// A standalone CPU for set-up work that never enters the simulated
 /// schedule.
 fn scratch_cpu() -> Cpu {
-    use st_machine::{cpu::ActivityBoard, CostModel, HwContext, Topology};
-    let topo = Topology::haswell();
-    Cpu::new(
-        0,
-        HwContext::new(&topo, 0),
-        Arc::new(CostModel::default()),
-        Arc::new(ActivityBoard::new(topo.hw_contexts())),
-        0x5e7,
-    )
+    Cpu::standalone(0, 0x5e7)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! construction.
 
 use st_machine::rng::Pcg32;
-use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
+use st_machine::Cpu;
 use st_simheap::{Addr, Heap, HeapConfig, TaggedPtr};
 use st_simhtm::{HtmConfig, HtmEngine};
 use std::collections::HashMap;
@@ -16,14 +16,7 @@ use std::sync::Arc;
 const CASES: u64 = 64;
 
 fn cpu(thread: usize) -> Cpu {
-    let topo = Topology::haswell();
-    Cpu::new(
-        thread,
-        HwContext::new(&topo, topo.place(thread)),
-        Arc::new(CostModel::default()),
-        Arc::new(ActivityBoard::new(topo.hw_contexts())),
-        0xF00 + thread as u64,
-    )
+    Cpu::standalone(thread, 0xF00 + thread as u64)
 }
 
 /// Live allocations never overlap, stay 8-aligned, and survive arbitrary

@@ -5,20 +5,12 @@
 mod common;
 
 use common::{build_env, run_mix};
-use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
+use st_machine::Cpu;
 use st_reclaim::Scheme;
 use st_structures::{StructureInstance, StructureKind};
-use std::sync::Arc;
 
 fn teardown_cpu(t: usize) -> Cpu {
-    let topo = Topology::haswell();
-    Cpu::new(
-        t,
-        HwContext::new(&topo, topo.place(t)),
-        Arc::new(CostModel::default()),
-        Arc::new(ActivityBoard::new(topo.hw_contexts())),
-        5,
-    )
+    Cpu::standalone(t, 5)
 }
 
 /// Runs a mutation-heavy hash workload and returns (live objects after

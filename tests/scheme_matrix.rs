@@ -24,14 +24,7 @@ fn storm(target: StructureKind, scheme: Scheme, threads: usize) {
 
     // Drain deferred reclamation; the structure must stay sound.
     for (t, w) in workers.iter_mut().enumerate() {
-        let topo = st_machine::Topology::haswell();
-        let mut cpu = st_machine::Cpu::new(
-            t,
-            st_machine::HwContext::new(&topo, topo.place(t)),
-            std::sync::Arc::new(st_machine::CostModel::default()),
-            std::sync::Arc::new(st_machine::cpu::ActivityBoard::new(topo.hw_contexts())),
-            9,
-        );
+        let mut cpu = st_machine::Cpu::standalone(t, 9);
         w.executor_mut().teardown(&mut cpu);
     }
     env.instance.check_invariants_untimed(&env.heap);
