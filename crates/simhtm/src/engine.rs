@@ -1,4 +1,7 @@
-//! The TL2-style best-effort transaction engine.
+//! The TL2-style best-effort transaction engine: versions plus one writer
+//! lock. Readers validate against per-line stripe versions and take no
+//! lock; the four writers run one at a time under the writer lock (see
+//! `HtmEngine::write_locked`).
 
 use crate::abort::Abort;
 use crate::capacity;
@@ -8,11 +11,8 @@ use crate::tx::Tx;
 use st_machine::Cpu;
 use st_obs::AbortCause;
 use st_simheap::{Addr, Heap, Word};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Stripes in the version-lock table.
-const STRIPES: usize = 1 << 16;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Engine parameters. The L1 capacity model's parameters are constants
 /// of [`capacity`].
@@ -36,7 +36,14 @@ pub struct HtmConfig {
 pub struct HtmEngine {
     heap: Arc<Heap>,
     stripes: StripeTable,
+    /// The version of the last finished write; a transaction's read
+    /// version is its value at begin. Writers store it with `Release`
+    /// after their heap writes and `begin` loads it with `Acquire`, so a
+    /// transaction that begins after a write reads that write's data.
     clock: AtomicU64,
+    /// Held by every writer from its version to its clock store (see
+    /// `write_locked`).
+    writer: Mutex<()>,
     config: HtmConfig,
     stats: Vec<HtmThreadStats>,
 }
@@ -47,8 +54,9 @@ impl HtmEngine {
     pub fn new(heap: Arc<Heap>, config: HtmConfig, max_threads: usize) -> Self {
         Self {
             heap,
-            stripes: StripeTable::new(STRIPES),
+            stripes: StripeTable::new(),
             clock: AtomicU64::new(0),
+            writer: Mutex::new(()),
             stats: (0..max_threads)
                 .map(|_| HtmThreadStats::default())
                 .collect(),
@@ -89,7 +97,7 @@ impl HtmEngine {
     pub fn begin(&self, cpu: &mut Cpu) -> Tx {
         cpu.charge(cpu.costs.htm_begin);
         self.stats[cpu.thread_id].on_begin();
-        Tx::new(self.clock.load(Ordering::Relaxed))
+        Tx::new(self.clock.load(Ordering::Acquire))
     }
 
     /// Starts a transaction, recycling a previous descriptor's buffers
@@ -98,7 +106,7 @@ impl HtmEngine {
     pub fn begin_reuse(&self, cpu: &mut Cpu, tx: &mut Tx) {
         cpu.charge(cpu.costs.htm_begin);
         self.stats[cpu.thread_id].on_begin();
-        tx.reset(self.clock.load(Ordering::Relaxed));
+        tx.reset(self.clock.load(Ordering::Acquire));
     }
 
     fn fail(&self, cpu: &mut Cpu, tx: &mut Tx, cause: AbortCause) -> Abort {
@@ -153,10 +161,12 @@ impl HtmEngine {
 
     /// Transactional load of `addr + off`.
     ///
-    /// Validated eagerly (TL2): the stripe must be unlocked and no newer
-    /// than the transaction's read version, and must not change across the
-    /// data read — so a transaction never observes an inconsistent snapshot
-    /// (opacity), just like cache-coherence-based HTM.
+    /// Validated eagerly (TL2): the stripe must be no newer than the
+    /// transaction's read version, and must not change across the data
+    /// read. A writer stamps before it writes the heap, so a read that
+    /// overlaps a write sees the stamp on one side or the other and aborts:
+    /// a transaction never observes an inconsistent snapshot (opacity),
+    /// just like cache-coherence-based HTM.
     pub fn tx_read(&self, cpu: &mut Cpu, tx: &mut Tx, addr: Addr, off: u64) -> Result<Word, Abort> {
         debug_assert!(!tx.dead, "read on dead transaction");
         let line = addr.offset(off).line();
@@ -171,13 +181,15 @@ impl HtmEngine {
         }
 
         let stripe = self.stripes.index_of_line(line);
-        let s1 = self.stripes.read(stripe);
-        if s1.locked() || s1.version() > tx.rv {
+        let s1 = self.stripes.version(stripe);
+        if s1 > tx.rv {
             return Err(self.fail(cpu, tx, AbortCause::Conflict));
         }
         let value = self.heap.peek(addr, off);
-        let s2 = self.stripes.read(stripe);
-        if s2 != s1 {
+        // Pairs with the writers' release fence: a data word written after
+        // a stamp makes that stamp visible to the second read.
+        fence(Ordering::Acquire);
+        if self.stripes.version(stripe) != s1 {
             return Err(self.fail(cpu, tx, AbortCause::Conflict));
         }
         // Validated read of a freed block: the transaction began after the
@@ -240,76 +252,38 @@ impl HtmEngine {
         debug_assert!(!tx.dead, "commit on dead transaction");
         cpu.charge(cpu.costs.htm_commit);
 
-        if tx.is_read_only() {
-            // Eagerly validated reads serialize the transaction at its read
-            // version; nothing to publish.
-            self.finish_commit(cpu, tx);
-            return Ok(());
-        }
-
-        // Lock the write stripes in sorted order (livelock-free for the
-        // real-thread stress tests; in the discrete-event simulator a
-        // commit is atomic and these locks are never observed). The stripe
-        // scratch lives in the descriptor, so a recycled `Tx` commits
-        // without touching the allocator; because locking walks the sorted
-        // slice front-to-back, "what we hold" is always a prefix and a
-        // separate `locked` list is unnecessary.
-        tx.write_stripes.clear();
-        let stripes = &self.stripes;
-        tx.write_stripes.extend(
-            tx.writes
-                .iter()
-                .map(|&(addr, off, _)| stripes.index_of(addr, off)),
-        );
-        tx.write_stripes.sort_unstable();
-        tx.write_stripes.dedup();
-
-        let mut locked = 0;
-        while locked < tx.write_stripes.len() {
-            // A blind write to a stripe whose version advanced is still
-            // serializable; only a *locked* stripe is a conflict. Writes to
-            // lines the transaction also read are covered by read-set
-            // validation below.
-            let s = tx.write_stripes[locked];
-            let seen = self.stripes.read(s);
-            if seen.locked() || !self.stripes.try_lock(s, seen) {
-                for &l in &tx.write_stripes[..locked] {
-                    let v = self.stripes.read(l).version();
-                    self.stripes.release(l, v);
+        // Eagerly validated reads serialize a read-only transaction at its
+        // read version; it has nothing to check or publish.
+        let committed = tx.is_read_only()
+            || self.write_locked(|wv| {
+                // Validate the read set unless nobody wrote since we began.
+                // A blind write needs no check: only this transaction's
+                // reads can be stale.
+                if wv != tx.rv + 1
+                    && tx
+                        .read_stripes
+                        .iter()
+                        .any(|&s| self.stripes.version(s) > tx.rv)
+                {
+                    return false;
                 }
-                return Err(self.fail(cpu, tx, AbortCause::Conflict));
-            }
-            locked += 1;
-        }
-
-        let wv = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-
-        // Validate the read set unless nobody committed since we began.
-        // Every write stripe is locked at this point, so ownership is a
-        // binary search of the full sorted slice.
-        if wv != tx.rv + 1 {
-            for &s in &tx.read_stripes {
-                let v = self.stripes.read(s);
-                let own = tx.write_stripes.binary_search(&s).is_ok();
-                if (v.locked() && !own) || v.version() > tx.rv {
-                    for &l in &tx.write_stripes {
-                        let ver = self.stripes.read(l).version();
-                        self.stripes.release(l, ver);
-                    }
-                    return Err(self.fail(cpu, tx, AbortCause::Conflict));
+                self.stamp(
+                    tx.writes
+                        .iter()
+                        .map(|&(addr, off, _)| self.stripes.index_of(addr, off)),
+                    wv,
+                );
+                // Publish the write buffer; these are real stores with real
+                // coherence traffic.
+                for &(addr, off, value) in &tx.writes {
+                    self.heap.store(cpu, addr, off, value);
                 }
-            }
-        }
-
-        // Publish the write buffer; these are real stores with real
-        // coherence traffic.
-        for &(addr, off, value) in &tx.writes {
-            self.heap.store(cpu, addr, off, value);
+                true
+            });
+        if !committed {
+            return Err(self.fail(cpu, tx, AbortCause::Conflict));
         }
         tx.writes.clear();
-        for &s in &tx.write_stripes {
-            self.stripes.release(s, wv);
-        }
         self.finish_commit(cpu, tx);
         Ok(())
     }
@@ -321,6 +295,39 @@ impl HtmEngine {
             .on_commit(tx.read_stripes.len() as u64, tx.write_map.len() as u64);
     }
 
+    /// Runs one writer (a writing commit, `nontx_write`, `nontx_cas` or
+    /// `free_object`) under the writer lock. `write(wv)` checks, stamps the
+    /// lines it writes with `wv` (through [`HtmEngine::stamp`]), writes the
+    /// heap and returns whether it wrote; only then does the clock move to
+    /// `wv`. So a transaction that began before the write aborts on a stamp
+    /// newer than its read version, and one that began after reads the
+    /// written data. A writer that wrote nothing stamped nothing and leaves
+    /// the clock alone.
+    fn write_locked(&self, write: impl FnOnce(u64) -> bool) -> bool {
+        let _writer = self
+            .writer
+            .lock()
+            .expect("HTM writer lock poisoned: a writer panicked mid-write");
+        // The lock orders this load after the last writer's store.
+        let wv = self.clock.load(Ordering::Relaxed) + 1;
+        let wrote = write(wv);
+        if wrote {
+            self.clock.store(wv, Ordering::Release);
+        }
+        wrote
+    }
+
+    /// Stamps `stripes` with the version `wv` ahead of a writer's heap
+    /// writes. The release fence pairs with `tx_read`'s acquire fence: a
+    /// reader whose data read sees one of those writes sees the stamp too.
+    /// Stamping a stripe twice is harmless.
+    fn stamp(&self, stripes: impl IntoIterator<Item = u32>, wv: u64) {
+        for s in stripes {
+            self.stripes.stamp(s, wv);
+        }
+        fence(Ordering::Release);
+    }
+
     // ------------------------------------------------------------------
     // Non-transactional interface.
     // ------------------------------------------------------------------
@@ -328,23 +335,19 @@ impl HtmEngine {
     /// Non-transactional store that **dooms** every in-flight transaction
     /// holding the line in its read set (advances the stripe version).
     pub fn nontx_write(&self, cpu: &mut Cpu, addr: Addr, off: u64, value: Word) {
-        let stripe = self.stripes.index_of(addr, off);
-        loop {
-            let seen = self.stripes.read(stripe);
-            if !seen.locked() && self.stripes.try_lock(stripe, seen) {
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        self.heap.store(cpu, addr, off, value);
-        let wv = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stripes.release(stripe, wv);
+        self.write_locked(|wv| {
+            self.stamp([self.stripes.index_of(addr, off)], wv);
+            self.heap.store(cpu, addr, off, value);
+            true
+        });
     }
 
     /// Non-transactional compare-and-swap that dooms transactional readers
     /// of the line on success (the slow path's CAS; see `SLOW_WRITE` in the
     /// paper's Algorithm 5, which funnels writes through the reference-set
-    /// protocol and still conflicts with speculative readers).
+    /// protocol and still conflicts with speculative readers). A losing
+    /// CAS writes nothing and dooms no one, but is charged like a winning
+    /// one.
     pub fn nontx_cas(
         &self,
         cpu: &mut Cpu,
@@ -353,22 +356,14 @@ impl HtmEngine {
         expected: Word,
         new: Word,
     ) -> Result<Word, Word> {
-        let stripe = self.stripes.index_of(addr, off);
-        loop {
-            let seen = self.stripes.read(stripe);
-            if !seen.locked() && self.stripes.try_lock(stripe, seen) {
-                break;
+        let mut result = Err(expected);
+        self.write_locked(|wv| {
+            if self.heap.peek(addr, off) == expected {
+                self.stamp([self.stripes.index_of(addr, off)], wv);
             }
-            std::hint::spin_loop();
-        }
-        let result = self.heap.cas(cpu, addr, off, expected, new);
-        if result.is_ok() {
-            let wv = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            self.stripes.release(stripe, wv);
-        } else {
-            let v = self.stripes.read(stripe).version();
-            self.stripes.release(stripe, v);
-        }
+            result = self.heap.cas(cpu, addr, off, expected, new);
+            result.is_ok()
+        });
         result
     }
 
@@ -381,64 +376,25 @@ impl HtmEngine {
     /// uncommitted transaction, a data conflict will force that transaction
     /// to abort") is exactly this version bump.
     pub fn free_object(&self, cpu: &mut Cpu, addr: Addr) {
+        // The stamps must precede the poison `Heap::free` writes, so the
+        // lines to stamp come from a `block_len` call of their own.
         let block = self
             .heap
             .block_len(addr)
             .unwrap_or_else(|| panic!("free_object of unknown address {addr:?}"));
         // One stripe per *line*, not per word: consecutive words share a
-        // line, so walking line numbers does 1/8th the hashing. Objects are
-        // at most a few lines, so a stack buffer covers every real free;
-        // the heap spill only triggers for pathological block sizes. The
-        // engine is `&self` across OS threads, so the scratch cannot live
-        // in the engine itself.
-        let first = addr.line();
-        let last = addr.offset(block.saturating_sub(1)).line();
-        let n_lines = (last - first + 1) as usize;
-        let mut buf = [0u32; 64];
-        let mut spill: Vec<u32>;
-        let slots: &mut [u32] = if n_lines <= buf.len() {
-            &mut buf[..n_lines]
-        } else {
-            spill = vec![0; n_lines];
-            &mut spill
-        };
-        for (slot, line) in slots.iter_mut().zip(first..=last) {
-            *slot = self.stripes.index_of_line(line);
-        }
-        slots.sort_unstable();
-        // Manual dedup-in-place (slices have no `dedup`).
-        let mut n = 0;
-        for i in 0..slots.len() {
-            if n == 0 || slots[i] != slots[n - 1] {
-                slots[n] = slots[i];
-                n += 1;
-            }
-        }
-        let stripes = &slots[..n];
-        for &s in stripes {
-            loop {
-                let seen = self.stripes.read(s);
-                if !seen.locked() && self.stripes.try_lock(s, seen) {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        self.heap.free(cpu, addr);
-        let wv = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        for &s in stripes {
-            self.stripes.release(s, wv);
-        }
+        // line, so walking line numbers does 1/8th the hashing.
+        let lines = addr.line()..=addr.offset(block.saturating_sub(1)).line();
+        self.write_locked(|wv| {
+            self.stamp(lines.map(|line| self.stripes.index_of_line(line)), wv);
+            self.heap.free(cpu, addr);
+            true
+        });
     }
 
     /// Issues a full fence (cost only; ordering is virtual).
     pub fn fence(&self, cpu: &mut Cpu) {
         self.heap.fence(cpu);
-    }
-
-    /// Current global version clock (diagnostics).
-    pub fn clock(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
     }
 }
 
@@ -516,67 +472,78 @@ mod tests {
             e.tx_write(c, &mut tx, a, 0, 2).unwrap();
             e.commit(c, &mut tx).unwrap();
         }
+        // A third transaction reads the line the reader is about to write.
+        let b = e.heap().alloc(&mut cpus[0], 1).unwrap();
+        let mut btx = e.begin(&mut cpus[2]);
+        assert_eq!(e.tx_read(&mut cpus[2], &mut btx, b, 0), Ok(0));
         // Reader writes something (becomes a write tx) and must fail
         // commit-time validation.
         let c = &mut cpus[0];
-        let b = e.heap().alloc(c, 1).unwrap();
         e.tx_write(c, &mut rtx, b, 0, 9).unwrap();
         let err = e.commit(c, &mut rtx).unwrap_err();
         assert_eq!(err.cause(), AbortCause::Conflict);
         assert_eq!(e.heap().peek(b, 0), 0, "aborted writes must not leak");
+        // The failed commit stamped nothing, so the third transaction still
+        // reads `b`, and it commits even when a later write to another line
+        // (the last word of a two-line block) makes its commit validate the
+        // read set.
+        let c = &mut cpus[2];
+        assert_eq!(e.tx_read(c, &mut btx, b, 0), Ok(0));
+        let d = e.heap().alloc(c, 16).unwrap();
+        e.nontx_write(&mut cpus[3], d, 15, 1);
+        let c = &mut cpus[2];
+        e.tx_write(c, &mut btx, d, 15, 2).unwrap();
+        e.commit(c, &mut btx).unwrap();
+        assert_eq!(e.heap().peek(d, 15), 2);
     }
 
     #[test]
     fn eager_validation_gives_opacity() {
-        let (e, mut cpus) = setup();
-        let a = {
-            let c = &mut cpus[0];
-            let a = e.heap().alloc(c, 8).unwrap();
-            a
-        };
-        let mut rtx = {
-            let c = &mut cpus[0];
-            let mut tx = e.begin(c);
-            let _ = e.tx_read(c, &mut tx, a, 0).unwrap();
-            tx
-        };
-        {
-            let c = &mut cpus[1];
-            e.nontx_write(c, a, 7, 5);
+        // A store or a winning CAS dooms the reader; a losing CAS writes
+        // nothing and dooms no one.
+        for cas in [false, true] {
+            let (e, mut cpus) = setup();
+            let a = e.heap().alloc(&mut cpus[0], 8).unwrap();
+            let mut rtx = e.begin(&mut cpus[0]);
+            e.tx_read(&mut cpus[0], &mut rtx, a, 0).unwrap();
+            if cas {
+                assert_eq!(e.nontx_cas(&mut cpus[1], a, 7, 1, 5), Err(0));
+                assert_eq!(
+                    e.tx_read(&mut cpus[0], &mut rtx, a, 7),
+                    Ok(0),
+                    "a losing CAS dooms no reader"
+                );
+                assert_eq!(e.nontx_cas(&mut cpus[1], a, 7, 0, 5), Ok(0));
+            } else {
+                e.nontx_write(&mut cpus[1], a, 7, 5);
+            }
+            // Reading any word whose stripe advanced past rv aborts
+            // immediately, before the stale mix is observable.
+            let err = e.tx_read(&mut cpus[0], &mut rtx, a, 7).unwrap_err();
+            assert_eq!(err.cause(), AbortCause::Conflict);
         }
-        // Reading any word whose stripe advanced past rv aborts immediately,
-        // before the stale mix is observable.
-        let c = &mut cpus[0];
-        let err = e.tx_read(c, &mut rtx, a, 7).unwrap_err();
-        assert_eq!(err.cause(), AbortCause::Conflict);
     }
 
     #[test]
     fn free_object_dooms_transactional_reader() {
         let (e, mut cpus) = setup();
-        let a = {
-            let c = &mut cpus[0];
-            e.heap().alloc(c, 4).unwrap()
-        };
-        let mut rtx = {
+        // Word 0 of a one-line block, and the last word of a 32-word block,
+        // which spans four lines: the free stamps every one of them.
+        for (words, off) in [(4, 0), (32, 31)] {
+            let a = e.heap().alloc(&mut cpus[0], words).unwrap();
+            let mut rtx = e.begin(&mut cpus[1]);
+            e.tx_read(&mut cpus[1], &mut rtx, a, off).unwrap();
+            e.free_object(&mut cpus[0], a);
+            // Writing elsewhere then committing must fail read validation.
             let c = &mut cpus[1];
-            let mut tx = e.begin(c);
-            let _ = e.tx_read(c, &mut tx, a, 0).unwrap();
-            tx
-        };
-        {
-            let c = &mut cpus[0];
-            e.free_object(c, a);
+            let b = e.heap().alloc(c, 1).unwrap();
+            e.tx_write(c, &mut rtx, b, 0, 1).unwrap();
+            assert_eq!(
+                e.commit(c, &mut rtx).unwrap_err().cause(),
+                AbortCause::Conflict
+            );
+            assert!(!e.heap().is_live(a));
         }
-        let c = &mut cpus[1];
-        // Writing elsewhere then committing must fail read validation.
-        let b = e.heap().alloc(c, 1).unwrap();
-        e.tx_write(c, &mut rtx, b, 0, 1).unwrap();
-        assert_eq!(
-            e.commit(c, &mut rtx).unwrap_err().cause(),
-            AbortCause::Conflict
-        );
-        assert!(!e.heap().is_live(a));
     }
 
     #[test]

@@ -4,7 +4,12 @@
 //! best-effort HTM, which is unavailable here (the `xbegin` intrinsics exist
 //! in `core::arch`, but TSX hardware does not). This crate substitutes a
 //! **TL2-style software transactional engine** over the simulated heap that
-//! preserves the two HTM properties the paper's argument uses:
+//! preserves the two HTM properties the paper's argument uses. Its
+//! protocol is versions plus one writer lock: each cache line hashes to a
+//! version word, readers validate against those versions without locking,
+//! and every writer (a commit, a slow-path store or CAS, a free) runs under
+//! the engine's one writer lock, stamping the lines it writes before it
+//! writes them.
 //!
 //! 1. **Atomic, opaque segments.** A transaction's writes (including the
 //!    thread's shadow-stack/register exposure) become visible all at once at
@@ -32,7 +37,7 @@ pub mod abort;
 pub mod capacity;
 pub mod engine;
 pub mod stats;
-pub mod stripes;
+mod stripes;
 pub mod tx;
 pub mod util;
 

@@ -24,10 +24,6 @@ pub struct Tx {
     /// Memo of the most recently admitted cache line (`u64::MAX` = none):
     /// consecutive same-line accesses skip the `lines` probe entirely.
     pub(crate) last_line: u64,
-    /// Commit-time scratch: the distinct write stripes, sorted. Rebuilt by
-    /// every writing commit but the backing allocation is recycled across
-    /// `reset`, like the other descriptor buffers.
-    pub(crate) write_stripes: Vec<u32>,
     /// Set after an abort; the descriptor can no longer be used.
     pub(crate) dead: bool,
 }
@@ -42,7 +38,6 @@ impl Tx {
             writes: Vec::with_capacity(16),
             lines: U64Set::with_capacity(64),
             last_line: u64::MAX,
-            write_stripes: Vec::with_capacity(16),
             dead: false,
         }
     }
@@ -56,23 +51,12 @@ impl Tx {
         self.writes.clear();
         self.lines.clear();
         self.last_line = u64::MAX;
-        self.write_stripes.clear();
         self.dead = false;
     }
 
     /// Number of distinct cache lines in the data set.
     pub fn footprint_lines(&self) -> u64 {
         self.lines.len() as u64
-    }
-
-    /// Number of buffered writes.
-    pub fn pending_writes(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// Number of distinct stripes in the read set.
-    pub fn read_set_len(&self) -> usize {
-        self.read_stripes.len()
     }
 
     /// Whether the transaction has performed no writes.
@@ -114,7 +98,7 @@ mod tests {
         tx.record_read_stripe(4);
         tx.record_read_stripe(4);
         tx.record_read_stripe(9);
-        assert_eq!(tx.read_set_len(), 2);
+        assert_eq!(tx.read_stripes, [4, 9]);
     }
 
     #[test]
@@ -124,7 +108,7 @@ mod tests {
         tx.buffer_write(a, 1, 5);
         tx.buffer_write(a, 1, 7);
         assert_eq!(tx.buffered(11), Some(7));
-        assert_eq!(tx.pending_writes(), 1);
+        assert_eq!(tx.writes.len(), 1);
         assert_eq!(tx.buffered(10), None);
     }
 
@@ -144,19 +128,15 @@ mod tests {
         for i in 0..256u64 {
             tx.record_read_stripe(i as u32);
             tx.buffer_write(Addr::from_index(i * 8), 0, i);
-            tx.write_stripes.push(i as u32);
         }
         let writes_cap = tx.writes.capacity();
         let stripes_cap = tx.read_stripes.capacity();
-        let commit_cap = tx.write_stripes.capacity();
-        assert!(writes_cap >= 256 && stripes_cap >= 256 && commit_cap >= 256);
+        assert!(writes_cap >= 256 && stripes_cap >= 256);
         tx.reset(1);
-        assert_eq!(tx.pending_writes(), 0);
-        assert_eq!(tx.read_set_len(), 0);
-        assert!(tx.write_stripes.is_empty());
+        assert!(tx.writes.is_empty());
+        assert!(tx.read_stripes.is_empty());
         assert_eq!(tx.writes.capacity(), writes_cap);
         assert_eq!(tx.read_stripes.capacity(), stripes_cap);
-        assert_eq!(tx.write_stripes.capacity(), commit_cap);
     }
 
     #[test]
@@ -168,8 +148,8 @@ mod tests {
         tx.dead = true;
         tx.reset(5);
         assert_eq!(tx.rv, 5);
-        assert_eq!(tx.read_set_len(), 0);
-        assert_eq!(tx.pending_writes(), 0);
+        assert!(tx.read_stripes.is_empty());
+        assert!(tx.writes.is_empty());
         assert_eq!(tx.footprint_lines(), 0);
         assert!(!tx.dead);
         assert_eq!(tx.buffered(3), None);

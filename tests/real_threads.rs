@@ -3,13 +3,17 @@
 //! The discrete-event simulator only ever runs one simulated thread at a
 //! time, but the heap and the HTM engine are built from atomics and claim
 //! `Sync`. These tests put that claim under genuine preemptive
-//! concurrency: several OS threads hammer one engine, and the TL2
-//! protocol must still never lose an update. (On a single-core host the
-//! interleavings come from the OS scheduler; the lost-update check is
-//! exact regardless.)
+//! concurrency: several OS threads hammer one engine, whose protocol is
+//! versions plus one writer lock. Writers (commits, slow-path stores,
+//! frees) take the lock one at a time and stamp a line's version before
+//! they write it; readers take no lock and validate against the stamps.
+//! So no update may be lost, no committed read may see a torn pair, and
+//! no transaction may read the poison of a block freed after it began.
+//! (On a single-core host the interleavings come from the OS scheduler;
+//! the lost-update check is exact regardless.)
 
 use st_machine::{cpu::ActivityBoard, CostModel, Cpu, HwContext, Topology};
-use st_simheap::{Heap, HeapConfig};
+use st_simheap::{Heap, HeapConfig, POISON};
 use st_simhtm::{HtmConfig, HtmEngine};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -169,4 +173,71 @@ fn nontx_writes_doom_real_concurrent_readers() {
     }
     writer.join().expect("writer panicked");
     assert!(committed > 0, "reader must commit sometimes");
+}
+
+#[test]
+fn readers_begun_before_a_free_never_see_its_poison() {
+    // A writer frees a block, takes it back (its size class's LIFO free
+    // list hands the same block out again) and writes word 0, 20,000
+    // times. In lockstep, a reader begins a transaction before each free
+    // and reads word 0 until the free dooms it. The free stamps the
+    // block's lines before `Heap::free` poisons them, so a read that sees
+    // the poison also sees the newer stamp and aborts. A read-only
+    // transaction commits every read it validated, so each validated read
+    // must return the value written before the free.
+    const ROUNDS: u64 = 20_000;
+    let heap = Arc::new(Heap::new(HeapConfig {
+        capacity_words: 1 << 16,
+    }));
+    let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), 2));
+    let board = Arc::new(ActivityBoard::new(Topology::haswell().hw_contexts()));
+    let block = heap.alloc_untimed(2).unwrap();
+    // The reader's latest begun transaction and the writer's latest
+    // finished round.
+    let begun = Arc::new(AtomicU64::new(0));
+    let written = Arc::new(AtomicU64::new(0));
+
+    let writer = {
+        let engine = engine.clone();
+        let board = board.clone();
+        let begun = begun.clone();
+        let written = written.clone();
+        thread::spawn(move || {
+            let mut cpu = make_cpu(1, &board);
+            for i in 1..=ROUNDS {
+                while begun.load(Ordering::Acquire) < i {
+                    thread::yield_now();
+                }
+                engine.free_object(&mut cpu, block);
+                let again = engine.heap().alloc(&mut cpu, 2).unwrap();
+                assert_eq!(again, block, "the free list hands the block back");
+                engine.nontx_write(&mut cpu, block, 0, i);
+                written.store(i, Ordering::Release);
+            }
+        })
+    };
+
+    let mut cpu = make_cpu(0, &board);
+    for i in 1..=ROUNDS {
+        // Begin after the last round's write: the block holds i - 1, and
+        // the only poison this transaction can meet is the free that
+        // follows its begin.
+        while written.load(Ordering::Acquire) < i - 1 {
+            assert!(!writer.is_finished(), "the writer stopped at round {i}");
+            thread::yield_now();
+        }
+        let mut tx = engine.begin(&mut cpu);
+        begun.store(i, Ordering::Release);
+        let mut reads = 0u64;
+        while let Ok(v) = engine.tx_read(&mut cpu, &mut tx, block, 0) {
+            assert_ne!(v, POISON, "a read validated a block freed after its begin");
+            assert_eq!(v, i - 1, "a read saw a write made after its begin");
+            reads += 1;
+            if reads.is_multiple_of(64) {
+                // Lets the writer run on a single-core host.
+                thread::yield_now();
+            }
+        }
+    }
+    writer.join().expect("writer panicked");
 }
