@@ -44,8 +44,7 @@ impl RunConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `spec` violates the [`WorkloadSpec`] builder invariants
-    /// (only possible by mutating a built spec's public fields).
+    /// Panics if [`WorkloadSpec::validate`] refuses `spec`.
     pub fn new(spec: WorkloadSpec, scheme: Scheme, threads: usize, duration_ms: u64) -> Self {
         spec.validate().expect("invalid workload spec");
         let reclaim_config = ReclaimConfig::default();

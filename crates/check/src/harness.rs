@@ -294,14 +294,10 @@ pub fn run_schedule(config: &CheckConfig, controller: Arc<RecordingController>) 
         .guard_requirement(st_structures::max_guard_requirement())
         .build();
 
-    heap.set_uaf_oracle(true);
     // The lifecycle ledger tracks everything allocated from here on —
     // structure nodes included — so retire/free pairing and teardown
     // leaks are judged per block (see docs/AUDIT.md).
-    heap.set_ledger_oracle(true);
-    for (base, words) in factory.protection_roots() {
-        heap.add_uaf_root(base, words);
-    }
+    heap.arm_oracles(&factory.protection_roots());
 
     let recorder = Arc::new(HistoryRecorder::new());
     let instance = Arc::new(StructureInstance::new_untimed(config.structure, &heap, 4));

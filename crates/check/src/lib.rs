@@ -14,9 +14,9 @@
 //!   [`st_machine::ScheduleController`] and expresses a schedule as a
 //!   sparse list of *deviations* from a deterministic default policy.
 //! - [`harness::run_schedule`] executes one scripted workload under one
-//!   schedule with both oracles armed: the heap's use-after-free oracle
-//!   ([`st_simheap::Heap::set_uaf_oracle`]) and a Wing-Gong
-//!   linearizability check over the recorded operation history
+//!   schedule with its oracles armed: the heap's use-after-free oracle
+//!   and lifecycle ledger ([`st_simheap::Heap::arm_oracles`]) and a
+//!   Wing-Gong linearizability check over the recorded operation history
 //!   ([`st_structures::history`]).
 //! - [`explore::check`] searches the schedule space — bounded DFS over
 //!   preemption points, or PCT-style randomized — shrinks any failing

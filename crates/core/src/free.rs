@@ -675,7 +675,7 @@ mod tests {
             4,
         );
         let heap = rt.heap().clone();
-        heap.set_ledger_oracle(true);
+        heap.arm_oracles(&[]);
         let a = heap.alloc_untimed(2).unwrap();
         let b = heap.alloc_untimed(2).unwrap();
         let mut cpu = rt.test_cpu(3);

@@ -486,16 +486,6 @@ impl Simulator {
             workers_out,
         )
     }
-
-    /// Convenience wrapper: builds `n` workers from a factory and runs them.
-    pub fn run_with(
-        &self,
-        n: usize,
-        mut factory: impl FnMut(usize) -> Box<dyn Worker>,
-    ) -> SimReport {
-        let workers = (0..n).map(&mut factory).collect();
-        self.run(workers).0
-    }
 }
 
 #[cfg(test)]
@@ -544,7 +534,8 @@ mod tests {
 
     /// Runs `n` [`Clockwork`] threads under `cfg`.
     fn clockwork(cfg: SimConfig, n: usize, per_op: Cycles) -> SimReport {
-        Simulator::new(cfg).run_with(n, |_| Box::new(Clockwork { per_op }))
+        let workers = (0..n).map(|_| Clockwork { per_op }).collect();
+        Simulator::new(cfg).run(workers).0
     }
 
     /// Operations completed per thread.
@@ -633,7 +624,8 @@ mod tests {
     #[test]
     fn finished_workers_stop() {
         let sim = Simulator::new(config(Cycles::MAX / 2));
-        let report = sim.run_with(3, |_| Box::new(Countdown { left: 5 }));
+        let workers = (0..3).map(|_| Countdown { left: 5 }).collect();
+        let report = sim.run(workers).0;
         assert_eq!(report.total_ops(), 15);
     }
 
@@ -654,7 +646,7 @@ mod tests {
         }
         let sim = Simulator::new(config(1_000));
         // Must terminate: scheduler charges 1 cycle for idle steps.
-        let report = sim.run_with(1, |_| Box::new(Lazy));
+        let report = sim.run(vec![Lazy]).0;
         assert_eq!(report.total_ops(), 0);
     }
 

@@ -94,11 +94,6 @@ impl CauseCounts {
         self.0[cause.index()]
     }
 
-    /// Total aborts across all causes.
-    pub fn total(&self) -> u64 {
-        self.0.iter().sum()
-    }
-
     /// Element-wise sum of two counter blocks.
     pub fn merged(&self, other: &CauseCounts) -> CauseCounts {
         let mut out = *self;
@@ -148,7 +143,7 @@ mod tests {
         assert_eq!(c.get(AbortCause::Conflict), 2);
         assert_eq!(c.get(AbortCause::Preempted), 5);
         assert_eq!(c.get(AbortCause::Capacity), 0);
-        assert_eq!(c.total(), 7);
+        assert_eq!(AbortCause::ALL.map(|k| c.get(k)).iter().sum::<u64>(), 7);
     }
 
     #[test]
@@ -161,7 +156,7 @@ mod tests {
         let m = a.merged(&b);
         assert_eq!(m.get(AbortCause::Capacity), 2);
         assert_eq!(m.get(AbortCause::Explicit), 1);
-        assert_eq!(m.total(), 3);
+        assert_eq!(AbortCause::ALL.map(|k| m.get(k)).iter().sum::<u64>(), 3);
     }
 
     #[test]

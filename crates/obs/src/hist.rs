@@ -93,42 +93,9 @@ impl LogHistogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Arithmetic mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
     /// The raw bucket counts.
     pub fn buckets(&self) -> &[u64; BUCKETS] {
         &self.buckets
-    }
-
-    /// An approximate quantile (`q` in `[0, 1]`), or `None` if empty.
-    ///
-    /// Returns the *upper bound* of the bucket containing the `q`-th sample
-    /// (clamped to the observed `max`), which over-reports by at most 2x —
-    /// fine for the tail summaries in EXPERIMENTS.md.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let upper = if i == 0 {
-                    0
-                } else if i >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << i) - 1
-                };
-                return Some(upper.min(self.max).max(self.min));
-            }
-        }
-        Some(self.max)
     }
 
     /// Adds every sample of `other` into `self` (element-wise).
@@ -240,7 +207,6 @@ mod tests {
         assert_eq!(h.sum(), 112);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(100));
-        assert_eq!(h.mean(), Some(28.0));
     }
 
     #[test]
@@ -249,8 +215,7 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.sum(), 0);
     }
 
     #[test]
@@ -279,19 +244,6 @@ mod tests {
         let mut e = LogHistogram::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn quantiles_are_bucket_upper_bounds() {
-        let mut h = LogHistogram::new();
-        for _ in 0..99 {
-            h.record(10); // bucket 4, upper bound 15
-        }
-        h.record(1000); // bucket 10, upper bound 1023, clamped to max
-        assert_eq!(h.quantile(0.5), Some(15));
-        assert_eq!(h.quantile(1.0), Some(1000));
-        // q=0 lands in the first occupied bucket; its upper bound is 15.
-        assert_eq!(h.quantile(0.0), Some(15));
     }
 
     #[test]

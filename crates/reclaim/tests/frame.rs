@@ -13,12 +13,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A fresh executor for thread 0 of `scheme`, its CPU, and its heap,
-/// whose lifecycle ledger is armed before the scheme allocates anything.
+/// whose oracles are armed before the scheme allocates anything.
 fn executor(scheme: Scheme) -> (Box<dyn SchemeThread>, Cpu, Arc<Heap>) {
     let heap = Arc::new(Heap::new(HeapConfig {
         capacity_words: 1 << 18,
     }));
-    heap.set_ledger_oracle(true);
+    heap.arm_oracles(&[]);
     let engine = Arc::new(HtmEngine::new(heap.clone(), HtmConfig::default(), 1));
     let factory = SchemeFactory::builder(scheme).engine(engine).build();
     (factory.thread(0), Cpu::standalone(0, 1), heap)

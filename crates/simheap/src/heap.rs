@@ -1,12 +1,12 @@
 //! The heap façade: words + allocator + traffic + poison.
 
 use crate::addr::{Addr, Word};
-use crate::alloc::{AllocError, AllocStats, Allocator, Block};
+use crate::alloc::{AllocError, AllocStats, Allocator};
 use crate::traffic::Traffic;
 use st_machine::Cpu;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Pattern written to freed words; reading it back from a committed
 /// operation is a use-after-free and fails tests loudly.
@@ -74,21 +74,6 @@ impl std::fmt::Display for UafViolation {
     }
 }
 
-/// A protection region the re-exposure check scans on every timed
-/// allocation: `words` heap words starting at `base`, holding published
-/// (possibly tag-marked) pointers — e.g. the hazard-slot matrix.
-#[derive(Debug, Clone, Copy)]
-struct UafRoot {
-    base: Addr,
-    words: u64,
-}
-
-#[derive(Debug, Default)]
-struct UafState {
-    roots: Vec<UafRoot>,
-    violations: Vec<UafViolation>,
-}
-
 /// What the heap-ledger oracle caught (see `docs/AUDIT.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LedgerKind {
@@ -96,8 +81,8 @@ pub enum LedgerKind {
     /// downstream this becomes a double free once both retirements drain.
     DoubleRetire,
     /// The block was freed while the ledger already recorded it freed.
-    /// Recorded *before* the allocator's own double-free panic, so a
-    /// harness that catches the panic still sees the attribution.
+    /// The heap absorbs the second free, so it never reaches the
+    /// allocator's free lists and the attribution survives.
     DoubleFree,
     /// The block was freed through the retire-aware path without ever
     /// being retired — a scheme bypassed its own deferral pipeline.
@@ -151,27 +136,54 @@ enum BlockState {
     Freed,
 }
 
-/// Aggregate ledger counters for metrics snapshots.
+/// Ledger event counters for metrics snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LedgerStats {
-    /// Blocks currently tracked as live.
-    pub live: u64,
-    /// Blocks currently tracked as retired (not yet freed).
-    pub retired: u64,
-    /// Blocks currently tracked as freed.
-    pub freed: u64,
-    /// Retire events observed since the ledger was enabled.
+    /// Retire events observed since the oracles were armed.
     pub retire_events: u64,
-    /// Free events observed since the ledger was enabled.
+    /// Free events observed since the oracles were armed.
     pub free_events: u64,
 }
 
-#[derive(Debug, Default)]
-struct LedgerBook {
+/// The allocator and every oracle record, behind the heap's one lock.
+#[derive(Debug)]
+struct State {
+    allocator: Allocator,
+    /// Protection roots of the re-exposure check: `(base, words)`.
+    roots: Vec<(Addr, u64)>,
+    uaf: Vec<UafViolation>,
+    /// The ledger: each tracked block's lifecycle position, by raw base.
     blocks: BTreeMap<u64, BlockState>,
-    violations: Vec<LedgerViolation>,
-    retire_events: u64,
-    free_events: u64,
+    ledger: Vec<LedgerViolation>,
+    events: LedgerStats,
+}
+
+impl State {
+    /// Records a free in the ledger. Returns `true` for a double free of
+    /// a tracked block, which the caller must absorb: the block is already
+    /// on a free list (or re-issued to someone else), and the oracle's
+    /// contract is to report the defect, not to let it corrupt the
+    /// allocator. `expect_retired` is false on the unpublished-rollback
+    /// path ([`Heap::free_unpublished`]).
+    fn ledger_free(&mut self, thread: usize, cycle: u64, addr: Addr, expect_retired: bool) -> bool {
+        self.events.free_events += 1;
+        // `Freed` over `Freed` changes nothing, so an absorbed double free
+        // leaves the entry as it was.
+        let kind = match self.blocks.insert(addr.raw(), BlockState::Freed) {
+            Some(BlockState::Freed) => LedgerKind::DoubleFree,
+            Some(BlockState::Live) if expect_retired => LedgerKind::FreeBeforeRetire,
+            // Retired, rolled back unpublished, or untracked (allocated
+            // before the oracles were armed).
+            _ => return false,
+        };
+        self.ledger.push(LedgerViolation {
+            kind,
+            thread,
+            base: addr,
+            cycle,
+        });
+        kind == LedgerKind::DoubleFree
+    }
 }
 
 /// Slots in the cache-line traffic table.
@@ -221,17 +233,14 @@ pub struct HeapStats {
 #[derive(Debug)]
 pub struct Heap {
     words: Box<[AtomicU64]>,
-    allocator: Mutex<Allocator>,
     traffic: Traffic,
     config: HeapConfig,
-    /// Fast-path flag for the use-after-free oracle; checked before any
-    /// locking so a disabled oracle costs one relaxed atomic load.
-    uaf_enabled: AtomicBool,
-    uaf: Mutex<UafState>,
-    /// Fast-path flag for the lifecycle ledger, same discipline as
-    /// `uaf_enabled`.
-    ledger_enabled: AtomicBool,
-    ledger: Mutex<LedgerBook>,
+    /// Whether the oracles are armed ([`Heap::arm_oracles`]). Accesses
+    /// test it before taking any lock, so unarmed oracles cost them one
+    /// relaxed load.
+    armed: AtomicBool,
+    /// Taken only through `Heap::state`.
+    state: Mutex<State>,
 }
 
 impl Heap {
@@ -240,14 +249,31 @@ impl Heap {
         let len = usize::try_from(config.capacity_words).expect("heap capacity fits in memory");
         Self {
             words: crate::zeroed_words(len),
-            allocator: Mutex::new(Allocator::new(config.capacity_words)),
             traffic: Traffic::new(TRAFFIC_SLOTS),
+            armed: AtomicBool::new(false),
+            state: Mutex::new(State {
+                allocator: Allocator::new(config.capacity_words),
+                roots: Vec::new(),
+                uaf: Vec::new(),
+                blocks: BTreeMap::new(),
+                ledger: Vec::new(),
+                events: LedgerStats::default(),
+            }),
             config,
-            uaf_enabled: AtomicBool::new(false),
-            uaf: Mutex::new(UafState::default()),
-            ledger_enabled: AtomicBool::new(false),
-            ledger: Mutex::new(LedgerBook::default()),
         }
+    }
+
+    /// The allocator and the oracle records. Every panic the heap raises
+    /// under this lock (an unknown or double free) fires before the
+    /// allocator changes, so a lock poisoned by one still guards
+    /// consistent records: a checker reads them after a schedule that
+    /// panicked.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn armed(&self) -> bool {
+        self.armed.load(Ordering::Relaxed)
     }
 
     fn cell(&self, addr: Addr, off: u64) -> &AtomicU64 {
@@ -353,10 +379,7 @@ impl Heap {
     /// Allocates `words` zeroed words.
     pub fn alloc(&self, cpu: &mut Cpu, words: usize) -> Result<Addr, AllocError> {
         cpu.charge(cpu.costs.alloc);
-        let block = self.carve(words)?;
-        self.uaf_check_reexposure(cpu.thread_id, block.addr, block.words);
-        self.ledger_on_alloc(block.addr);
-        Ok(block.addr)
+        self.carve(words, Some(cpu.thread_id))
     }
 
     /// Allocates `words` zeroed words without charging virtual time.
@@ -364,49 +387,74 @@ impl Heap {
     /// For bootstrap only (building thread contexts and initial data
     /// structure population before the measured run starts).
     pub fn alloc_untimed(&self, words: usize) -> Result<Addr, AllocError> {
-        let block = self.carve(words)?;
-        self.ledger_on_alloc(block.addr);
-        Ok(block.addr)
+        self.carve(words, None)
     }
 
     /// Takes a block from the allocator and zeroes it if it was recycled.
     /// A block fresh from the bump pointer is already zero: the slab
     /// arrives zeroed and nothing writes above the bump, so its pages stay
-    /// untouched until the program uses them.
-    fn carve(&self, words: usize) -> Result<Block, AllocError> {
-        let block = self
-            .allocator
-            .lock()
-            .expect("allocator lock poisoned by a panicking free")
-            .alloc(words)?;
+    /// untouched until the program uses them. With the oracles armed, a
+    /// timed allocation (by `thread`) also records every protection root
+    /// that still references the block (ABA re-exposure), and the ledger
+    /// starts the block's lifetime, superseding any record of the
+    /// address's previous one.
+    fn carve(&self, words: usize, thread: Option<usize>) -> Result<Addr, AllocError> {
+        let mut guard = self.state();
+        let state = &mut *guard;
+        let block = state.allocator.alloc(words)?;
         if block.recycled {
             for off in 0..block.words {
                 self.cell(block.addr, off).store(0, Ordering::Relaxed);
             }
         }
-        Ok(block)
+        if self.armed() {
+            if let Some(thread) = thread {
+                let (lo, hi) = (block.addr.raw(), block.addr.offset(block.words).raw());
+                for &(root, len) in &state.roots {
+                    for off in 0..len {
+                        let stripped = self.peek(root, off) & !crate::tagged::TAG_MASK;
+                        if (lo..hi).contains(&stripped) {
+                            state.uaf.push(UafViolation {
+                                kind: UafKind::Reexposure,
+                                thread,
+                                base: block.addr,
+                                raw: root.offset(off).raw(),
+                            });
+                        }
+                    }
+                }
+            }
+            state.blocks.insert(block.addr.raw(), BlockState::Live);
+        }
+        Ok(block.addr)
     }
 
-    /// Frees the block based at `addr`, poisoning it first if configured.
+    /// Frees the block based at `addr` and poisons it.
     ///
-    /// Callers that interact with transactional readers must poison through
-    /// the HTM engine (`privatize`) *before* calling this, so that in-flight
+    /// Callers that interact with transactional readers free through the
+    /// HTM engine's `free_object`, which stamps the block's lines through
+    /// [`Heap::free_with`] before the poison, so that in-flight
     /// transactions observing the block are doomed; this raw free is the
     /// allocator-level step.
     ///
     /// # Panics
     ///
     /// Panics on a never-allocated address, and on double free when the
-    /// lifecycle ledger is disabled. With the ledger armed a double free
-    /// of a tracked block is *recorded and absorbed* instead: the audit
-    /// oracle's job is to report the defect with attribution, and
+    /// oracles are not armed. With the lifecycle ledger armed a double
+    /// free of a tracked block is *recorded and absorbed* instead: the
+    /// audit oracle's job is to report the defect with attribution, and
     /// re-freeing would corrupt the allocator's free lists before the
     /// report could be read.
     pub fn free(&self, cpu: &mut Cpu, addr: Addr) {
-        if self.ledger_on_free(cpu.thread_id, cpu.now(), addr, true) {
-            return;
-        }
-        self.free_inner(cpu, addr);
+        self.free_block(cpu, addr, true, |_| {});
+    }
+
+    /// [`Heap::free`] with a hook: `before_poison(words)` runs once the
+    /// block's length is known and before its first poison store, even on
+    /// a double free the ledger absorbs. It runs under the heap's lock, so
+    /// it must not call back into the heap.
+    pub fn free_with(&self, cpu: &mut Cpu, addr: Addr, before_poison: impl FnOnce(u64)) {
+        self.free_block(cpu, addr, true, before_poison);
     }
 
     /// Frees a block that was never published to other threads (e.g. an
@@ -417,59 +465,73 @@ impl Heap {
     /// directly by their allocating thread, which is the one legitimate
     /// free-without-retire path.
     pub fn free_unpublished(&self, cpu: &mut Cpu, addr: Addr) {
-        if self.ledger_on_free(cpu.thread_id, cpu.now(), addr, false) {
-            return;
-        }
-        self.free_inner(cpu, addr);
+        self.free_block(cpu, addr, false, |_| {});
     }
 
-    fn free_inner(&self, cpu: &mut Cpu, addr: Addr) {
+    /// Every free, under one acquisition of the lock. `expect_retired`
+    /// is false only for [`Heap::free_unpublished`].
+    fn free_block(
+        &self,
+        cpu: &mut Cpu,
+        addr: Addr,
+        expect_retired: bool,
+        before_poison: impl FnOnce(u64),
+    ) {
+        let mut state = self.state();
+        let words = state
+            .allocator
+            .block_len(addr)
+            .unwrap_or_else(|| panic!("free of unknown address {addr:?}"));
+        before_poison(words);
+        if self.armed() && state.ledger_free(cpu.thread_id, cpu.now(), addr, expect_retired) {
+            return;
+        }
         cpu.charge(cpu.costs.free);
         // Poison under the lock: once the block is on its free list another
         // OS thread may take it, and must find it zeroed, not poisoned.
-        let mut a = self
-            .allocator
-            .lock()
-            .expect("allocator lock poisoned by a panicking free");
-        let block = a
-            .block_len(addr)
-            .unwrap_or_else(|| panic!("free of unknown address {addr:?}"));
-        for off in 0..block {
+        for off in 0..words {
             self.cell(addr, off).store(POISON, Ordering::Relaxed);
         }
-        a.free(addr);
+        state.allocator.free(addr);
     }
 
     // ------------------------------------------------------------------
-    // Use-after-free oracle.
+    // Oracles: use-after-free and the lifecycle ledger (allocated →
+    // retired → freed).
     // ------------------------------------------------------------------
 
-    /// Enables or disables the use-after-free oracle.
+    /// Arms the use-after-free oracle and the lifecycle ledger, with
+    /// `roots` as the re-exposure check's protection roots. The oracles
+    /// stay armed for the heap's lifetime, and recording never stops the
+    /// run.
     ///
-    /// While enabled, every *timed* access (the accesses simulated
-    /// programs make) to a word inside a freed block records a
-    /// [`UafViolation`], and every timed allocation checks the registered
-    /// protection roots for references into the recycled block (ABA
-    /// re-exposure). Untimed `peek`/`poke` are exempt: they model test and
-    /// scanner introspection, not program reads.
-    pub fn set_uaf_oracle(&self, enabled: bool) {
-        self.uaf_enabled.store(enabled, Ordering::Relaxed);
+    /// - Every *timed* access (the accesses simulated programs make) to a
+    ///   word inside a freed block records a [`UafViolation`]. Untimed
+    ///   `peek`/`poke` are exempt: they model test and scanner
+    ///   introspection, not program reads.
+    /// - Every timed allocation records each root word that still
+    ///   references the recycled block (ABA re-exposure). A root
+    ///   `(base, words)` is `words` heap words at `base` holding published
+    ///   (possibly tag-marked) pointers. Only precise publication regions
+    ///   belong here — words that always reference currently-protected
+    ///   objects, like the hazard-slot matrix. Conservative regions
+    ///   (StackTrack's committed shadow frames, which legitimately hold
+    ///   stale values) would produce false positives.
+    /// - Every allocation registers its block as live, every retire
+    ///   reported via [`Heap::note_retire`] moves it to retired, and every
+    ///   free moves it to freed, recording a [`LedgerViolation`] on any
+    ///   out-of-order transition (double retire, double free, free before
+    ///   retire). Blocks allocated before arming are untracked and exempt,
+    ///   so arming *before* building structures and thread contexts gives
+    ///   full coverage.
+    pub fn arm_oracles(&self, roots: &[(Addr, u64)]) {
+        self.state().roots.extend_from_slice(roots);
+        self.armed.store(true, Ordering::Relaxed);
     }
 
-    /// Registers a protection-root region for the re-exposure check:
-    /// `words` heap words at `base` holding published (possibly
-    /// tag-marked) pointers. Only precise publication regions belong here
-    /// — words that always reference currently-protected objects, like the
-    /// hazard-slot matrix. Conservative regions (StackTrack's committed
-    /// shadow frames, which legitimately hold stale values) would produce
-    /// false positives.
-    pub fn add_uaf_root(&self, base: Addr, words: u64) {
-        self.uaf.lock().unwrap().roots.push(UafRoot { base, words });
-    }
-
-    /// Violations recorded since the oracle was enabled.
+    /// Use-after-free violations recorded since the oracles were armed.
     pub fn uaf_violations(&self) -> Vec<UafViolation> {
-        self.uaf.lock().unwrap().violations.clone()
+        self.state().uaf.clone()
     }
 
     /// Oracle hook for *validated speculative* reads (the HTM engine's
@@ -489,7 +551,7 @@ impl Heap {
     /// Records a violation if `addr + off` lies inside a freed block.
     #[inline]
     fn uaf_check(&self, thread: usize, kind: UafKind, addr: Addr, off: u64) {
-        if self.uaf_enabled.load(Ordering::Relaxed) {
+        if self.armed() {
             self.uaf_check_armed(thread, kind, addr, off);
         }
     }
@@ -498,70 +560,17 @@ impl Heap {
     #[inline(never)]
     fn uaf_check_armed(&self, thread: usize, kind: UafKind, addr: Addr, off: u64) {
         let raw = addr.offset(off).raw();
-        let freed_base = {
-            let a = self.allocator.lock().unwrap();
-            match a.object_at(raw) {
-                Some((base, info)) if !info.live => Some(base),
-                _ => None,
-            }
-        };
-        if let Some(base) = freed_base {
-            self.uaf.lock().unwrap().violations.push(UafViolation {
-                kind,
-                thread,
-                base,
-                raw,
-            });
-        }
-    }
-
-    /// Records a violation if any registered root still references the
-    /// just-(re)allocated block `[addr, addr + block)`.
-    #[inline]
-    fn uaf_check_reexposure(&self, thread: usize, addr: Addr, block: u64) {
-        if self.uaf_enabled.load(Ordering::Relaxed) {
-            self.uaf_check_reexposure_armed(thread, addr, block);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn uaf_check_reexposure_armed(&self, thread: usize, addr: Addr, block: u64) {
-        let lo = addr.raw();
-        let hi = addr.offset(block).raw();
-        let mut state = self.uaf.lock().unwrap();
-        let roots = state.roots.clone();
-        for root in roots {
-            for off in 0..root.words {
-                let stripped = self.peek(root.base, off) & !crate::tagged::TAG_MASK;
-                if stripped >= lo && stripped < hi {
-                    state.violations.push(UafViolation {
-                        kind: UafKind::Reexposure,
-                        thread,
-                        base: addr,
-                        raw: root.base.offset(off).raw(),
-                    });
-                }
+        let mut state = self.state();
+        if let Some((base, info)) = state.allocator.object_at(raw) {
+            if !info.live {
+                state.uaf.push(UafViolation {
+                    kind,
+                    thread,
+                    base,
+                    raw,
+                });
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Lifecycle ledger (allocated → retired → freed audit oracle).
-    // ------------------------------------------------------------------
-
-    /// Enables or disables the heap-ledger oracle.
-    ///
-    /// While enabled, every allocation registers its block as live, every
-    /// retire reported via [`Heap::note_retire`] moves it to retired, and
-    /// every [`Heap::free`] moves it to freed — recording a
-    /// [`LedgerViolation`] on any out-of-order transition (double retire,
-    /// double free, free before retire). Blocks allocated while the ledger
-    /// was disabled are untracked and exempt, so enabling the oracle
-    /// *before* building structures and thread contexts gives full
-    /// coverage. Recording never stops the run.
-    pub fn set_ledger_oracle(&self, enabled: bool) {
-        self.ledger_enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Reports that `thread` retired the block based at `addr` at virtual
@@ -571,7 +580,7 @@ impl Heap {
     /// block records [`LedgerKind::DoubleRetire`].
     #[inline]
     pub fn note_retire(&self, thread: usize, cycle: u64, addr: Addr) {
-        if self.ledger_enabled.load(Ordering::Relaxed) {
+        if self.armed() {
             self.note_retire_armed(thread, cycle, addr);
         }
     }
@@ -579,31 +588,32 @@ impl Heap {
     #[cold]
     #[inline(never)]
     fn note_retire_armed(&self, thread: usize, cycle: u64, addr: Addr) {
-        let mut book = self.ledger.lock().unwrap();
-        book.retire_events += 1;
-        match book.blocks.get(&addr.raw()) {
+        let mut state = self.state();
+        state.events.retire_events += 1;
+        match state.blocks.get(&addr.raw()) {
             Some(BlockState::Retired { .. }) | Some(BlockState::Freed) => {
-                book.violations.push(LedgerViolation {
+                state.ledger.push(LedgerViolation {
                     kind: LedgerKind::DoubleRetire,
                     thread,
                     base: addr,
                     cycle,
                 });
             }
-            // Untracked blocks (allocated before the ledger was enabled)
+            // Untracked blocks (allocated before the oracles were armed)
             // join the pipeline at their first observed event.
             Some(BlockState::Live) | None => {
-                book.blocks
+                state
+                    .blocks
                     .insert(addr.raw(), BlockState::Retired { thread, cycle });
             }
         }
     }
 
-    /// Lifecycle violations recorded since the ledger was enabled
+    /// Lifecycle violations recorded since the oracles were armed
     /// (excluding leaks, which only exist relative to a teardown point —
     /// see [`Heap::ledger_leaks`]).
     pub fn ledger_violations(&self) -> Vec<LedgerViolation> {
-        self.ledger.lock().unwrap().violations.clone()
+        self.state().ledger.clone()
     }
 
     /// Blocks currently retired but never freed, as [`LedgerKind::Leak`]
@@ -613,8 +623,8 @@ impl Heap {
     /// its deferral pipeline; a truncated or faulted run legitimately
     /// holds retired blocks, so the caller decides when to ask.
     pub fn ledger_leaks(&self) -> Vec<LedgerViolation> {
-        let book = self.ledger.lock().unwrap();
-        book.blocks
+        self.state()
+            .blocks
             .iter()
             .filter_map(|(&raw, state)| match state {
                 BlockState::Retired { thread, cycle } => Some(LedgerViolation {
@@ -628,86 +638,9 @@ impl Heap {
             .collect()
     }
 
-    /// Aggregate ledger counters (for `audit.*` metrics snapshots).
+    /// Ledger event counters (for `audit.*` metrics snapshots).
     pub fn ledger_stats(&self) -> LedgerStats {
-        let book = self.ledger.lock().unwrap();
-        let mut stats = LedgerStats {
-            retire_events: book.retire_events,
-            free_events: book.free_events,
-            ..LedgerStats::default()
-        };
-        for state in book.blocks.values() {
-            match state {
-                BlockState::Live => stats.live += 1,
-                BlockState::Retired { .. } => stats.retired += 1,
-                BlockState::Freed => stats.freed += 1,
-            }
-        }
-        stats
-    }
-
-    /// Registers an allocation with the ledger (block becomes live,
-    /// superseding any record of the address's previous lifetime).
-    #[inline]
-    fn ledger_on_alloc(&self, addr: Addr) {
-        if self.ledger_enabled.load(Ordering::Relaxed) {
-            self.ledger_on_alloc_armed(addr);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn ledger_on_alloc_armed(&self, addr: Addr) {
-        self.ledger
-            .lock()
-            .unwrap()
-            .blocks
-            .insert(addr.raw(), BlockState::Live);
-    }
-
-    /// Registers a free with the ledger. `expect_retired` distinguishes
-    /// the normal reclamation path (retire must have happened) from the
-    /// unpublished-rollback path ([`Heap::free_unpublished`]). Returns
-    /// `true` when the free was a recorded double free, in which case the
-    /// caller must *not* touch the allocator: the block is already on a
-    /// free list (or reallocated to someone else), and the oracle's
-    /// contract is to report the defect, not to let it corrupt the heap.
-    #[inline]
-    fn ledger_on_free(&self, thread: usize, cycle: u64, addr: Addr, expect_retired: bool) -> bool {
-        self.ledger_enabled.load(Ordering::Relaxed)
-            && self.ledger_on_free_armed(thread, cycle, addr, expect_retired)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn ledger_on_free_armed(
-        &self,
-        thread: usize,
-        cycle: u64,
-        addr: Addr,
-        expect_retired: bool,
-    ) -> bool {
-        let mut book = self.ledger.lock().unwrap();
-        book.free_events += 1;
-        let kind = match book.blocks.get(&addr.raw()) {
-            Some(BlockState::Freed) => Some(LedgerKind::DoubleFree),
-            Some(BlockState::Live) if expect_retired => Some(LedgerKind::FreeBeforeRetire),
-            // Untracked blocks are exempt (allocated before enabling).
-            _ => None,
-        };
-        let absorbed = matches!(kind, Some(LedgerKind::DoubleFree));
-        if let Some(kind) = kind {
-            book.violations.push(LedgerViolation {
-                kind,
-                thread,
-                base: addr,
-                cycle,
-            });
-        }
-        if !absorbed {
-            book.blocks.insert(addr.raw(), BlockState::Freed);
-        }
-        absorbed
+        self.state().events
     }
 
     // ------------------------------------------------------------------
@@ -718,20 +651,15 @@ impl Heap {
     /// Resolves a raw scanned word to the base of the live object it points
     /// into, if any (section 5.5 interior-pointer support).
     pub fn object_base(&self, raw: Word) -> Option<Addr> {
-        let a = self.allocator.lock().unwrap();
-        a.object_at(raw)
+        self.state()
+            .allocator
+            .object_at(raw)
             .and_then(|(base, info)| info.live.then_some(base))
     }
 
     /// Whether `addr` is the base of a live object.
     pub fn is_live(&self, addr: Addr) -> bool {
-        self.allocator.lock().unwrap().is_live(addr)
-    }
-
-    /// Block length in words of the object at `addr`, if it was ever
-    /// allocated.
-    pub fn block_len(&self, addr: Addr) -> Option<u64> {
-        self.allocator.lock().unwrap().block_len(addr)
+        self.state().allocator.is_live(addr)
     }
 
     /// Whether the word at `addr + off` currently holds poison.
@@ -742,7 +670,7 @@ impl Heap {
     /// Statistics snapshot.
     pub fn stats(&self) -> HeapStats {
         HeapStats {
-            alloc: self.allocator.lock().unwrap().stats(),
+            alloc: self.state().allocator.stats(),
         }
     }
 
@@ -863,7 +791,7 @@ mod tests {
     fn uaf_oracle_records_access_to_freed_block() {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
-        heap.set_uaf_oracle(true);
+        heap.arm_oracles(&[]);
         let a = heap.alloc(&mut c, 2).unwrap();
         heap.free(&mut c, a);
         heap.load(&mut c, a, 1);
@@ -875,6 +803,35 @@ mod tests {
             vec![UafKind::Read, UafKind::Write, UafKind::Cas]
         );
         assert!(v.iter().all(|x| x.base == a && x.thread == 0));
+        // The same call armed the ledger, which saw the un-retired free.
+        let l = heap.ledger_violations();
+        assert_eq!(l.len(), 1);
+        assert_eq!((l[0].kind, l[0].base), (LedgerKind::FreeBeforeRetire, a));
+    }
+
+    #[test]
+    fn a_panic_under_the_heap_lock_leaves_the_records_readable() {
+        let heap = Heap::new(HeapConfig::small());
+        let mut c = cpu();
+        heap.arm_oracles(&[]);
+        let a = heap.alloc(&mut c, 2).unwrap();
+        heap.free(&mut c, a);
+        heap.load(&mut c, a, 0);
+        // The unknown-address panic fires while the free holds the lock.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            heap.free(&mut c, Addr::from_raw(POISON));
+        }));
+        assert!(panicked.is_err(), "a free of poison is a free of nothing");
+        let uaf = heap.uaf_violations();
+        assert_eq!(uaf.len(), 1);
+        assert_eq!((uaf[0].kind, uaf[0].base), (UafKind::Read, a));
+        let ledger = heap.ledger_violations();
+        assert_eq!(ledger.len(), 1);
+        assert_eq!(
+            (ledger[0].kind, ledger[0].base),
+            (LedgerKind::FreeBeforeRetire, a)
+        );
+        assert!(heap.ledger_leaks().is_empty());
     }
 
     #[test]
@@ -892,11 +849,10 @@ mod tests {
     fn uaf_oracle_flags_reexposure_through_a_root() {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
-        heap.set_uaf_oracle(true);
         // A one-word "hazard slot" region still holding a (tagged) pointer
         // to the block when the allocator recycles it.
         let slot = heap.alloc(&mut c, 1).unwrap();
-        heap.add_uaf_root(slot, 1);
+        heap.arm_oracles(&[(slot, 1)]);
         let a = heap.alloc(&mut c, 2).unwrap();
         heap.store(&mut c, slot, 0, a.raw() | 1);
         heap.free(&mut c, a);
@@ -918,7 +874,7 @@ mod tests {
     fn ledger_tracks_the_clean_lifecycle() {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
-        heap.set_ledger_oracle(true);
+        heap.arm_oracles(&[]);
         let a = heap.alloc(&mut c, 2).unwrap();
         heap.note_retire(0, c.now(), a);
         heap.free(&mut c, a);
@@ -927,14 +883,13 @@ mod tests {
         let stats = heap.ledger_stats();
         assert_eq!(stats.retire_events, 1);
         assert_eq!(stats.free_events, 1);
-        assert_eq!(stats.freed, 1);
     }
 
     #[test]
     fn ledger_flags_double_retire() {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
-        heap.set_ledger_oracle(true);
+        heap.arm_oracles(&[]);
         let a = heap.alloc(&mut c, 2).unwrap();
         heap.note_retire(0, 10, a);
         heap.note_retire(1, 20, a);
@@ -950,7 +905,7 @@ mod tests {
     fn ledger_flags_free_before_retire() {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
-        heap.set_ledger_oracle(true);
+        heap.arm_oracles(&[]);
         let a = heap.alloc(&mut c, 2).unwrap();
         heap.free(&mut c, a);
         let v = heap.ledger_violations();
@@ -962,7 +917,7 @@ mod tests {
     fn ledger_exempts_unpublished_rollback_frees() {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
-        heap.set_ledger_oracle(true);
+        heap.arm_oracles(&[]);
         let a = heap.alloc(&mut c, 2).unwrap();
         heap.free_unpublished(&mut c, a);
         assert!(heap.ledger_violations().is_empty());
@@ -972,7 +927,7 @@ mod tests {
     fn ledger_records_and_absorbs_a_double_free() {
         let heap = Arc::new(Heap::new(HeapConfig::small()));
         let mut c = cpu();
-        heap.set_ledger_oracle(true);
+        heap.arm_oracles(&[]);
         let a = heap.alloc(&mut c, 2).unwrap();
         heap.note_retire(0, c.now(), a);
         heap.free(&mut c, a);
@@ -1010,34 +965,32 @@ mod tests {
     fn ledger_reports_retired_but_unfreed_blocks_as_leaks() {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
-        heap.set_ledger_oracle(true);
+        heap.arm_oracles(&[]);
         let a = heap.alloc(&mut c, 2).unwrap();
         let b = heap.alloc(&mut c, 2).unwrap();
         heap.note_retire(1, 42, a);
         heap.note_retire(0, 43, b);
         heap.free(&mut c, b);
+        // Live-but-unretired blocks are not leaks: nodes still reachable
+        // in a structure at teardown are legitimately alive.
+        heap.alloc(&mut c, 2).unwrap();
         let leaks = heap.ledger_leaks();
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].kind, LedgerKind::Leak);
         assert_eq!(leaks[0].base, a);
         assert_eq!(leaks[0].thread, 1);
         assert_eq!(leaks[0].cycle, 42);
-        // Live-but-unretired blocks are not leaks: nodes still reachable
-        // in a structure at teardown are legitimately alive.
-        assert_eq!(heap.ledger_stats().live, 0);
     }
 
     #[test]
-    fn ledger_is_silent_when_disabled_and_exempts_prior_blocks() {
+    fn ledger_is_silent_until_armed_and_exempts_prior_blocks() {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
-        let a = heap.alloc(&mut c, 2).unwrap(); // untracked: pre-enable
-        heap.set_ledger_oracle(true);
-        heap.free(&mut c, a); // no free-before-retire for untracked blocks
-        assert!(heap.ledger_violations().is_empty());
-        heap.set_ledger_oracle(false);
+        let a = heap.alloc(&mut c, 2).unwrap(); // untracked: pre-arming
         let b = heap.alloc(&mut c, 2).unwrap();
-        heap.free(&mut c, b);
+        heap.free(&mut c, b); // unarmed: unrecorded
+        heap.arm_oracles(&[]);
+        heap.free(&mut c, a); // no free-before-retire for untracked blocks
         assert!(heap.ledger_violations().is_empty());
         assert_eq!(heap.ledger_stats().free_events, 1);
     }
@@ -1046,7 +999,7 @@ mod tests {
     fn ledger_recycled_block_starts_a_fresh_lifetime() {
         let heap = Heap::new(HeapConfig::small());
         let mut c = cpu();
-        heap.set_ledger_oracle(true);
+        heap.arm_oracles(&[]);
         let a = heap.alloc(&mut c, 2).unwrap();
         heap.note_retire(0, 1, a);
         heap.free(&mut c, a);

@@ -145,11 +145,6 @@ fn check_words(alloc: &Allocator, heap: &Heap, model: &Model, lo: u64, hi: u64) 
             model.block_len(idx),
             "block_len {idx}"
         );
-        assert_eq!(
-            heap.block_len(addr),
-            model.block_len(idx),
-            "heap block_len {idx}"
-        );
     }
 }
 

@@ -69,11 +69,6 @@ impl HtmEngine {
         &self.heap
     }
 
-    /// Snapshot of one thread's transaction statistics.
-    pub fn thread_stats(&self, thread_id: usize) -> HtmStats {
-        self.stats[thread_id].snapshot()
-    }
-
     /// Clears all per-thread statistics (benchmark warm-up support).
     pub fn reset_stats(&self) {
         for s in &self.stats {
@@ -376,18 +371,16 @@ impl HtmEngine {
     /// uncommitted transaction, a data conflict will force that transaction
     /// to abort") is exactly this version bump.
     pub fn free_object(&self, cpu: &mut Cpu, addr: Addr) {
-        // The stamps must precede the poison `Heap::free` writes, so the
-        // lines to stamp come from a `block_len` call of their own.
-        let block = self
-            .heap
-            .block_len(addr)
-            .unwrap_or_else(|| panic!("free_object of unknown address {addr:?}"));
-        // One stripe per *line*, not per word: consecutive words share a
-        // line, so walking line numbers does 1/8th the hashing.
-        let lines = addr.line()..=addr.offset(block.saturating_sub(1)).line();
         self.write_locked(|wv| {
-            self.stamp(lines.map(|line| self.stripes.index_of_line(line)), wv);
-            self.heap.free(cpu, addr);
+            // The stamps precede the poison: the heap runs this hook once
+            // it knows the block's length, before its first poison store.
+            self.heap.free_with(cpu, addr, |words| {
+                // One stripe per *line*, not per word: consecutive words
+                // share a line, so walking line numbers does 1/8th the
+                // hashing.
+                let lines = addr.line()..=addr.offset(words - 1).line();
+                self.stamp(lines.map(|line| self.stripes.index_of_line(line)), wv);
+            });
             true
         });
     }
@@ -402,7 +395,7 @@ impl HtmEngine {
 mod tests {
     use super::*;
     use st_machine::{cpu::ActivityBoard, CostModel, HwContext, Topology};
-    use st_simheap::HeapConfig;
+    use st_simheap::{HeapConfig, LedgerKind};
 
     fn setup() -> (Arc<HtmEngine>, Vec<Cpu>) {
         let heap = Arc::new(Heap::new(HeapConfig::small()));
@@ -547,6 +540,30 @@ mod tests {
     }
 
     #[test]
+    fn free_object_records_and_absorbs_a_double_free() {
+        let (e, mut cpus) = setup();
+        let c = &mut cpus[0];
+        e.heap().arm_oracles(&[]);
+        let a = e.heap().alloc(c, 2).unwrap();
+        e.heap().note_retire(0, c.now(), a);
+        e.free_object(c, a);
+        e.free_object(c, a);
+        let v = e.heap().ledger_violations();
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].kind, v[0].base), (LedgerKind::DoubleFree, a));
+        // The absorbed free did not put the block on its free list twice.
+        assert_eq!(e.heap().alloc(c, 2).unwrap(), a);
+        assert_ne!(e.heap().alloc(c, 2).unwrap(), a);
+    }
+
+    #[test]
+    #[should_panic(expected = "free of unknown address")]
+    fn free_object_of_an_unknown_address_panics() {
+        let (e, mut cpus) = setup();
+        e.free_object(&mut cpus[0], Addr::from_index(64));
+    }
+
+    #[test]
     fn capacity_abort_on_budget_overflow() {
         let heap = Arc::new(Heap::new(HeapConfig {
             capacity_words: 1 << 18,
@@ -568,7 +585,7 @@ mod tests {
         let (line, ab) = failed.expect("the budget overflows");
         assert!(line <= capacity::L1_LINES, "admitted {line} lines");
         assert_eq!(ab.cause(), AbortCause::Capacity);
-        assert_eq!(e.thread_stats(0).aborts_capacity, 1);
+        assert_eq!(e.total_stats().aborts_capacity, 1);
     }
 
     #[test]
@@ -578,7 +595,7 @@ mod tests {
         let mut tx = e.begin(c);
         let ab = e.tx_abort(c, &mut tx);
         assert_eq!(ab.cause(), AbortCause::Explicit);
-        assert_eq!(e.thread_stats(0).aborts_explicit, 1);
+        assert_eq!(e.total_stats().aborts_explicit, 1);
     }
 
     #[test]
@@ -604,12 +621,11 @@ mod tests {
             e.tx_write(c, &mut tx, a, 0, i).unwrap();
             e.commit(c, &mut tx).unwrap();
         }
-        let s = e.thread_stats(0);
+        let s = e.total_stats();
         assert_eq!(s.begun, 3);
         assert_eq!(s.committed, 3);
         assert_eq!(s.committed_writes, 3);
         assert_eq!(s.total_aborts(), 0);
-        assert_eq!(e.total_stats().committed, 3);
     }
 
     #[test]

@@ -97,54 +97,16 @@ pub struct WorkloadSpec {
     pub buckets: usize,
 }
 
-/// Validating constructor for [`WorkloadSpec`].
-///
-/// Obtained from [`WorkloadSpec::builder`]; [`WorkloadSpecBuilder::build`]
-/// rejects inconsistent configurations instead of letting them skew a
-/// benchmark silently (e.g. a key range smaller than the initial
-/// population can never finish populating).
-#[derive(Debug, Clone)]
-pub struct WorkloadSpecBuilder {
-    structure: StructureKind,
-    initial_size: u64,
-    key_range: u64,
-    mutation_pct: u32,
-    buckets: Option<usize>,
-}
-
-impl WorkloadSpecBuilder {
-    /// Initial number of elements (default 1024).
-    pub fn initial_size(mut self, initial_size: u64) -> Self {
-        self.initial_size = initial_size;
-        self
-    }
-
-    /// Keys drawn uniformly from `1..=key_range` (default 2048).
-    pub fn key_range(mut self, key_range: u64) -> Self {
-        self.key_range = key_range;
-        self
-    }
-
-    /// Percentage of mutating operations (default 20).
-    pub fn mutation_pct(mut self, mutation_pct: u32) -> Self {
-        self.mutation_pct = mutation_pct;
-        self
-    }
-
-    /// Hash-table bucket count; only valid for [`StructureKind::Hash`].
-    pub fn buckets(mut self, buckets: usize) -> Self {
-        self.buckets = Some(buckets);
-        self
-    }
-
-    /// Validates and constructs the spec.
+impl WorkloadSpec {
+    /// Checks the spec's consistency, so an inconsistent configuration is
+    /// refused instead of skewing a benchmark silently.
     ///
     /// # Errors
     ///
     /// - `key_range < initial_size`: the population could never fit.
     /// - `mutation_pct > 100`: not a percentage.
-    /// - `buckets` set on a non-hash structure, or zero/unset for a hash.
-    pub fn build(self) -> Result<WorkloadSpec, String> {
+    /// - a hash table with no bucket. Other structures ignore `buckets`.
+    pub fn validate(&self) -> Result<(), String> {
         if self.key_range < self.initial_size {
             return Err(format!(
                 "key_range ({}) must be >= initial_size ({})",
@@ -157,104 +119,53 @@ impl WorkloadSpecBuilder {
                 self.mutation_pct
             ));
         }
-        let buckets = match (self.structure, self.buckets) {
-            (StructureKind::Hash, Some(0)) => {
-                return Err("a hash table needs at least one bucket".into());
-            }
-            (StructureKind::Hash, Some(b)) => b,
-            (StructureKind::Hash, None) => {
-                return Err("StructureKind::Hash requires .buckets(n)".into());
-            }
-            (other, Some(_)) => {
-                return Err(format!("buckets is only meaningful for Hash, not {other}"));
-            }
-            (_, None) => 1,
-        };
-        Ok(WorkloadSpec {
-            structure: self.structure,
-            initial_size: self.initial_size,
-            key_range: self.key_range,
-            mutation_pct: self.mutation_pct,
-            buckets,
-        })
-    }
-}
-
-impl WorkloadSpec {
-    /// Re-checks the builder invariants on an existing spec (the fields
-    /// are public, so a spec can drift after construction).
-    pub fn validate(&self) -> Result<(), String> {
-        let mut b = Self::builder(self.structure)
-            .initial_size(self.initial_size)
-            .key_range(self.key_range)
-            .mutation_pct(self.mutation_pct);
-        if self.structure == StructureKind::Hash {
-            b = b.buckets(self.buckets);
+        if self.structure == StructureKind::Hash && self.buckets == 0 {
+            return Err("a hash table needs at least one bucket".into());
         }
-        b.build().map(|_| ())
+        Ok(())
     }
 
-    /// Starts building a spec for `structure`.
-    pub fn builder(structure: StructureKind) -> WorkloadSpecBuilder {
-        WorkloadSpecBuilder {
+    /// A paper-style spec: 20 % mutations, one bucket.
+    fn paper(structure: StructureKind, initial_size: u64, key_range: u64) -> Self {
+        Self {
             structure,
-            initial_size: 1024,
-            key_range: 2048,
+            initial_size,
+            key_range,
             mutation_pct: 20,
-            buckets: None,
+            buckets: 1,
         }
     }
 
     /// The paper's list configuration: 5 K nodes, 20 % mutations.
     pub fn paper_list() -> Self {
-        Self::builder(StructureKind::List)
-            .initial_size(5_000)
-            .key_range(10_000)
-            .mutation_pct(20)
-            .build()
-            .expect("paper preset is valid")
+        Self::paper(StructureKind::List, 5_000, 10_000)
     }
 
     /// The paper's skip-list configuration: 100 K nodes, 20 % mutations.
     pub fn paper_skiplist() -> Self {
-        Self::builder(StructureKind::SkipList)
-            .initial_size(100_000)
-            .key_range(200_000)
-            .mutation_pct(20)
-            .build()
-            .expect("paper preset is valid")
+        Self::paper(StructureKind::SkipList, 100_000, 200_000)
     }
 
     /// The paper's queue configuration: 20 % mutations.
     pub fn paper_queue() -> Self {
-        Self::builder(StructureKind::Queue)
-            .initial_size(256)
-            .key_range(1 << 32)
-            .mutation_pct(20)
-            .build()
-            .expect("paper preset is valid")
+        Self::paper(StructureKind::Queue, 256, 1 << 32)
     }
 
     /// Extra workload: red-black tree, 10 K keys, 10 % mutations
     /// (read-dominated, as tree indexes usually are).
     pub fn extra_rbtree() -> Self {
-        Self::builder(StructureKind::RbTree)
-            .initial_size(10_000)
-            .key_range(20_000)
-            .mutation_pct(10)
-            .build()
-            .expect("paper preset is valid")
+        Self {
+            mutation_pct: 10,
+            ..Self::paper(StructureKind::RbTree, 10_000, 20_000)
+        }
     }
 
     /// The paper's hash configuration: 10 K nodes, 20 % mutations.
     pub fn paper_hash() -> Self {
-        Self::builder(StructureKind::Hash)
-            .initial_size(10_000)
-            .key_range(20_000)
-            .mutation_pct(20)
-            .buckets(4_096)
-            .build()
-            .expect("paper preset is valid")
+        Self {
+            buckets: 4_096,
+            ..Self::paper(StructureKind::Hash, 10_000, 20_000)
+        }
     }
 
     /// A scaled-down variant for fast test runs.
@@ -544,32 +455,35 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_inconsistent_specs() {
-        assert!(WorkloadSpec::builder(StructureKind::List)
-            .initial_size(100)
-            .key_range(50)
-            .build()
-            .is_err());
-        assert!(WorkloadSpec::builder(StructureKind::List)
-            .mutation_pct(101)
-            .build()
-            .is_err());
-        assert!(WorkloadSpec::builder(StructureKind::List)
-            .buckets(4)
-            .build()
-            .is_err());
-        assert!(WorkloadSpec::builder(StructureKind::Hash).build().is_err());
-        assert!(WorkloadSpec::builder(StructureKind::Hash)
-            .buckets(0)
-            .build()
-            .is_err());
-        let hash = WorkloadSpec::builder(StructureKind::Hash)
-            .buckets(64)
-            .build()
-            .unwrap();
-        assert_eq!(hash.buckets, 64);
-        let list = WorkloadSpec::builder(StructureKind::List).build().unwrap();
-        assert_eq!(list.buckets, 1, "non-hash structures get a unit bucket");
+    fn validate_rejects_inconsistent_specs() {
+        let list = WorkloadSpec::paper_list();
+        let bad = [
+            WorkloadSpec {
+                key_range: 50,
+                initial_size: 100,
+                ..list.clone()
+            },
+            WorkloadSpec {
+                mutation_pct: 101,
+                ..list.clone()
+            },
+            WorkloadSpec {
+                buckets: 0,
+                ..WorkloadSpec::paper_hash()
+            },
+        ];
+        for spec in bad {
+            assert!(spec.validate().is_err(), "{spec:?} accepted");
+        }
+        for spec in [
+            list,
+            WorkloadSpec::paper_skiplist(),
+            WorkloadSpec::paper_queue(),
+            WorkloadSpec::paper_hash(),
+            WorkloadSpec::extra_rbtree(),
+        ] {
+            assert_eq!(spec.validate(), Ok(()), "{spec:?}");
+        }
     }
 
     #[test]

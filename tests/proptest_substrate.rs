@@ -29,12 +29,14 @@ fn allocator_soundness() {
         let heap = Heap::new(HeapConfig {
             capacity_words: 1 << 16,
         });
-        let mut live: Vec<(Addr, usize)> = Vec::new();
+        // (base, requested words, block words)
+        let mut live: Vec<(Addr, usize, u64)> = Vec::new();
         for _ in 0..steps {
             let words = 1 + rng.below(39) as usize;
             let free_one = rng.chance(0.5);
+            let before = heap.stats().alloc.live_words;
             if free_one && !live.is_empty() {
-                let (addr, _) = live.swap_remove(0);
+                let (addr, _, _) = live.swap_remove(0);
                 let mut c = cpu(0);
                 heap.free(&mut c, addr);
                 assert!(!heap.is_live(addr), "case {case}");
@@ -42,18 +44,18 @@ fn allocator_soundness() {
                 assert_eq!(addr.raw() % 8, 0, "case {case}");
                 assert!(heap.is_live(addr), "case {case}");
                 // No overlap with any other live object.
-                let block = heap.block_len(addr).unwrap();
-                for &(other, other_words) in &live {
-                    let ob = heap.block_len(other).unwrap().max(other_words as u64);
+                let block = heap.stats().alloc.live_words - before;
+                assert!(block >= words as u64, "case {case}");
+                for &(other, _, ob) in &live {
                     let disjoint =
                         addr.index() + block <= other.index() || other.index() + ob <= addr.index();
                     assert!(disjoint, "case {case}: overlap {addr:?} and {other:?}");
                 }
-                live.push((addr, words));
+                live.push((addr, words, block));
             }
         }
         // Interior resolution agrees with the ground truth.
-        for &(addr, words) in &live {
+        for &(addr, words, _) in &live {
             for off in 0..words as u64 {
                 assert_eq!(
                     heap.object_base(addr.offset(off).raw()),
@@ -203,8 +205,9 @@ fn allocator_recycles_within_class() {
     let mut freed_by_class: HashMap<u64, Addr> = HashMap::new();
     let mut c = cpu(0);
     for words in [3usize, 5, 9, 17, 3, 5, 9, 17] {
+        let before = heap.stats().alloc.live_words;
         let a = heap.alloc_untimed(words).unwrap();
-        let class = heap.block_len(a).unwrap();
+        let class = heap.stats().alloc.live_words - before;
         if let Some(prev) = freed_by_class.get(&class) {
             assert_eq!(*prev, a, "class {class} must recycle LIFO");
         }
